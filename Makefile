@@ -19,7 +19,7 @@ GATETHRESHOLD ?= 1.25
 # stable at -benchtime 1x while skipping microsecond-scale noise.
 GATEMIN ?= 2ms
 
-.PHONY: all build test race vet fmt analyze bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
+.PHONY: all build test race vet fmt analyze srbench-check bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
 
 all: build
 
@@ -45,6 +45,14 @@ vet:
 ## //srlint: suppression census so justified exceptions stay visible
 analyze:
 	$(GO) run ./cmd/srlint -stats ./...
+
+## srbench-check: vet and test the end-to-end benchmark module. srbench/ has
+## its own go.mod (replacing stablerank with ../), so `go build ./...` and
+## `go test ./...` from the root never compile it; without this target a
+## facade change that breaks the benchmark would only surface in a benchmark
+## run
+srbench-check:
+	cd srbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fmt: fail if any file is not gofmt-clean
 fmt:
@@ -116,4 +124,4 @@ clean-data:
 	rm -f coverage.out coverage.html .api.current.txt
 
 ## ci: everything the CI workflow's core job runs
-ci: build fmt vet analyze test race apicheck
+ci: build fmt vet analyze test race apicheck srbench-check

@@ -628,14 +628,16 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkVerifyBatch: verifying 16 candidate rankings against a 100k
-// sample pool — one VerifyStability call per ranking vs a single VerifyBatch
-// sweep with the constraint tests fused.
+// sample pool — one VerifyStability call per ranking vs a single Do call
+// whose constraint tests are fused into one sweep.
 func BenchmarkVerifyBatch(b *testing.B) {
 	ds := benchDiamonds(1000, 3)
 	rankings := make([]rank.Ranking, 16)
+	queries := make([]stablerank.Query, len(rankings))
 	for i := range rankings {
 		w := []float64{1, 1 + float64(i)*0.05, 1 - float64(i)*0.03}
 		rankings[i] = stablerank.RankingOf(ds, w)
+		queries[i] = stablerank.VerifyQuery{Ranking: rankings[i]}
 	}
 	newAnalyzer := func(b *testing.B) *stablerank.Analyzer {
 		a, err := stablerank.New(ds, stablerank.WithSeed(benchSeed), stablerank.WithSampleCount(100000))
@@ -667,7 +669,7 @@ func BenchmarkVerifyBatch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := a.VerifyBatch(ctx, rankings)
+			out, err := a.Do(ctx, queries...)
 			if err != nil {
 				b.Fatal(err)
 			}

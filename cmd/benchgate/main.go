@@ -10,8 +10,11 @@
 // baselines faster than -min are skipped, because single-iteration timings
 // of micro-benchmarks are dominated by scheduler noise rather than code.
 // When a stream repeats a benchmark (captured with -count N) the minimum
-// sample is used — repetition only adds noise, never speed. New and
-// vanished benchmarks are reported informationally.
+// sample is used — repetition only adds noise, never speed. New benchmarks
+// are reported informationally, and so are vanished ones outside -match; a
+// baseline benchmark matching -match that is missing from the candidate
+// fails the gate, so deleting or renaming a gated benchmark cannot quietly
+// drop its gate.
 package main
 
 import (
@@ -72,10 +75,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchgate: %v\n", err)
 		return 2
 	}
-	regressions := report(stdout, old, fresh, filter, *threshold, *minTime)
+	regressions, missing := report(stdout, old, fresh, filter, *threshold, *minTime)
 	if regressions > 0 {
 		fmt.Fprintf(stderr, "benchgate: %d benchmark(s) regressed beyond %.0f%%\n",
 			regressions, (*threshold-1)*100)
+	}
+	if missing > 0 {
+		fmt.Fprintf(stderr, "benchgate: %d gated benchmark(s) missing from the candidate\n", missing)
+	}
+	if regressions+missing > 0 {
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchgate: no gated regressions")
@@ -160,18 +168,23 @@ func parse(r io.Reader) (map[string]float64, error) {
 }
 
 // report prints the comparison table and returns the number of gated
-// regressions.
-func report(w io.Writer, old, fresh map[string]float64, filter *regexp.Regexp, threshold float64, minTime time.Duration) int {
+// regressions and of baseline benchmarks matching filter that are missing
+// from the candidate.
+func report(w io.Writer, old, fresh map[string]float64, filter *regexp.Regexp, threshold float64, minTime time.Duration) (regressions, missing int) {
 	names := make([]string, 0, len(old))
 	for name := range old {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	regressions := 0
 	for _, name := range names {
 		oldNS := old[name]
 		newNS, ok := fresh[name]
-		if !ok {
+		switch {
+		case !ok && filter != nil && filter.MatchString(name):
+			fmt.Fprintf(w, "GONE      %-60s baseline %12.0f ns/op (gated, missing from the candidate)\n", name, oldNS)
+			missing++
+			continue
+		case !ok:
 			fmt.Fprintf(w, "gone      %-60s baseline %12.0f ns/op\n", name, oldNS)
 			continue
 		}
@@ -198,5 +211,5 @@ func report(w io.Writer, old, fresh map[string]float64, filter *regexp.Regexp, t
 	for _, name := range fresh2 {
 		fmt.Fprintf(w, "new       %-60s %30.0f ns/op\n", name, fresh[name])
 	}
-	return regressions
+	return regressions, missing
 }

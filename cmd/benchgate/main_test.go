@@ -112,6 +112,35 @@ func TestGateReportsNewAndGone(t *testing.T) {
 	}
 }
 
+// TestGateFailsWhenGatedBenchmarkIsGone: a baseline benchmark matching
+// -match that the candidate no longer runs fails the gate — deleting or
+// renaming a gated benchmark must not silently drop its gate — while a
+// vanished benchmark outside -match stays informational.
+func TestGateFailsWhenGatedBenchmarkIsGone(t *testing.T) {
+	base := write(t, "base.json", stream(
+		"BenchmarkVerifyBatch/loop-8\t1\t300000000 ns/op",
+		"BenchmarkVerifyBatch/batch-8\t1\t200000000 ns/op",
+		"BenchmarkRetired-8\t1\t100000000 ns/op",
+	))
+	cand := write(t, "cand.json", stream(
+		"BenchmarkVerifyBatch/loop-8\t1\t300000000 ns/op",
+	))
+	var out, errOut strings.Builder
+	code := run([]string{"-baseline", base, "-candidate", cand, "-match", "VerifyBatch"}, &out, &errOut)
+	if code != 1 {
+		t.Fatalf("gate passed with a gated benchmark gone (code %d):\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "GONE      BenchmarkVerifyBatch/batch") {
+		t.Errorf("missing GONE row for the gated benchmark:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "gone      BenchmarkRetired") {
+		t.Errorf("ungated disappearance should stay an informational gone row:\n%s", out.String())
+	}
+	if !strings.Contains(errOut.String(), "1 gated benchmark(s) missing") {
+		t.Errorf("stderr does not name the missing gated benchmark count:\n%s", errOut.String())
+	}
+}
+
 // TestCandidateOnlyFamilyIsReported pins the contract for brand-new
 // benchmark families: a family present only in the candidate stream (the
 // usual state of a benchmark added in the same PR that should start gating

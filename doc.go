@@ -25,11 +25,11 @@
 // plan — all verify and pool-sized item-rank queries fold into a single
 // fused sweep of the sample pool, and all enumeration-shaped queries share
 // one cursor driven to the deepest demand. Analyzer.Stream yields
-// enumeration results incrementally as an iter.Seq2. The per-operation
-// methods (VerifyStability, TopH, AboveThreshold, ItemRankDistribution,
-// Boundary, VerifyBatch, TopHBatch) are thin wrappers over Do, so results
-// are bit-identical whichever surface is called at the same seed;
-// PoolBuilds and Sweeps make the plan sharing observable.
+// enumeration results incrementally as an iter.Seq2. Do and Stream are the
+// query entry points; the per-operation methods (VerifyStability, TopH,
+// AboveThreshold, ItemRankDistribution, Boundary) are each Do with a single
+// query, so results are bit-identical whichever surface is called at the
+// same seed; PoolBuilds and Sweeps make the plan sharing observable.
 //
 // Performance model: the pool is stored as one contiguous row-major matrix
 // (internal/vecmat) and every verification, partition, and ranking inner

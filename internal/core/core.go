@@ -9,7 +9,7 @@
 // Typical use:
 //
 //	a, _ := core.New(ds, core.WithCosineSimilarity([]float64{1, 1}, 0.998))
-//	v, _ := a.VerifyStability(ctx, core.RankingOf(ds, []float64{1, 1}))
+//	res, _ := a.Do(ctx, core.VerifyQuery{Ranking: core.RankingOf(ds, []float64{1, 1})})
 //	e, _ := a.Enumerator(ctx)
 //	first, _ := e.Next(ctx) // the most stable ranking in the region
 //
@@ -533,59 +533,6 @@ func (a *Analyzer) interval() (geom.Interval2D, error) {
 // evidence cannot distinguish the two.
 type Verification = plan.Verification
 
-// VerifyStability computes the stability of ranking r in the region of
-// interest: the exact SV2D scan in two dimensions, the sampled SV oracle
-// otherwise. It returns ErrInfeasibleRanking when no acceptable function
-// induces r, and the context's error if ctx is cancelled while drawing the
-// sample pool or sweeping it. It is a wrapper over Do.
-func (a *Analyzer) VerifyStability(ctx context.Context, r rank.Ranking) (Verification, error) {
-	res, err := a.Do(ctx, VerifyQuery{Ranking: r})
-	if err != nil {
-		return Verification{}, err
-	}
-	if res[0].Err != nil {
-		return Verification{}, res[0].Err
-	}
-	return *res[0].Verification, nil
-}
-
-// BatchVerification is one ranking's outcome within VerifyBatch: either a
-// Verification or that ranking's own error.
-type BatchVerification struct {
-	Verification
-	// Err is ErrInfeasibleRanking (or a shape error) for this ranking alone;
-	// nil on success. Other entries of the batch are unaffected.
-	Err error
-}
-
-// VerifyBatch answers Problem 1 for many rankings at once. In two dimensions
-// each ranking gets the exact SV2D scan; otherwise the Monte-Carlo sample
-// pool is swept ONCE for the whole batch — the per-sample constraint tests of
-// all rankings are fused into a single sharded pass — instead of once per
-// ranking, which is the dominant cost when verifying many candidates.
-// Per-ranking failures land in the matching BatchVerification.Err; the call
-// itself only fails on context cancellation or an unusable region. It is a
-// wrapper over Do.
-func (a *Analyzer) VerifyBatch(ctx context.Context, rankings []rank.Ranking) ([]BatchVerification, error) {
-	queries := make([]Query, len(rankings))
-	for i, r := range rankings {
-		queries[i] = VerifyQuery{Ranking: r}
-	}
-	res, err := a.Do(ctx, queries...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchVerification, len(rankings))
-	for i, r := range res {
-		if r.Err != nil {
-			out[i].Err = r.Err
-			continue
-		}
-		out[i].Verification = *r.Verification
-	}
-	return out, nil
-}
-
 // Stable is one enumerated ranking with its stability.
 type Stable = plan.Stable
 
@@ -663,53 +610,6 @@ func (e *Enumerator) Next(ctx context.Context) (Stable, error) {
 	}, nil
 }
 
-// TopH returns the h most stable rankings (batch Problem 2, count form). It
-// is a wrapper over Do.
-func (a *Analyzer) TopH(ctx context.Context, h int) ([]Stable, error) {
-	if h <= 0 {
-		return nil, nil
-	}
-	res, err := a.Do(ctx, TopHQuery{H: h})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Stables, nil
-}
-
-// TopHBatch answers several top-h queries in one enumeration: the region is
-// enumerated once to the largest requested h and each query receives a
-// prefix of that single pass, so the sample pool is partitioned once instead
-// of once per query. The returned slices share one backing enumeration and
-// must be treated as read-only. It is a wrapper over Do.
-func (a *Analyzer) TopHBatch(ctx context.Context, hs []int) ([][]Stable, error) {
-	queries := make([]Query, len(hs))
-	for i, h := range hs {
-		if h < 0 {
-			return nil, fmt.Errorf("core: negative h %d at index %d", h, i)
-		}
-		queries[i] = TopHQuery{H: h}
-	}
-	res, err := a.Do(ctx, queries...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Stable, len(hs))
-	for i, r := range res {
-		out[i] = r.Stables
-	}
-	return out, nil
-}
-
-// AboveThreshold returns every ranking with stability >= s (batch Problem 2,
-// threshold form), in decreasing stability order. It is a wrapper over Do.
-func (a *Analyzer) AboveThreshold(ctx context.Context, s float64) ([]Stable, error) {
-	res, err := a.Do(ctx, AboveQuery{Threshold: s})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Stables, nil
-}
-
 // Randomized wraps the Monte-Carlo GET-NEXTr operator (Section 4.3) for
 // complete rankings or top-k partial rankings.
 type Randomized struct {
@@ -760,39 +660,6 @@ func (r *Randomized) TopH(ctx context.Context, h, firstBudget, stepBudget int) (
 
 // TotalSamples reports the cumulative number of samples drawn.
 func (r *Randomized) TotalSamples() int { return r.op.TotalSamples() }
-
-// ItemRankDistribution returns the distribution of the given item's rank
-// over n sampled scoring functions — the distributional form of Example 1's
-// consumer question ("does Cornell make the top-10 under acceptable
-// weights?"). In dimensions above two, requests that fit the shared
-// Monte-Carlo pool are answered from it inside a fused sweep (n <= 0 uses
-// the whole pool); in 2D, or when n exceeds the pool, a dedicated
-// deterministic sampler stream is drawn. It is a wrapper over Do.
-func (a *Analyzer) ItemRankDistribution(ctx context.Context, item, n int) (mc.RankDistribution, error) {
-	res, err := a.Do(ctx, ItemRankQuery{Item: item, Samples: n})
-	if err != nil {
-		return mc.RankDistribution{}, err
-	}
-	if res[0].Err != nil {
-		return mc.RankDistribution{}, res[0].Err
-	}
-	return *res[0].RankDistribution, nil
-}
-
-// Boundary returns the non-redundant boundary facets of ranking r's region:
-// the item pairs whose exchange a weight perturbation can realize first
-// (the Section 8 "characterize the boundaries" future work; see
-// md.Boundary). It works in any dimension. It is a wrapper over Do.
-func (a *Analyzer) Boundary(r rank.Ranking) ([]md.BoundaryFacet, error) {
-	res, err := a.Do(context.Background(), BoundaryQuery{Ranking: r}) //srlint:ctxflow boundary facets are exact geometry, no sampling; exported signature predates context plumbing
-	if err != nil {
-		return nil, err
-	}
-	if res[0].Err != nil {
-		return nil, res[0].Err
-	}
-	return res[0].Facets, nil
-}
 
 func confidenceOf(s float64, n int, alpha float64) float64 {
 	if n <= 0 {

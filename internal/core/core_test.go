@@ -17,6 +17,44 @@ import (
 // tests that do not exercise cancellation.
 var ctx = context.Background()
 
+// Do and Stream are the package's only query entry points; these helpers
+// ask one question through Do and unwrap its result, surfacing the query's
+// own error as the call's error.
+
+func one(ctx context.Context, a *Analyzer, q Query) (Result, error) {
+	res, err := a.Do(ctx, q)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], res[0].Err
+}
+
+func verify(ctx context.Context, a *Analyzer, r rank.Ranking) (Verification, error) {
+	res, err := one(ctx, a, VerifyQuery{Ranking: r})
+	if err != nil {
+		return Verification{}, err
+	}
+	return *res.Verification, nil
+}
+
+func topH(ctx context.Context, a *Analyzer, h int) ([]Stable, error) {
+	res, err := one(ctx, a, TopHQuery{H: h})
+	return res.Stables, err
+}
+
+func above(ctx context.Context, a *Analyzer, s float64) ([]Stable, error) {
+	res, err := one(ctx, a, AboveQuery{Threshold: s})
+	return res.Stables, err
+}
+
+func itemRank(ctx context.Context, a *Analyzer, item, n int) (mc.RankDistribution, error) {
+	res, err := one(ctx, a, ItemRankQuery{Item: item, Samples: n})
+	if err != nil {
+		return mc.RankDistribution{}, err
+	}
+	return *res.RankDistribution, nil
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("nil dataset accepted")
@@ -67,7 +105,7 @@ func TestVerifyStability2DExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := RankingOf(ds, []float64{1, 1})
-	v, err := a.VerifyStability(ctx, r)
+	v, err := verify(ctx, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +117,7 @@ func TestVerifyStability2DExact(t *testing.T) {
 	}
 	// Infeasible ranking maps to the package sentinel.
 	bad := rank.Ranking{Order: []int{0, 1, 2, 3, 4}}
-	if _, err := a.VerifyStability(ctx, bad); !errors.Is(err, ErrInfeasibleRanking) {
+	if _, err := verify(ctx, a, bad); !errors.Is(err, ErrInfeasibleRanking) {
 		t.Errorf("infeasible error = %v", err)
 	}
 }
@@ -97,7 +135,7 @@ func TestVerifyStabilityMDMatches2DProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := RankingOf(ds, []float64{1, 1, 1})
-	v, err := a.VerifyStability(ctx, r)
+	v, err := verify(ctx, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +153,7 @@ func TestVerifyStabilityMDMatches2DProjection(t *testing.T) {
 	}
 	// Determinism: same analyzer setup gives identical estimates.
 	b, _ := New(ds, WithSampleCount(40000), WithSeed(3))
-	v2, err := b.VerifyStability(ctx, r)
+	v2, err := verify(ctx, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +213,7 @@ func TestEnumeratorMD(t *testing.T) {
 	}
 	// The reported stability must agree with verification of the same
 	// ranking.
-	v, err := a.VerifyStability(ctx, s.Ranking)
+	v, err := verify(ctx, a, s.Ranking)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +229,21 @@ func TestEnumeratorMD(t *testing.T) {
 func TestTopHAndThreshold(t *testing.T) {
 	ds := dataset.Figure1()
 	a, _ := New(ds)
-	top, err := a.TopH(ctx, 3)
+	top, err := topH(ctx, a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top) != 3 {
 		t.Fatalf("TopH = %d results", len(top))
 	}
-	all, err := a.TopH(ctx, 1000)
+	all, err := topH(ctx, a, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 11 {
 		t.Errorf("full TopH = %d", len(all))
 	}
-	th, err := a.AboveThreshold(ctx, top[1].Stability)
+	th, err := above(ctx, a, top[1].Stability)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +263,7 @@ func TestConeRestrictedAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := a.TopH(ctx, 1000)
+	all, err := topH(ctx, a, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +290,7 @@ func TestConstraintRegionAnalyzer2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := a.TopH(ctx, 100)
+	all, err := topH(ctx, a, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +342,7 @@ func TestRandomizedThroughFacade(t *testing.T) {
 func TestItemRankDistributionThroughFacade(t *testing.T) {
 	ds := dataset.Figure1()
 	a, _ := New(ds, WithSeed(21))
-	dist, err := a.ItemRankDistribution(ctx, 1, 5000) // t2
+	dist, err := itemRank(ctx, a, 1, 5000) // t2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +352,12 @@ func TestItemRankDistributionThroughFacade(t *testing.T) {
 	if dist.Samples != 5000 {
 		t.Errorf("samples = %d", dist.Samples)
 	}
-	if _, err := a.ItemRankDistribution(ctx, 99, 10); err == nil {
+	if _, err := itemRank(ctx, a, 99, 10); err == nil {
 		t.Error("out-of-range item accepted")
 	}
 	// Narrow cone around pure-x2 weights: t5 (highest x2) is always first.
 	b, _ := New(ds, WithCone([]float64{0.05, 1}, 0.02), WithSeed(22))
-	d5, err := b.ItemRankDistribution(ctx, 4, 2000)
+	d5, err := itemRank(ctx, b, 4, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +369,7 @@ func TestItemRankDistributionThroughFacade(t *testing.T) {
 func TestRandomizedMatchesExactIn2D(t *testing.T) {
 	ds := dataset.Figure1()
 	a, _ := New(ds, WithSeed(11))
-	exact, err := a.TopH(ctx, 2)
+	exact, err := topH(ctx, a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,11 @@ func TestApplyDeltaSharesPool(t *testing.T) {
 	}
 	// Query results must match the rebuild bitwise: same pool, same dataset.
 	r := RankingOf(nds, equalWeights(3))
-	v1, err := na.VerifyStability(ctx, r)
+	v1, err := verify(ctx, na, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := fresh.VerifyStability(ctx, r)
+	v2, err := verify(ctx, fresh, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestApplyDeltaColdPool(t *testing.T) {
 	// First query draws the pool lazily, as on a fresh analyzer; a Monte-Carlo
 	// verify may report infeasible for a tie-broken ranking, which is fine —
 	// the point is that the pool got built.
-	if _, err := na.ItemRankDistribution(ctx, 0, 0); err != nil {
+	if _, err := itemRank(ctx, na, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if na.PoolBuilds() != 1 {

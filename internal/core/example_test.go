@@ -14,19 +14,20 @@ import (
 // tests that do not exercise cancellation.
 var ctx = context.Background()
 
-// ExampleAnalyzer_VerifyStability verifies the stability of the published
-// ranking of the paper's Figure 1 database (the consumer's Problem 1).
-func ExampleAnalyzer_VerifyStability() {
+// ExampleAnalyzer_Do verifies the stability of the published ranking of the
+// paper's Figure 1 database (the consumer's Problem 1).
+func ExampleAnalyzer_Do() {
 	ds := dataset.Figure1()
 	a, err := core.New(ds)
 	if err != nil {
 		log.Fatal(err)
 	}
 	published := core.RankingOf(ds, []float64{1, 1})
-	v, err := a.VerifyStability(ctx, published)
+	res, err := a.Do(ctx, core.VerifyQuery{Ranking: published})
 	if err != nil {
 		log.Fatal(err)
 	}
+	v := res[0].Verification
 	fmt.Printf("%s\nstability %.4f (exact: %v)\n",
 		published.Describe(ds, 0), v.Stability, v.Exact)
 	// Output:
@@ -85,21 +86,21 @@ func ExampleAnalyzer_Randomized() {
 	// t4
 }
 
-// ExampleAnalyzer_Boundary names the item swaps that bound the published
+// ExampleAnalyzer_Do_boundary names the item swaps that bound the published
 // ranking's region: perturbing the weights far enough realizes one of these
 // swaps first.
-func ExampleAnalyzer_Boundary() {
+func ExampleAnalyzer_Do_boundary() {
 	ds := dataset.Figure1()
 	a, err := core.New(ds)
 	if err != nil {
 		log.Fatal(err)
 	}
 	published := core.RankingOf(ds, []float64{1, 1})
-	facets, err := a.Boundary(published)
+	res, err := a.Do(ctx, core.BoundaryQuery{Ranking: published})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, f := range facets {
+	for _, f := range res[0].Facets {
 		fmt.Println(f.Describe(ds))
 	}
 	// Output:

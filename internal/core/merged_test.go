@@ -15,7 +15,7 @@ func TestTopHMergedStrictEqualsTopH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := a.TopH(ctx, 1000)
+	plain, err := topH(ctx, a, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func fillerRanking(ds *dataset.Dataset) rank.Ranking {
 
 func verifyOnce(t *testing.T, a *Analyzer) Verification {
 	t.Helper()
-	v, err := a.VerifyStability(ctx, fillerRanking(a.Dataset()))
+	v, err := verify(ctx, a, fillerRanking(a.Dataset()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPoolFillerCancellationPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.VerifyStability(cancelled, fillerRanking(ds)); !errors.Is(err, context.Canceled) {
+	if _, err := verify(cancelled, a, fillerRanking(ds)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("VerifyStability under cancellation = %v, want context.Canceled", err)
 	}
 	// The aborted build must be retryable: a fresh context succeeds via the
@@ -128,7 +128,7 @@ func TestPoolFillerCancellationPropagates(t *testing.T) {
 	blocked.fill = func(context.Context, int, int) (vecmat.Matrix, error) {
 		return vecmat.Matrix{}, errors.New("still broken")
 	}
-	if _, err := a.VerifyStability(ctx, fillerRanking(ds)); err != nil {
+	if _, err := verify(ctx, a, fillerRanking(ds)); err != nil {
 		t.Fatalf("retry after cancelled filler build: %v", err)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // The unified query surface: every operation the Analyzer offers is a Query
 // value, and Do answers any mix of them in one shared plan — one sample-pool
 // build and one fused sweep for the verify/item-rank group, one enumeration
-// cursor for the top-h/above/enumerate group. The per-operation methods
-// (VerifyStability, TopH, ...) are thin wrappers over Do.
+// cursor for the top-h/above/enumerate group. Do and Stream are the only
+// query entry points; the root package's per-operation conveniences are
+// declared once there, on top of Do.
 
 // Query is the sealed union of stability questions accepted by Do and
 // Stream. The concrete types are VerifyQuery, TopHQuery, AboveQuery,
@@ -75,9 +76,8 @@ type Result struct {
 // ones). Per-query failures land in the matching Result.Err; Do itself only
 // fails on context cancellation or an unusable region.
 //
-// Results are identical, bit for bit, to issuing each query through its
-// per-operation method at the same seed — those methods are themselves
-// wrappers over Do.
+// Results are identical, bit for bit, whether a query is asked alone or in
+// a batch at the same seed.
 func (a *Analyzer) Do(ctx context.Context, queries ...Query) ([]Result, error) {
 	outcomes, err := plan.Exec(ctx, a.planEnv(), queries)
 	if err != nil {
@@ -220,7 +220,7 @@ func mapQueryErr(err error) error {
 }
 
 // Sweeps returns how many fused sample-pool sweeps the analyzer has
-// performed across Do calls and the per-operation wrappers — together with
+// performed across Do calls — together with
 // PoolBuilds, the observable proof that a heterogeneous batch shared one
 // pool build and one sweep.
 func (a *Analyzer) Sweeps() int64 { return a.sweeps.Load() }

@@ -92,31 +92,32 @@ func TestWithWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchMatchesSingleCalls: the facade batch sweep returns exactly
-// what per-ranking VerifyStability calls return over the same pool.
+// TestVerifyBatchMatchesSingleCalls: one Do call verifying several
+// rankings (a single fused sweep) returns exactly what per-ranking
+// VerifyStability calls return over the same pool.
 func TestVerifyBatchMatchesSingleCalls(t *testing.T) {
 	ds := parallelTestDataset()
 	a := parallelTestAnalyzer(t, 4)
 	weights := [][]float64{{1, 1, 1}, {1.2, 1, 0.9}, {0.9, 1.1, 1}}
-	rankings := make([]stablerank.Ranking, len(weights))
+	queries := make([]stablerank.Query, len(weights))
 	for i, w := range weights {
-		rankings[i] = stablerank.RankingOf(ds, w)
+		queries[i] = stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, w)}
 	}
-	batch, err := a.VerifyBatch(ctx, rankings)
+	batch, err := a.Do(ctx, queries...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rankings {
-		single, err := a.VerifyStability(ctx, r)
+	for i, q := range queries {
+		single, err := a.VerifyStability(ctx, q.(stablerank.VerifyQuery).Ranking)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i].Err != nil {
 			t.Fatalf("batch[%d]: unexpected error %v", i, batch[i].Err)
 		}
-		if batch[i].Stability != single.Stability || batch[i].ConfidenceError != single.ConfidenceError {
+		if v := batch[i].Verification; v.Stability != single.Stability || v.ConfidenceError != single.ConfidenceError {
 			t.Errorf("batch[%d]: %v±%v vs single %v±%v",
-				i, batch[i].Stability, batch[i].ConfidenceError, single.Stability, single.ConfidenceError)
+				i, v.Stability, v.ConfidenceError, single.Stability, single.ConfidenceError)
 		}
 	}
 	if a.PoolBuilds() != 1 {
@@ -124,44 +125,42 @@ func TestVerifyBatchMatchesSingleCalls(t *testing.T) {
 	}
 }
 
-// TestTopHBatchPrefixes: one enumeration serves every requested h as a
-// prefix of the longest answer.
+// TestTopHBatchPrefixes: one Do call with several top-h queries runs one
+// enumeration and serves every requested h as a prefix of the longest
+// answer.
 func TestTopHBatchPrefixes(t *testing.T) {
 	a := parallelTestAnalyzer(t, 2)
-	batches, err := a.TopHBatch(ctx, []int{2, 5, 0})
+	res, err := a.Do(ctx, stablerank.TopHQuery{H: 2}, stablerank.TopHQuery{H: 5}, stablerank.TopHQuery{H: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batches) != 3 {
-		t.Fatalf("%d batches, want 3", len(batches))
+	if len(res) != 3 {
+		t.Fatalf("%d results, want 3", len(res))
 	}
-	if len(batches[0]) > 2 || len(batches[2]) != 0 {
-		t.Fatalf("batch sizes %d/%d/%d", len(batches[0]), len(batches[1]), len(batches[2]))
+	if len(res[0].Stables) > 2 || len(res[2].Stables) != 0 {
+		t.Fatalf("result sizes %d/%d/%d", len(res[0].Stables), len(res[1].Stables), len(res[2].Stables))
 	}
-	for i := range batches[0] {
-		if !batches[0][i].Ranking.Equal(batches[1][i].Ranking) {
+	for i := range res[0].Stables {
+		if !res[0].Stables[i].Ranking.Equal(res[1].Stables[i].Ranking) {
 			t.Errorf("h=2 answer is not a prefix of h=5 at %d", i)
 		}
-	}
-	if _, err := a.TopHBatch(ctx, []int{3, -1}); err == nil {
-		t.Error("negative h accepted")
 	}
 }
 
 // TestConcurrentBatchQueries hammers one shared Analyzer with concurrent
-// VerifyBatch and TopHBatch calls — the race-detector companion of the
-// tentpole (CI runs the suite under -race): all goroutines must coalesce
-// onto one pool build and observe identical results.
+// multi-verify and multi-top-h Do calls — the race-detector companion of
+// the fused plan (CI runs the suite under -race): all goroutines must
+// coalesce onto one pool build and observe identical results.
 func TestConcurrentBatchQueries(t *testing.T) {
 	ds := parallelTestDataset()
 	a := parallelTestAnalyzer(t, 4)
-	rankings := []stablerank.Ranking{
-		stablerank.RankingOf(ds, []float64{1, 1, 1}),
-		stablerank.RankingOf(ds, []float64{1.1, 0.9, 1}),
+	verifies := []stablerank.Query{
+		stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, []float64{1, 1, 1})},
+		stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, []float64{1.1, 0.9, 1})},
 	}
+	topHs := []stablerank.Query{stablerank.TopHQuery{H: 3}, stablerank.TopHQuery{H: 1}}
 	const goroutines = 16
-	verifications := make([][]stablerank.BatchVerification, goroutines)
-	topHs := make([][][]stablerank.Stable, goroutines)
+	results := make([][]stablerank.Result, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -169,9 +168,9 @@ func TestConcurrentBatchQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				verifications[g], errs[g] = a.VerifyBatch(context.Background(), rankings)
+				results[g], errs[g] = a.Do(context.Background(), verifies...)
 			} else {
-				topHs[g], errs[g] = a.TopHBatch(context.Background(), []int{3, 1})
+				results[g], errs[g] = a.Do(context.Background(), topHs...)
 			}
 		}(g)
 	}
@@ -185,19 +184,19 @@ func TestConcurrentBatchQueries(t *testing.T) {
 		t.Errorf("pool built %d times under concurrency, want 1", got)
 	}
 	for g := 2; g < goroutines; g += 2 {
-		for i := range rankings {
-			if verifications[g][i].Stability != verifications[0][i].Stability {
-				t.Errorf("goroutine %d verify[%d] = %v, goroutine 0 saw %v",
-					g, i, verifications[g][i].Stability, verifications[0][i].Stability)
+		for i := range verifies {
+			if got, want := results[g][i].Verification.Stability, results[0][i].Verification.Stability; got != want {
+				t.Errorf("goroutine %d verify[%d] = %v, goroutine 0 saw %v", g, i, got, want)
 			}
 		}
 	}
 	for g := 3; g < goroutines; g += 2 {
-		if len(topHs[g][0]) != len(topHs[1][0]) {
-			t.Fatalf("goroutine %d topH size %d, goroutine 1 saw %d", g, len(topHs[g][0]), len(topHs[1][0]))
+		got, want := results[g][0].Stables, results[1][0].Stables
+		if len(got) != len(want) {
+			t.Fatalf("goroutine %d topH size %d, goroutine 1 saw %d", g, len(got), len(want))
 		}
-		for i := range topHs[g][0] {
-			if topHs[g][0][i].Stability != topHs[1][0][i].Stability {
+		for i := range got {
+			if got[i].Stability != want[i].Stability {
 				t.Errorf("goroutine %d topH[%d] stability differs", g, i)
 			}
 		}

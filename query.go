@@ -11,10 +11,12 @@ import (
 // Do call answers any mix of them while sharing the expensive machinery —
 // one Monte-Carlo sample-pool build and one fused sweep for the
 // verify/item-rank group, one enumeration cursor for the
-// top-h/above/enumerate group. The per-operation methods (VerifyStability,
-// TopH, AboveThreshold, ItemRankDistribution, Boundary, VerifyBatch,
-// TopHBatch) are thin wrappers over Do, so mixing surfaces is always safe:
-// results are bit-identical either way at the same seed.
+// top-h/above/enumerate group. Do and Stream are the query entry points. The
+// per-operation methods (VerifyStability, TopH, AboveThreshold,
+// ItemRankDistribution, Boundary) are each Do with a single query, so mixing
+// surfaces is always safe: results are bit-identical either way at the same
+// seed. To answer many questions at once — several rankings to verify, or
+// top-h lists of different depths — pass them all to one Do call.
 
 // Query is the sealed union of stability questions accepted by Do and
 // Stream: VerifyQuery, TopHQuery, AboveQuery, ItemRankQuery, BoundaryQuery
@@ -60,7 +62,7 @@ type Result = core.Result
 // them. Per-query failures (e.g. ErrInfeasibleRanking) land in the matching
 // Result.Err; Do itself only fails on context cancellation or an unusable
 // region. Results are bit-identical to the per-operation methods at the same
-// seed — those methods are wrappers over Do.
+// seed — each of those is Do with a single query.
 func (a *Analyzer) Do(ctx context.Context, queries ...Query) ([]Result, error) {
 	return a.core.Do(orBackground(ctx), queries...)
 }
@@ -78,7 +80,7 @@ func (a *Analyzer) Stream(ctx context.Context, q Query) iter.Seq2[Result, error]
 }
 
 // Sweeps returns how many fused sample-pool sweeps the analyzer has
-// performed across Do calls and the per-operation wrappers. Together with
+// performed across Do calls, the per-operation methods included. Together with
 // PoolBuilds it makes plan sharing observable: a heterogeneous Do call
 // mixing verify and item-rank queries raises it by exactly one.
 func (a *Analyzer) Sweeps() int64 { return a.core.Sweeps() }

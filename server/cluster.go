@@ -94,13 +94,6 @@ func newClusterState(peers []string, self string, timeout time.Duration) (*clust
 	}, nil
 }
 
-// routingKey is the placement identity of one analyzer: the analyzer key
-// minus the dataset generation (generations advance independently per node,
-// and a textual difference here only costs locality, never correctness).
-func routingKey(name string, spec regionSpec, seed int64, samples int, adaptive float64) string {
-	return analyzerKey{dataset: name, region: spec.canonical(), seed: seed, samples: samples, adaptive: adaptive}.String()
-}
-
 // owner resolves where a routed request should run: ("", false) means here.
 func (cs *clusterState) owner(r *http.Request, key string) (string, bool) {
 	if r.Header.Get(forwardedHeader) != "" {
@@ -114,11 +107,26 @@ func (cs *clusterState) owner(r *http.Request, key string) (string, bool) {
 	return o, true
 }
 
+// forward hands a routed request to the owner of key when this node is
+// clustered and not the owner, reporting whether the owner answered. body
+// replaces the request body when non-nil (a POST or PATCH body has already
+// been consumed). A failed hop falls through to local serving, which the
+// caller then does.
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
+	if s.cluster != nil {
+		if owner, remote := s.cluster.owner(r, key); remote && s.proxy(w, r, owner, body) {
+			return true
+		}
+	}
+	s.markServedLocally(w)
+	return false
+}
+
 // proxy forwards the request to its owner and relays the response verbatim
 // (plus the origin's Served-By header). body replaces the request body when
-// non-nil (the POST path has already consumed it). A false return means the
-// owner was unreachable and the caller must serve the request locally — the
-// determinism contract makes that substitution invisible to the client.
+// non-nil (POST and PATCH bodies are already consumed). A false return means
+// the owner was unreachable and the caller must serve the request locally —
+// the determinism contract makes that substitution invisible to the client.
 func (s *Server) proxy(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	cs := s.cluster
 	target := owner + r.URL.Path

@@ -120,7 +120,7 @@ type deltaResponse struct {
 	CacheSurvived     int    `json:"cache_survived"`
 }
 
-// handlePatchDataset is PATCH /v1/datasets/{name} (and its unversioned alias).
+// handlePatchDataset is PATCH /v1/datasets/{name}.
 func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
@@ -141,14 +141,9 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	// write-serialization point, not replication). The forwarded marker keeps
 	// the hop from looping, and an unreachable owner degrades to applying
 	// locally, same as query routing.
-	if s.cluster != nil {
-		if owner, remote := s.cluster.owner(r, "dataset:"+name); remote {
-			if s.proxy(w, r, owner, body) {
-				return
-			}
-		}
+	if s.forward(w, r, "dataset:"+name, body) {
+		return
 	}
-	s.markServedLocally(w)
 	ds, _, _, ok := s.registry.Get(name)
 	if !ok {
 		writeError(w, errNotFound("unknown dataset %q", name))
@@ -227,7 +222,7 @@ func (s *Server) applyDeltas(name string, deltas []stablerank.Delta) (deltaRespo
 // rank-shift cost is bounded by DriftSamples rank passes, so a PATCH with
 // subscribers stays cheap.
 func (s *Server) publishDrift(name string, gen, ver int64, oldDS *stablerank.Dataset, deltas []stablerank.Delta, migrated *stablerank.Analyzer) {
-	ctx := context.Background() //srlint:ctxflow drift pricing runs after the PATCH response; tying it to the request context would cancel published numbers
+	ctx := context.Background() //srlint:ctxflow drift is priced before the PATCH response is written, but for the subscribers: the patching client's hang-up or deadline must not cancel published numbers
 	var (
 		drifts []stablerank.Drift
 		err    error

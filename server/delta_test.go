@@ -7,8 +7,10 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"stablerank"
 	"stablerank/internal/store"
@@ -270,6 +272,47 @@ func TestDriftStream(t *testing.T) {
 	// rank after the delta is n+1 of the post-delta dataset.
 	if rm := events[1]; rm.MeanRankAfter <= rm.MeanRankBefore {
 		t.Fatalf("removed item mean rank before %v, after %v — removal should sink it", rm.MeanRankBefore, rm.MeanRankAfter)
+	}
+}
+
+// TestDriftOutlivesRequestTimeout: the drift subscription is exempt from
+// the per-request deadline — an event published long after RequestTimeout
+// still arrives — yet a client hang-up still ends it without leaking the
+// handler goroutine.
+func TestDriftOutlivesRequestTimeout(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
+	before := runtime.NumGoroutine()
+	resp, err := http.Get(ts.URL + "/v1/ind3/drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() {
+		t.Fatalf("no hello line: %v", sc.Err())
+	}
+	time.Sleep(200 * time.Millisecond) // four request timeouts
+	if code, body := patchRaw(t, ts.URL, "ind3", `{"deltas":[{"op":"update","id":"i1","attrs":[8,8,8]}]}`); code != http.StatusOK {
+		t.Fatalf("patch = %d: %s", code, body)
+	}
+	if !sc.Scan() {
+		t.Fatalf("drift stream ended before the event: %v", sc.Err())
+	}
+	var ev driftEvent
+	if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		t.Fatalf("drift line: %v\n%s", err, sc.Text())
+	}
+	if ev.Dataset != "ind3" || ev.Op != "update" || ev.ID != "i1" {
+		t.Fatalf("drift event = %+v", ev)
+	}
+
+	resp.Body.Close()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked after the client left: %d -> %d", before, after)
 	}
 }
 

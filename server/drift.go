@@ -13,7 +13,8 @@ import (
 // "how much did this mutation destabilize the ranking" signal, measured on
 // the same weight-space samples the stability queries integrate over. The
 // stream opens with a hello line carrying the dataset's current identity and
-// stays up until the client disconnects.
+// stays up until the client disconnects: it is the one endpoint the
+// per-request deadline (Config.RequestTimeout) does not end.
 
 // driftEvent is one applied delta's drift measurement on the wire.
 type driftEvent struct {
@@ -138,10 +139,11 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request, name string
 	if flusher != nil {
 		flusher.Flush()
 	}
+	ctx := clientContext(r)
 	for {
 		//srlint:ordered disconnect-vs-event race; events within ch stay ordered and a lost final event is indistinguishable from disconnecting earlier
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
 		case ev := <-ch:
 			if err := enc.Encode(ev); err != nil {

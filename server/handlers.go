@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -22,15 +23,6 @@ type itemRef struct {
 	ID    string `json:"id"`
 }
 
-type verifyResponse struct {
-	Dataset         string    `json:"dataset"`
-	Ranking         []itemRef `json:"ranking"`
-	Stability       float64   `json:"stability"`
-	ConfidenceError float64   `json:"confidence_error"`
-	Exact           bool      `json:"exact"`
-	SampleCount     int       `json:"sample_count,omitempty"`
-}
-
 type stableResponse struct {
 	Rank            int       `json:"rank"`
 	Stability       float64   `json:"stability"`
@@ -40,36 +32,21 @@ type stableResponse struct {
 	ConfidenceError float64   `json:"confidence_error,omitempty"`
 }
 
-type topHResponse struct {
-	Dataset  string           `json:"dataset"`
-	H        int              `json:"h"`
-	Rankings []stableResponse `json:"rankings"`
+// getResponse is a GET /v1/{dataset}/{op} answer: the operation's result,
+// as in a POST /v1/query results list, plus the dataset name.
+type getResponse struct {
+	Dataset string `json:"dataset"`
+	opResult
 }
 
-type aboveResponse struct {
-	Dataset   string           `json:"dataset"`
-	Threshold float64          `json:"threshold"`
-	Rankings  []stableResponse `json:"rankings"`
-}
-
-type rankingsResponse struct {
+// pageResponse is a GET /v1/{dataset}/rankings answer: one page of an
+// enumerate operation.
+type pageResponse struct {
 	Dataset string           `json:"dataset"`
 	Page    int              `json:"page"`
 	PerPage int              `json:"per_page"`
 	HasMore bool             `json:"has_more"`
 	Results []stableResponse `json:"results"`
-}
-
-type itemRankResponse struct {
-	Dataset        string         `json:"dataset"`
-	Item           itemRef        `json:"item"`
-	Samples        int            `json:"samples"`
-	Best           int            `json:"best"`
-	Worst          int            `json:"worst"`
-	Mode           int            `json:"mode"`
-	Median         int            `json:"median"`
-	Counts         map[string]int `json:"counts"`
-	ProbabilityTop map[string]any `json:"probability_top,omitempty"`
 }
 
 type errorResponse struct {
@@ -95,7 +72,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	mux.HandleFunc("GET /datasets", s.handleListDatasets)
 	mux.HandleFunc("POST /datasets/{name}", s.handleAddDataset)
-	mux.HandleFunc("PATCH /datasets/{name}", s.handlePatchDataset)
 	mux.HandleFunc("PATCH /v1/datasets/{name}", s.handlePatchDataset)
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/query/stream", s.handleQueryStream)
@@ -105,7 +81,6 @@ func (s *Server) routes() *http.ServeMux {
 	// ServeMux patterns (neither is more specific), so all two-segment /v1
 	// GETs share one dispatcher; "jobs" is therefore a reserved dataset name.
 	mux.HandleFunc("GET /v1/{dataset}/{op}", s.handleV1Get)
-	mux.HandleFunc("POST /batch", s.handleBatch)
 	// The chunk-fill protocol (ping + fill): every node serves fills, so
 	// replicas can be configured as each other's fill workers.
 	mux.Handle("/cluster/v1/", s.fillWorker.Handler())
@@ -113,91 +88,74 @@ func (s *Server) routes() *http.ServeMux {
 }
 
 // handleV1Get dispatches GET /v1/{dataset}/{op} between the job-status
-// endpoint (dataset == "jobs") and the per-dataset query endpoints.
+// endpoint (dataset == "jobs"), the drift feed, and the query operations.
 func (s *Server) handleV1Get(w http.ResponseWriter, r *http.Request) {
 	name, op := r.PathValue("dataset"), r.PathValue("op")
-	if name == "jobs" {
+	switch {
+	case name == "jobs":
 		s.handleGetJob(w, r, op)
-		return
-	}
-	if op == "drift" {
+	case op == "drift":
 		s.handleDrift(w, r, name)
-		return
-	}
-	var h queryHandler
-	switch op {
-	case "verify":
-		h = s.handleVerify
-	case "toph":
-		h = s.handleTopH
-	case "above":
-		h = s.handleAbove
-	case "itemrank":
-		h = s.handleItemRank
-	case "rankings":
-		h = s.handleRankings
 	default:
-		writeError(w, errNotFound("unknown endpoint /v1/%s/%s", name, op))
-		return
+		s.handleGetQuery(w, r, name, op)
 	}
-	s.serveQuery(w, r, name, h)
 }
 
-// queryContext is everything a query handler needs: the resolved dataset,
-// the shared analyzer for the request's (dataset, region, seed, samples)
-// key, and the canonical cache-key prefix identifying that tuple.
-type queryContext struct {
-	name     string
-	ds       *stablerank.Dataset
-	analyzer *stablerank.Analyzer
-	keybase  string
-}
-
-// queryHandler parses endpoint-specific parameters and returns the canonical
-// cache key of the query plus a closure computing the response. The closure
-// only runs on a cache miss.
-type queryHandler func(r *http.Request, qc *queryContext) (key string, compute func() (any, error), err error)
-
-// serveQuery runs a queryHandler for the named dataset: it parses the
-// shared region/seed/samples parameters, obtains the deduplicated analyzer,
-// and serves the handler's answer from the LRU cache when an identical
-// query was answered before.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, name string, h queryHandler) {
-	qp, err := s.parseQueryParams(r, name)
+// handleGetQuery answers one GET query operation through the query
+// pipeline. The analyzer is obtained before the response cache is read, so
+// concurrent identical GETs still coalesce onto one analyzer; the cache key
+// is the analyzer key plus the canonical operation, so a hit costs the URL
+// parse and that lookup — no ranking is computed and nothing is encoded.
+func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op string) {
+	// An already-expired request deadline surfaces as a 504 before any work.
+	if err := r.Context().Err(); err != nil {
+		writeError(w, err)
+		return
+	}
+	req, err := s.getRequest(r.URL.Query(), name, op)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	// In a cluster, hand the request to the analyzer key's owner so every
-	// replica holds a disjoint slice of the analyzers (and their pools). A
-	// failed hop falls through to local serving: any node can answer any
-	// key bit-identically, so the fallback is invisible to the client.
-	if s.cluster != nil {
-		if owner, remote := s.cluster.owner(r, routingKey(qp.name, qp.spec, qp.seed, qp.samples, 0)); remote {
-			if s.proxy(w, r, owner, nil) {
-				return
-			}
-		}
+	if s.forward(w, r, s.routingKey(req), nil) {
+		return
 	}
-	s.markServedLocally(w)
-	qc, err := s.queryContextFor(qp)
+	cq, _, err := s.compileRequest(req, s.syncLimits())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key, compute, err := h(r, qc)
+	ds, a, akey, err := s.analyzerFor(cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	spec := cq.specs[0]
+	key := cacheKey(akey, spec)
 	if body, ok := s.cache.get(key); ok {
 		serveBody(w, body, "hit")
 		return
 	}
-	resp, err := compute()
+	if spec.Op == "itemrank" {
+		// The URL names the item, so a missing one is a missing resource.
+		if _, ok := itemIndex(ds, spec.Item); !ok {
+			writeError(w, errNotFound("item %q not in dataset %q", spec.Item, name))
+			return
+		}
+	}
+	queries, results, err := s.answer(r.Context(), cq, ds, a)
+	if err == nil {
+		err = results[0].Err
+	}
 	if err != nil {
 		writeError(w, err)
 		return
+	}
+	var resp any
+	if spec.perPage > 0 {
+		resp = s.renderPage(ds, name, spec, results[0].Stables)
+	} else {
+		resp = getResponse{Dataset: name, opResult: s.renderOpResult(ds, spec, queries[0], results[0])}
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -208,6 +166,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, name string,
 	serveBody(w, body, "miss")
 }
 
+// cacheKey is the response-cache key of one GET operation: the analyzer key
+// (whose "name@" prefix lets a dataset delta invalidate exactly that
+// dataset's entries) plus the canonical operation.
+func cacheKey(akey analyzerKey, spec querySpec) string {
+	return akey.String() + "|" + spec.key()
+}
+
 func serveBody(w http.ResponseWriter, body []byte, cache string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cache)
@@ -215,48 +180,92 @@ func serveBody(w http.ResponseWriter, body []byte, cache string) {
 	_, _ = w.Write([]byte("\n"))
 }
 
-// queryParams is the parsed shared query parameters of one GET request —
-// everything cluster routing and analyzer construction need, parsed cheaply
-// enough to run BEFORE deciding which replica serves the request.
-type queryParams struct {
-	name    string
-	ds      *stablerank.Dataset
-	gen     int64
-	ver     int64
-	spec    regionSpec
-	seed    int64
-	samples int
-}
-
-// parseQueryParams resolves the named dataset and the shared query
-// parameters; the per-dataset endpoints supply the name from the path, the
-// stream endpoint from ?dataset=. It is also the earliest point at which an
-// already-expired per-request deadline surfaces as a 504 instead of burning
-// analyzer work.
-func (s *Server) parseQueryParams(r *http.Request, name string) (*queryParams, error) {
-	if err := r.Context().Err(); err != nil {
+// getRequest decodes GET /v1/{dataset}/{op} into a one-operation query
+// request. ?weights= is both the region's reference vector and, without
+// ?ranking=, the verify target; toph defaults to h=10 and itemrank to
+// n=10000; a rankings page is an enumerate operation through the end of
+// the page.
+func (s *Server) getRequest(q url.Values, name, op string) (*queryRequest, error) {
+	req, err := s.urlRequest(q, name)
+	if err != nil {
 		return nil, err
 	}
-	ds, gen, ver, ok := s.registry.Get(name)
+	spec := querySpec{Op: op}
+	switch op {
+	case "verify":
+		switch {
+		case q.Get("ranking") != "":
+			// A published ranking to verify, as comma-separated item IDs
+			// (the consumer form of Problem 1: the ranking need not be
+			// achievable in the region at all).
+			spec.Ranking = q.Get("ranking")
+		case req.Weights != nil:
+			spec.Weights = req.Weights
+		default:
+			return nil, errBadRequest("verify requires weights or ranking")
+		}
+	case "toph", "above":
+		if spec, err = enumOp(q, op, s.cfg.MaxEnumerate); err != nil {
+			return nil, err
+		}
+	case "itemrank":
+		if spec.Item = q.Get("item"); spec.Item == "" {
+			return nil, errBadRequest("itemrank requires item (an item id)")
+		}
+		n, err := intParam(q.Get("n"), 10_000)
+		if err != nil || n < 1 || n > int64(s.cfg.MaxSampleCount) {
+			return nil, errBadRequest("n must be in [1, %d]", s.cfg.MaxSampleCount)
+		}
+		k, err := intParam(q.Get("k"), 0)
+		if err != nil || k < 0 {
+			return nil, errBadRequest("k must be >= 0")
+		}
+		spec.N, spec.K = int(n), int(k)
+	case "rankings":
+		page, err := intParam(q.Get("page"), 0)
+		if err != nil || page < 0 {
+			return nil, errBadRequest("page must be >= 0")
+		}
+		perPage, err := intParam(q.Get("per_page"), 10)
+		if err != nil || perPage < 1 || perPage > int64(s.cfg.MaxEnumerate) {
+			return nil, errBadRequest("per_page must be in [1, %d]", s.cfg.MaxEnumerate)
+		}
+		// Bound page before multiplying so a huge page value cannot overflow
+		// int64 and slip past the enumeration cap.
+		if page > int64(s.cfg.MaxEnumerate) || (page+1)*perPage > int64(s.cfg.MaxEnumerate) {
+			return nil, errBadRequest("page*per_page exceeds the enumeration cap %d", s.cfg.MaxEnumerate)
+		}
+		spec = querySpec{Op: "enumerate", Limit: int((page + 1) * perPage), page: int(page), perPage: int(perPage)}
+	default:
+		return nil, errNotFound("unknown endpoint /v1/%s/%s", name, op)
+	}
+	req.Queries = []querySpec{spec}
+	return req, nil
+}
+
+// urlRequest decodes the dataset and the region, seed and samples URL
+// parameters shared by every GET query into a request without operations.
+// An explicit ?theta=0 or ?cosine=0 is rejected here: unlike a JSON body,
+// a URL can tell a present zero from an absent parameter.
+func (s *Server) urlRequest(q url.Values, name string) (*queryRequest, error) {
+	ds, _, _, ok := s.registry.Get(name)
 	if !ok {
 		return nil, errNotFound("unknown dataset %q", name)
 	}
-	q := r.URL.Query()
-	spec := regionSpec{}
+	req := &queryRequest{Dataset: name}
+	var err error
 	if wstr := q.Get("weights"); wstr != "" {
-		w, err := parseWeights(wstr, ds.D())
-		if err != nil {
+		if req.Weights, err = parseWeights(wstr, ds.D()); err != nil {
 			return nil, err
 		}
-		spec.weights = w
 	}
-	var err error
-	if spec.theta, err = floatParam(q.Get("theta"), 0); err != nil {
+	if req.Theta, err = floatParam(q.Get("theta"), 0); err != nil {
 		return nil, errBadRequest("bad theta: %v", err)
 	}
-	if spec.cosine, err = floatParam(q.Get("cosine"), 0); err != nil {
+	if req.Cosine, err = floatParam(q.Get("cosine"), 0); err != nil {
 		return nil, errBadRequest("bad cosine: %v", err)
 	}
+	spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
 	if err := spec.validate(ds.D(), q.Get("theta") != "", q.Get("cosine") != ""); err != nil {
 		return nil, err
 	}
@@ -268,209 +277,49 @@ func (s *Server) parseQueryParams(r *http.Request, name string) (*queryParams, e
 	if err != nil {
 		return nil, errBadRequest("bad samples: %v", err)
 	}
-	if samples < 1 || samples > int64(s.cfg.MaxSampleCount) {
-		return nil, errBadRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSampleCount)
-	}
-	return &queryParams{name: name, ds: ds, gen: gen, ver: ver, spec: spec, seed: seed, samples: int(samples)}, nil
+	n := int(samples)
+	req.Seed, req.Samples = &seed, &n
+	return req, nil
 }
 
-// queryContextFor obtains the deduplicated analyzer for parsed parameters.
-func (s *Server) queryContextFor(qp *queryParams) (*queryContext, error) {
-	key := analyzerKey{dataset: qp.name, gen: qp.gen, ver: qp.ver, region: qp.spec.canonical(), seed: qp.seed, samples: qp.samples}
-	a, err := s.analyzers.get(key, qp.ds, qp.spec)
-	if err != nil {
-		if _, isStatus := err.(statusError); isStatus {
-			return nil, err
+// enumOp decodes an enumeration-shaped operation from a GET or stream URL:
+// toph with ?h= (default 10), above with ?s=, or enumerate with ?limit=
+// (default 0, open); h and limit are capped at maxDepth.
+func enumOp(q url.Values, op string, maxDepth int) (querySpec, error) {
+	switch op {
+	case "toph":
+		h, err := intParam(q.Get("h"), 10)
+		if err != nil || h < 1 || h > int64(maxDepth) {
+			return querySpec{}, errBadRequest("h must be in [1, %d]", maxDepth)
 		}
-		return nil, errBadRequest("building analyzer: %v", err)
+		return querySpec{Op: op, H: int(h)}, nil
+	case "above":
+		threshold, err := floatParam(q.Get("s"), -1)
+		if err != nil || !(threshold > 0 && threshold <= 1) {
+			return querySpec{}, errBadRequest("s must be in (0, 1]")
+		}
+		return querySpec{Op: op, S: threshold}, nil
+	case "enumerate":
+		limit, err := intParam(q.Get("limit"), 0)
+		if err != nil || limit < 0 || limit > int64(maxDepth) {
+			return querySpec{}, errBadRequest("limit must be in [0, %d]", maxDepth)
+		}
+		return querySpec{Op: op, Limit: int(limit)}, nil
 	}
-	return &queryContext{name: qp.name, ds: qp.ds, analyzer: a, keybase: key.String()}, nil
+	return querySpec{}, errBadRequest("op must be enumerate, toph or above")
 }
 
-// queryContextNamed is parseQueryParams + queryContextFor in one step, for
-// callers that never route (the stream endpoint is node-local).
-func (s *Server) queryContextNamed(r *http.Request, name string) (*queryContext, error) {
-	qp, err := s.parseQueryParams(r, name)
-	if err != nil {
-		return nil, err
+// renderPage slices one page out of an enumeration that runs one past the
+// page's end (or to exhaustion); has_more is whether that extra ranking
+// exists.
+func (s *Server) renderPage(ds *stablerank.Dataset, name string, spec querySpec, stables []stablerank.Stable) pageResponse {
+	start := min(spec.page*spec.perPage, len(stables))
+	end := min(start+spec.perPage, len(stables))
+	return pageResponse{
+		Dataset: name, Page: spec.page, PerPage: spec.perPage,
+		HasMore: len(stables) > start+spec.perPage,
+		Results: s.stableResponses(ds, stables[start:end], start),
 	}
-	return s.queryContextFor(qp)
-}
-
-func (s *Server) handleVerify(r *http.Request, qc *queryContext) (string, func() (any, error), error) {
-	q := r.URL.Query()
-	wstr, rstr := q.Get("weights"), q.Get("ranking")
-	var ranking stablerank.Ranking
-	switch {
-	case rstr != "":
-		// A published ranking to verify, as comma-separated item IDs (the
-		// consumer form of Problem 1: the ranking need not be achievable in
-		// the region at all).
-		var err error
-		ranking, err = parseRanking(rstr, qc.ds)
-		if err != nil {
-			return "", nil, err
-		}
-	case wstr != "":
-		w, err := parseWeights(wstr, qc.ds.D())
-		if err != nil {
-			return "", nil, err
-		}
-		ranking = stablerank.RankingOf(qc.ds, w)
-	default:
-		return "", nil, errBadRequest("verify requires weights or ranking")
-	}
-	key := qc.keybase + "|verify|" + wstr + "|" + rstr
-	return key, func() (any, error) {
-		v, err := qc.analyzer.VerifyStability(r.Context(), ranking)
-		if err != nil {
-			return nil, err
-		}
-		resp := verifyResponse{
-			Dataset:         qc.name,
-			Ranking:         s.itemRefs(qc.ds, ranking.Order),
-			Stability:       v.Stability,
-			ConfidenceError: v.ConfidenceError,
-			Exact:           v.Exact,
-		}
-		if !v.Exact {
-			resp.SampleCount = qc.analyzer.SampleCount()
-		}
-		return resp, nil
-	}, nil
-}
-
-func (s *Server) handleTopH(r *http.Request, qc *queryContext) (string, func() (any, error), error) {
-	h, err := intParam(r.URL.Query().Get("h"), 10)
-	if err != nil || h < 1 || h > int64(s.cfg.MaxEnumerate) {
-		return "", nil, errBadRequest("h must be in [1, %d]", s.cfg.MaxEnumerate)
-	}
-	key := fmt.Sprintf("%s|toph|%d", qc.keybase, h)
-	return key, func() (any, error) {
-		stables, err := qc.analyzer.TopH(r.Context(), int(h))
-		if err != nil {
-			return nil, err
-		}
-		return topHResponse{Dataset: qc.name, H: int(h), Rankings: s.stableResponses(qc.ds, stables, 0)}, nil
-	}, nil
-}
-
-func (s *Server) handleAbove(r *http.Request, qc *queryContext) (string, func() (any, error), error) {
-	threshold, err := floatParam(r.URL.Query().Get("s"), -1)
-	if err != nil || threshold <= 0 || threshold > 1 {
-		return "", nil, errBadRequest("s must be in (0, 1]")
-	}
-	key := fmt.Sprintf("%s|above|%g", qc.keybase, threshold)
-	return key, func() (any, error) {
-		stables, err := qc.analyzer.AboveThreshold(r.Context(), threshold)
-		if err != nil {
-			return nil, err
-		}
-		return aboveResponse{Dataset: qc.name, Threshold: threshold, Rankings: s.stableResponses(qc.ds, stables, 0)}, nil
-	}, nil
-}
-
-func (s *Server) handleRankings(r *http.Request, qc *queryContext) (string, func() (any, error), error) {
-	q := r.URL.Query()
-	page, err := intParam(q.Get("page"), 0)
-	if err != nil || page < 0 {
-		return "", nil, errBadRequest("page must be >= 0")
-	}
-	perPage, err := intParam(q.Get("per_page"), 10)
-	if err != nil || perPage < 1 || perPage > int64(s.cfg.MaxEnumerate) {
-		return "", nil, errBadRequest("per_page must be in [1, %d]", s.cfg.MaxEnumerate)
-	}
-	// Bound page before multiplying so a huge page value cannot overflow
-	// int64 and slip past the enumeration cap.
-	if page > int64(s.cfg.MaxEnumerate) {
-		return "", nil, errBadRequest("page*per_page exceeds the enumeration cap %d", s.cfg.MaxEnumerate)
-	}
-	want := (page + 1) * perPage
-	if want > int64(s.cfg.MaxEnumerate) {
-		return "", nil, errBadRequest("page*per_page exceeds the enumeration cap %d", s.cfg.MaxEnumerate)
-	}
-	key := fmt.Sprintf("%s|rankings|%d|%d", qc.keybase, page, perPage)
-	return key, func() (any, error) {
-		// Enumerate one past the page so has_more is exact even when the page
-		// is full and the enumeration is exhausted right behind it.
-		stables, err := qc.analyzer.TopH(r.Context(), int(want)+1)
-		if err != nil {
-			return nil, err
-		}
-		// The enumeration just produced every earlier page as a by-product;
-		// cache them all so a client walking backwards (or re-reading) never
-		// re-runs the prefix.
-		for p := int64(0); p < page; p++ {
-			resp := s.rankingsPage(qc, stables, p, perPage)
-			if body, err := json.Marshal(resp); err == nil {
-				s.cache.put(fmt.Sprintf("%s|rankings|%d|%d", qc.keybase, p, perPage), body)
-			}
-		}
-		return s.rankingsPage(qc, stables, page, perPage), nil
-	}, nil
-}
-
-// rankingsPage slices page p (per_page entries) out of an enumerated prefix
-// that extends at least one entry past the page or to exhaustion.
-func (s *Server) rankingsPage(qc *queryContext, stables []stablerank.Stable, p, perPage int64) rankingsResponse {
-	start := int(p * perPage)
-	resp := rankingsResponse{Dataset: qc.name, Page: int(p), PerPage: int(perPage), Results: []stableResponse{}}
-	if start < len(stables) {
-		end := min(start+int(perPage), len(stables))
-		resp.Results = s.stableResponses(qc.ds, stables[start:end], start)
-		resp.HasMore = len(stables) > end && int64(end) == (p+1)*perPage
-	}
-	return resp
-}
-
-func (s *Server) handleItemRank(r *http.Request, qc *queryContext) (string, func() (any, error), error) {
-	q := r.URL.Query()
-	itemID := q.Get("item")
-	if itemID == "" {
-		return "", nil, errBadRequest("itemrank requires item (an item id)")
-	}
-	n, err := intParam(q.Get("n"), 10_000)
-	if err != nil || n < 1 || n > int64(s.cfg.MaxSampleCount) {
-		return "", nil, errBadRequest("n must be in [1, %d]", s.cfg.MaxSampleCount)
-	}
-	k, err := intParam(q.Get("k"), 0)
-	if err != nil || k < 0 {
-		return "", nil, errBadRequest("k must be >= 0")
-	}
-	key := fmt.Sprintf("%s|itemrank|%s|%d|%d", qc.keybase, itemID, n, k)
-	return key, func() (any, error) {
-		// Resolved inside the compute closure so cache hits skip the O(N)
-		// catalog scan; unknown-item errors are never cached.
-		idx, ok := itemIndex(qc.ds, itemID)
-		if !ok {
-			return nil, errNotFound("item %q not in dataset %q", itemID, qc.name)
-		}
-		dist, err := qc.analyzer.ItemRankDistribution(r.Context(), idx, int(n))
-		if err != nil {
-			return nil, err
-		}
-		counts := make(map[string]int, len(dist.Counts))
-		for rnk, c := range dist.Counts { //srlint:ordered map-to-map rekey; json.Marshal renders object keys sorted
-			counts[strconv.Itoa(rnk)] = c
-		}
-		resp := itemRankResponse{
-			Dataset: qc.name,
-			Item:    itemRef{Index: idx, ID: itemID},
-			Samples: dist.Samples,
-			Best:    dist.Best,
-			Worst:   dist.Worst,
-			Mode:    dist.Mode(),
-			Median:  dist.Quantile(0.5),
-			Counts:  counts,
-		}
-		if k > 0 {
-			resp.ProbabilityTop = map[string]any{
-				"k":           k,
-				"probability": dist.ProbabilityTopK(int(k)),
-			}
-		}
-		return resp, nil
-	}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

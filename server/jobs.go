@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +49,14 @@ type job struct {
 type jobStore struct {
 	mu   sync.Mutex
 	jobs map[string]*job // guarded by mu
+	// queue holds the queued jobs in submission order. Its length is what
+	// queueSize bounds, so cancelling a queued job frees its slot at once.
+	queue     []*job // guarded by mu
+	queueSize int
+	// ready wakes idle workers when the queue grows or the store closes; its
+	// lock is mu.
+	ready *sync.Cond
 
-	queue   chan *job
 	workers int
 	ttl     time.Duration
 	timeout time.Duration
@@ -78,7 +85,7 @@ func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(c
 	ctx, cancel := context.WithCancel(context.Background()) //srlint:ctxflow jobs outlive the submitting request by design; the pool root is cancelled in close()
 	st := &jobStore{
 		jobs:      make(map[string]*job),
-		queue:     make(chan *job, queueSize),
+		queueSize: queueSize,
 		workers:   workers,
 		ttl:       ttl,
 		timeout:   timeout,
@@ -87,6 +94,7 @@ func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(c
 		baseCtx:   ctx,
 		cancelAll: cancel,
 	}
+	st.ready = sync.NewCond(&st.mu)
 	for w := 0; w < workers; w++ {
 		st.wg.Add(1)
 		go st.worker()
@@ -98,20 +106,36 @@ func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(c
 // waits for the workers to drain.
 func (st *jobStore) close() {
 	st.cancelAll()
+	st.mu.Lock()
+	st.ready.Broadcast()
+	st.mu.Unlock()
 	st.wg.Wait()
 }
 
+// worker runs queued jobs, oldest first, until the store closes.
 func (st *jobStore) worker() {
 	defer st.wg.Done()
 	for {
-		//srlint:ordered shutdown-vs-dequeue race; in-flight jobs are cancelled through baseCtx either way
-		select {
-		case <-st.baseCtx.Done():
-			return
-		case j := <-st.queue:
-			st.run(j)
+		st.mu.Lock()
+		for len(st.queue) == 0 && st.baseCtx.Err() == nil {
+			st.ready.Wait()
 		}
+		if st.baseCtx.Err() != nil {
+			st.mu.Unlock()
+			return
+		}
+		j := st.queue[0]
+		st.queue = slices.Delete(st.queue, 0, 1)
+		st.mu.Unlock()
+		st.run(j)
 	}
+}
+
+// enqueueLocked appends j to the queue and wakes a worker. Callers hold
+// st.mu and have checked the queue has room.
+func (st *jobStore) enqueueLocked(j *job) {
+	st.queue = append(st.queue, j)
+	st.ready.Signal()
 }
 
 func (st *jobStore) run(j *job) {
@@ -188,26 +212,19 @@ func (st *jobStore) submit(cq *compiledQuery) (*job, error) {
 		created: time.Now(),
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.purgeLocked()
+	if len(st.queue) >= st.queueSize {
+		return nil, statusError{code: http.StatusServiceUnavailable, msg: "job queue is full"}
+	}
 	st.jobs[j.id] = j
 	// Persist before enqueueing: once a worker can see the job, its own
 	// lifecycle writes must be the newest ones.
 	if st.persist != nil {
 		st.persist.saveJob(j)
 	}
-	st.mu.Unlock()
-	select {
-	case st.queue <- j:
-		return j, nil
-	default:
-		st.mu.Lock()
-		delete(st.jobs, j.id)
-		st.mu.Unlock()
-		if st.persist != nil {
-			st.persist.forget(j.id)
-		}
-		return nil, statusError{code: http.StatusServiceUnavailable, msg: "job queue is full"}
-	}
+	st.enqueueLocked(j)
+	return j, nil
 }
 
 // get returns the job by id.
@@ -231,6 +248,7 @@ func (st *jobStore) stop(id string) (jobState, bool) {
 	}
 	switch j.state {
 	case jobQueued:
+		st.queue = slices.DeleteFunc(st.queue, func(q *job) bool { return q == j })
 		j.state = jobCancelled
 		j.ended = time.Now()
 		if st.ttl >= 0 {
@@ -339,7 +357,7 @@ func (st *jobStore) render(j *job) jobResponse {
 // handleSubmitJob is POST /v1/jobs: validate synchronously (the client
 // learns about malformed requests immediately), run asynchronously.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeQueryRequest(w, r)
+	_, req, err := readQueryRequest(w, r)
 	if err != nil {
 		writeError(w, err)
 		return

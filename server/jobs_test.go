@@ -39,6 +39,23 @@ func pollJob(t *testing.T, ts *httptest.Server, id string, deadline time.Duratio
 	return j
 }
 
+// waitJobStatus polls GET /v1/jobs/{id} until the job reports want.
+func waitJobStatus(t *testing.T, ts *httptest.Server, id string, want jobState, deadline time.Duration) {
+	t.Helper()
+	var j jobResponse
+	stop := time.Now().Add(deadline)
+	for time.Now().Before(stop) {
+		if code, _ := get(t, ts, "/v1/jobs/"+id, &j); code != http.StatusOK {
+			t.Fatalf("job poll = %d", code)
+		}
+		if j.Status == string(want) {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s still %s after %s, want %s", id, j.Status, deadline, want)
+}
+
 // deleteJob issues DELETE /v1/jobs/{id} and returns the status code.
 func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
@@ -138,7 +155,7 @@ func TestJobCancellation(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	time.Sleep(50 * time.Millisecond) // let the worker take it
+	waitJobStatus(t, ts, j.ID, jobRunning, 10*time.Second)
 	if code := deleteJob(t, ts, j.ID); code != http.StatusOK {
 		t.Fatalf("delete = %d", code)
 	}
@@ -179,7 +196,7 @@ func TestJobQueueFullAndTTL(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 1 = %d", code)
 	}
-	time.Sleep(20 * time.Millisecond) // let the worker take j1
+	waitJobStatus(t, ts, j1.ID, jobRunning, 10*time.Second) // the worker took j1
 	j2, code := submitJob(t, ts, long)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 2 = %d", code)
@@ -187,9 +204,9 @@ func TestJobQueueFullAndTTL(t *testing.T) {
 	if _, code = submitJob(t, ts, long); code != http.StatusServiceUnavailable {
 		t.Errorf("submit to a full queue = %d, want 503", code)
 	}
-	// Cancel the queued job (it must never run) and the running one (the
-	// worker comes free), then a fast job completes and its record expires
-	// after the TTL.
+	// Cancel the queued job (it must never run, and its queue slot is free
+	// at once) and the running one (the worker comes free), then a fast job
+	// completes and its record expires after the TTL.
 	if code := deleteJob(t, ts, j2.ID); code != http.StatusOK {
 		t.Fatalf("delete queued = %d", code)
 	}

@@ -85,10 +85,24 @@ func (w *statusWriter) Flush() {
 // Unwrap exposes the underlying writer to http.ResponseController users.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// clientContextKey carries a request's context from before the per-request
+// deadline was applied (see clientContext).
+type clientContextKey struct{}
+
+// clientContext returns r's context without the per-request deadline: it
+// ends only when the client disconnects or the server shuts down. The drift
+// subscription uses it, because it stays open until the client leaves.
+func clientContext(r *http.Request) context.Context {
+	if ctx, ok := r.Context().Value(clientContextKey{}).(context.Context); ok {
+		return ctx
+	}
+	return r.Context()
+}
+
 // wrap applies the service middleware stack to next: panic recovery, the
 // per-request timeout (wired into the request context, which the facade
-// plumbs into its sampling loops), an in-flight request gauge, and request
-// logging.
+// plumbs into its sampling loops; clientContext recovers the context
+// without it), an in-flight request gauge, and request logging.
 func (s *Server) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -106,7 +120,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 			s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.status, time.Since(start).Round(time.Microsecond))
 		}()
 		if s.cfg.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+			ctx, cancel := context.WithTimeout(context.WithValue(r.Context(), clientContextKey{}, r.Context()), s.cfg.RequestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}

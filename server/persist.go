@@ -331,21 +331,13 @@ func (s *Server) execJob(ctx context.Context, j *job) (*queryResponse, error) {
 	if p == nil || s.cfg.CheckpointEvery < 0 || !checkpointable(cq) {
 		return s.execQuery(ctx, cq)
 	}
-	ds, gen, ver, ok := s.registry.Get(cq.dataset)
-	if !ok {
-		return nil, errNotFound("unknown dataset %q", cq.dataset)
+	ds, a, _, err := s.analyzerFor(cq)
+	if err != nil {
+		return nil, err
 	}
 	queries, err := cq.buildQueries(s, ds)
 	if err != nil {
 		return nil, err
-	}
-	key := analyzerKey{dataset: cq.dataset, gen: gen, ver: ver, region: cq.spec.canonical(), seed: cq.seed, samples: cq.samples, adaptive: cq.adaptive}
-	a, err := s.analyzers.get(key, ds, cq.spec)
-	if err != nil {
-		if _, isStatus := err.(statusError); isStatus {
-			return nil, err
-		}
-		return nil, errBadRequest("building analyzer: %v", err)
 	}
 	spec, q := cq.specs[0], queries[0]
 	hash := fmt.Sprintf("%016x", ds.Hash())
@@ -376,28 +368,14 @@ func (s *Server) execJob(ctx context.Context, j *job) (*queryResponse, error) {
 		if seen <= skip {
 			continue // deterministic re-enumeration of the restored prefix
 		}
-		st := *res.Stable
-		rows = append(rows, stableResponse{
-			Rank:            seen,
-			Stability:       st.Stability,
-			Exact:           st.Exact,
-			Items:           s.itemRefs(ds, st.Ranking.Order),
-			Weights:         st.Weights,
-			ConfidenceError: st.ConfidenceError,
-		})
+		rows = append(rows, s.stableResponses(ds, []stablerank.Stable{*res.Stable}, seen-1)...)
 		if s.cfg.CheckpointEvery > 0 && len(rows)%s.cfg.CheckpointEvery == 0 {
 			p.saveCheckpoint(j.id, hash, rows)
 		}
 	}
-	out := opResult{Op: spec.Op, Rankings: rows}
-	switch spec.Op {
-	case "toph":
-		out.H = spec.H
-	case "above":
-		out.Threshold = spec.S
-	case "enumerate":
-		out.Limit = q.(stablerank.EnumerateQuery).Limit
-	}
+	// Rendered as execQuery renders it, with the streamed rows as rankings.
+	out := s.renderOpResult(ds, spec, q, stablerank.Result{})
+	out.Rankings = append(out.Rankings, rows...)
 	return &queryResponse{Dataset: cq.dataset, Results: []opResult{out}}, nil
 }
 
@@ -482,10 +460,10 @@ func (st *jobStore) restore(s *Server) {
 		}
 		st.jobs[j.id] = j
 		if j.state == jobQueued {
-			select {
-			case st.queue <- j:
+			if len(st.queue) < st.queueSize {
+				st.enqueueLocked(j)
 				p.restoredJobs.Add(1)
-			default:
+			} else {
 				j.state = jobFailed
 				j.errMsg = "job queue full at restart"
 				j.ended = time.Now()

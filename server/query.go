@@ -13,12 +13,13 @@ import (
 	"stablerank"
 )
 
-// POST /v1/query: the uniform query surface. One request names a dataset,
-// the shared region/seed/samples parameters, and a heterogeneous list of
-// operations; the whole list is answered by one Analyzer.Do call, so every
-// verify and item-rank operation shares a single fused sweep of the sample
-// pool and every enumeration-shaped operation shares one cursor. It
-// supersedes POST /batch (kept for compatibility with a Deprecation header).
+// The query pipeline, which every query surface runs: decode into a
+// queryRequest (a POST /v1/query or /v1/jobs body, or a GET or stream URL),
+// place it in a cluster by routingKey, validate it with compileQuery, obtain
+// the shared analyzer with analyzerFor, answer every operation with one
+// Analyzer.Do call (one fused sweep of the sample pool for the verify and
+// item-rank operations, one cursor for the enumeration-shaped ones), and map
+// each library result onto the wire with renderOpResult.
 
 // querySpec is one operation in the request's queries list. Op selects the
 // operation; the remaining fields are op-specific and ignored otherwise.
@@ -41,11 +42,24 @@ type querySpec struct {
 	K    int    `json:"k,omitempty"`
 	// Limit is the enumerate depth.
 	Limit int `json:"limit,omitempty"`
+
+	// page and perPage make an enumerate operation one page of
+	// GET /v1/{dataset}/rankings (perPage > 0). A request body cannot set
+	// them.
+	page, perPage int
 }
 
-// queryRequest is the POST /v1/query (and POST /v1/jobs) body. Region, seed
-// and samples have the same semantics and defaults as the GET query
-// parameters of the same names and select the shared analyzer.
+// key renders the operation canonically: every field that can change the
+// answer, in a fixed order. It is the operation half of a response-cache
+// key (see cacheKey).
+func (q querySpec) key() string {
+	return fmt.Sprintf("%s|w=%v|r=%q|h=%d|s=%v|item=%q|n=%d|k=%d|limit=%d|page=%d/%d",
+		q.Op, q.Weights, q.Ranking, q.H, q.S, q.Item, q.N, q.K, q.Limit, q.page, q.perPage)
+}
+
+// queryRequest is the POST /v1/query (and POST /v1/jobs) body, and what
+// every GET query decodes into. Region, seed and samples select the shared
+// analyzer; the URL parameters of the same names map onto them.
 type queryRequest struct {
 	Dataset string    `json:"dataset"`
 	Weights []float64 `json:"weights,omitempty"`
@@ -61,6 +75,30 @@ type queryRequest struct {
 	Adaptive float64 `json:"adaptive,omitempty"`
 
 	Queries []querySpec `json:"queries"`
+}
+
+// seedAndSamples applies the configured defaults to the request's seed and
+// sample count.
+func (s *Server) seedAndSamples(req *queryRequest) (int64, int) {
+	seed, samples := s.cfg.DefaultSeed, s.cfg.DefaultSampleCount
+	if req.Seed != nil {
+		seed = *req.Seed
+	}
+	if req.Samples != nil {
+		samples = *req.Samples
+	}
+	return seed, samples
+}
+
+// routingKey is the cluster placement identity of a request: its analyzer
+// key minus the dataset generation (generations advance independently per
+// node, and a textual difference here only costs locality, never
+// correctness). It reads the request unvalidated — an invalid request fails
+// identically on every replica, so forwarding it first is harmless.
+func (s *Server) routingKey(req *queryRequest) string {
+	spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
+	seed, samples := s.seedAndSamples(req)
+	return analyzerKey{dataset: req.Dataset, region: spec.canonical(), seed: seed, samples: samples, adaptive: req.Adaptive}.String()
 }
 
 // facetResponse is one boundary facet: the adjacent pair whose exchange the
@@ -87,11 +125,12 @@ type opResult struct {
 	// adaptive target; sample_count is then the rows actually swept.
 	Adaptive bool `json:"adaptive,omitempty"`
 
-	// toph / above / enumerate
+	// toph / above / enumerate. Rankings is present (possibly empty) for
+	// these operations and absent for the others.
 	H         int              `json:"h,omitempty"`
 	Threshold float64          `json:"threshold,omitempty"`
 	Limit     int              `json:"limit,omitempty"`
-	Rankings  []stableResponse `json:"rankings,omitempty"`
+	Rankings  []stableResponse `json:"rankings,omitzero"`
 
 	// itemrank
 	Item           *itemRef       `json:"item,omitempty"`
@@ -130,6 +169,13 @@ func (s *Server) jobLimits() queryLimits {
 	return queryLimits{maxDepth: s.cfg.MaxStreamRows, openEnumerate: true}
 }
 
+// streamLimits lets an open stream enumeration run one row past
+// MaxStreamRows, so the summary line can tell exhaustion exactly at the cap
+// from truncation by it.
+func (s *Server) streamLimits() queryLimits {
+	return queryLimits{maxDepth: s.cfg.MaxStreamRows + 1, openEnumerate: true}
+}
+
 // compiledQuery is a validated request, ready to execute (possibly later,
 // on a job worker). The dataset and item IDs are re-resolved at execution
 // time so a dataset replaced in between fails loudly instead of answering
@@ -147,11 +193,15 @@ type compiledQuery struct {
 	req *queryRequest
 }
 
+// maxQueryBody bounds a query request body; queries are parameter lists,
+// not dataset uploads.
+const maxQueryBody = 1 << 20
+
 // readQueryRequest reads and decodes a /v1/query-shaped body with the
 // standard size cap and strictness, returning the raw bytes alongside so a
 // clustered node can replay the body when forwarding to the key's owner.
 func readQueryRequest(w http.ResponseWriter, r *http.Request) ([]byte, *queryRequest, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -171,49 +221,51 @@ func readQueryRequest(w http.ResponseWriter, r *http.Request) ([]byte, *queryReq
 	return raw, &req, nil
 }
 
-// decodeQueryRequest is readQueryRequest for callers that never forward
-// (jobs are node-local).
-func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, error) {
-	_, req, err := readQueryRequest(w, r)
-	return req, err
-}
-
-// compileQuery validates the request against the current dataset and caps.
-// A list longer than MaxBatchOps is answered 413: the request is
+// compileQuery validates the request against the current dataset and caps
+// and resolves every operation, so a malformed entry rejects the request
+// before any work (execution resolves them again against the dataset it
+// runs on). A list longer than MaxBatchOps is answered 413: the request is
 // well-formed, just bigger than this server accepts.
 func (s *Server) compileQuery(req *queryRequest, limits queryLimits) (*compiledQuery, error) {
+	cq, ds, err := s.compileRequest(req, limits)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cq.buildQueries(s, ds); err != nil {
+		return nil, err
+	}
+	return cq, nil
+}
+
+// compileRequest is compileQuery without resolving the operations, which
+// costs a ranking sort per verify. The GET and stream surfaces resolve them
+// once, after obtaining the analyzer — a GET only on a response-cache miss.
+func (s *Server) compileRequest(req *queryRequest, limits queryLimits) (*compiledQuery, *stablerank.Dataset, error) {
 	ds, _, _, ok := s.registry.Get(req.Dataset)
 	if !ok {
-		return nil, errNotFound("unknown dataset %q", req.Dataset)
+		return nil, nil, errNotFound("unknown dataset %q", req.Dataset)
 	}
 	spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
 	if err := spec.validate(ds.D(), req.Theta != 0, req.Cosine != 0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	seed := s.cfg.DefaultSeed
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	samples := s.cfg.DefaultSampleCount
-	if req.Samples != nil {
-		samples = *req.Samples
-	}
+	seed, samples := s.seedAndSamples(req)
 	if samples < 1 || samples > s.cfg.MaxSampleCount {
-		return nil, errBadRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSampleCount)
+		return nil, nil, errBadRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSampleCount)
 	}
 	if req.Adaptive < 0 || req.Adaptive >= 1 {
-		return nil, errBadRequest("adaptive %v out of [0, 1)", req.Adaptive)
+		return nil, nil, errBadRequest("adaptive %v out of [0, 1)", req.Adaptive)
 	}
 	if len(req.Queries) == 0 {
-		return nil, errBadRequest("query request requires at least one operation")
+		return nil, nil, errBadRequest("query request requires at least one operation")
 	}
 	if len(req.Queries) > s.cfg.MaxBatchOps {
-		return nil, statusError{
+		return nil, nil, statusError{
 			code: http.StatusRequestEntityTooLarge,
 			msg:  fmt.Sprintf("query list has %d operations, limit %d", len(req.Queries), s.cfg.MaxBatchOps),
 		}
 	}
-	cq := &compiledQuery{
+	return &compiledQuery{
 		dataset:  req.Dataset,
 		spec:     spec,
 		seed:     seed,
@@ -222,13 +274,7 @@ func (s *Server) compileQuery(req *queryRequest, limits queryLimits) (*compiledQ
 		specs:    req.Queries,
 		limits:   limits,
 		req:      req,
-	}
-	// Parse every operation now so a malformed entry rejects the request
-	// before any work (the result is rebuilt at execution time).
-	if _, err := cq.buildQueries(s, ds); err != nil {
-		return nil, err
-	}
-	return cq, nil
+	}, ds, nil
 }
 
 // buildQueries translates the operation specs into library queries against
@@ -283,6 +329,11 @@ func (cq *compiledQuery) buildQueries(s *Server, ds *stablerank.Dataset) ([]stab
 			if limit > cq.limits.maxDepth {
 				return nil, errBadRequest("queries[%d]: enumerate limit must be in [1, %d]", i, cq.limits.maxDepth)
 			}
+			if spec.perPage > 0 {
+				// A page enumerates one past its end so has_more is exact
+				// even when the enumeration is exhausted right behind it.
+				limit++
+			}
 			queries[i] = stablerank.EnumerateQuery{Limit: limit}
 		default:
 			return nil, errBadRequest("queries[%d]: unknown op %q", i, spec.Op)
@@ -318,28 +369,44 @@ func itemIndex(ds *stablerank.Dataset, id string) (int, bool) {
 	return -1, false
 }
 
-// execQuery runs a compiled query now, under ctx: it re-resolves the
-// dataset, obtains the shared analyzer, answers the whole list with one
-// Analyzer.Do call, and renders the response. It is shared by the
-// synchronous handler and the job workers.
-func (s *Server) execQuery(ctx context.Context, cq *compiledQuery) (*queryResponse, error) {
+// analyzerFor re-resolves a compiled query's dataset and obtains the shared
+// analyzer for its key, returning the dataset version the analyzer is
+// keyed on alongside.
+func (s *Server) analyzerFor(cq *compiledQuery) (*stablerank.Dataset, *stablerank.Analyzer, analyzerKey, error) {
 	ds, gen, ver, ok := s.registry.Get(cq.dataset)
 	if !ok {
-		return nil, errNotFound("unknown dataset %q", cq.dataset)
-	}
-	queries, err := cq.buildQueries(s, ds)
-	if err != nil {
-		return nil, err
+		return nil, nil, analyzerKey{}, errNotFound("unknown dataset %q", cq.dataset)
 	}
 	key := analyzerKey{dataset: cq.dataset, gen: gen, ver: ver, region: cq.spec.canonical(), seed: cq.seed, samples: cq.samples, adaptive: cq.adaptive}
 	a, err := s.analyzers.get(key, ds, cq.spec)
 	if err != nil {
-		if _, isStatus := err.(statusError); isStatus {
-			return nil, err
+		if _, isStatus := err.(statusError); !isStatus {
+			err = errBadRequest("building analyzer: %v", err)
 		}
-		return nil, errBadRequest("building analyzer: %v", err)
+		return nil, nil, analyzerKey{}, err
+	}
+	return ds, a, key, nil
+}
+
+// answer resolves the operations against ds and answers them all with one
+// Analyzer.Do call, returning the resolved queries beside the results.
+func (s *Server) answer(ctx context.Context, cq *compiledQuery, ds *stablerank.Dataset, a *stablerank.Analyzer) ([]stablerank.Query, []stablerank.Result, error) {
+	queries, err := cq.buildQueries(s, ds)
+	if err != nil {
+		return nil, nil, err
 	}
 	results, err := a.Do(ctx, queries...)
+	return queries, results, err
+}
+
+// execQuery runs a compiled query now, under ctx, and renders every
+// operation's result. It is shared by POST /v1/query and the job workers.
+func (s *Server) execQuery(ctx context.Context, cq *compiledQuery) (*queryResponse, error) {
+	ds, a, _, err := s.analyzerFor(cq)
+	if err != nil {
+		return nil, err
+	}
+	queries, results, err := s.answer(ctx, cq, ds, a)
 	if err != nil {
 		return nil, err
 	}
@@ -416,27 +483,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Cluster routing mirrors the GET path: the analyzer key's owner serves
-	// the request unless it is this node or unreachable. The key is derived
-	// from the raw body without validation — an invalid request fails
-	// identically on every replica, so forwarding it first is harmless.
-	if s.cluster != nil {
-		spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
-		seed := s.cfg.DefaultSeed
-		if req.Seed != nil {
-			seed = *req.Seed
-		}
-		samples := s.cfg.DefaultSampleCount
-		if req.Samples != nil {
-			samples = *req.Samples
-		}
-		if owner, remote := s.cluster.owner(r, routingKey(req.Dataset, spec, seed, samples, req.Adaptive)); remote {
-			if s.proxy(w, r, owner, raw) {
-				return
-			}
-		}
+	if s.forward(w, r, s.routingKey(req), raw) {
+		return
 	}
-	s.markServedLocally(w)
 	cq, err := s.compileQuery(req, s.syncLimits())
 	if err != nil {
 		writeError(w, err)

@@ -19,30 +19,30 @@
 //	POST   /v1/jobs                    run a query list asynchronously
 //	GET    /v1/jobs/{id}               job status + result
 //	DELETE /v1/jobs/{id}               cancel (or discard) a job
-//	GET    /v1/{dataset}/verify        Problem 1: stability of ?weights=
+//	GET    /v1/{dataset}/verify        Problem 1: stability of ?weights= or ?ranking=
 //	GET    /v1/{dataset}/toph          Problem 2: ?h= most stable rankings
 //	GET    /v1/{dataset}/above         Problem 2: rankings with stability >= ?s=
 //	GET    /v1/{dataset}/itemrank      Example 1: rank distribution of ?item=
 //	GET    /v1/{dataset}/rankings      Problem 3: paginated enumeration
-//	POST   /batch                      DEPRECATED: use POST /v1/query
 //	*      /cluster/v1/{ping,fill}     chunk-fill worker protocol (binary)
 //
-// POST /v1/query is the uniform surface over the library's query model: the
-// body names a dataset, the shared region/seed/samples parameters, and a
-// heterogeneous list of operations ({"op":"verify",...}, {"op":"toph",...},
-// {"op":"above",...}, {"op":"itemrank",...}, {"op":"boundary",...},
-// {"op":"enumerate",...}) answered by one Analyzer.Do call — one sample-pool
-// build and one fused sweep for the whole list. GET /v1/query/stream emits
-// one NDJSON line per enumerated ranking with the running stability mass,
-// and POST /v1/jobs runs the same request body on a bounded worker pool for
-// enumerations too long to hold a connection open.
+// There is one query path. POST /v1/query is the uniform surface over the
+// library's query model: the body names a dataset, the shared
+// region/seed/samples parameters, and a heterogeneous list of operations
+// (verify, toph, above, itemrank, boundary, enumerate) answered by one
+// Analyzer.Do call — one sample-pool build and one fused sweep for the whole
+// list. The other query surfaces run the same pipeline: each
+// GET /v1/{dataset}/{op} decodes its URL into a one-operation request and
+// answers with that operation's result plus the dataset name, from an LRU
+// cache keyed by analyzer and canonical operation; GET /v1/query/stream
+// emits one NDJSON line per enumerated ranking with the running stability
+// mass; and POST /v1/jobs runs a POST /v1/query body on a bounded worker
+// pool, for enumerations too long to hold a connection open.
 //
-// Query endpoints share the region parameters ?weights= (comma-separated)
+// The GET endpoints share the region parameters ?weights= (comma-separated)
 // with optional ?theta= (hypercone half-angle) or ?cosine= (minimum cosine
 // similarity), plus ?seed= and ?samples=. Identical parameter tuples map to
-// one shared Analyzer and one cache slot. POST /batch remains for
-// compatibility (it answers with a Deprecation header); new clients should
-// send the same operations to POST /v1/query.
+// one shared Analyzer.
 //
 // Datasets are mutable in place: PATCH /v1/datasets/{name} applies a JSON
 // delta list ({"deltas":[{"op":"update","id":"x","attrs":[...]}, ...]})
@@ -125,8 +125,8 @@ type Config struct {
 	// batch sweeps (default 0 = GOMAXPROCS). Results are deterministic
 	// regardless of this value; it is a throughput knob only.
 	Workers int
-	// MaxBatchOps caps the number of operations in one POST /batch or
-	// POST /v1/query request (default 256; /v1/query answers 413 beyond it).
+	// MaxBatchOps caps the number of operations in one POST /v1/query or
+	// POST /v1/jobs request (default 256; 413 beyond it).
 	MaxBatchOps int
 	// MaxStreamRows caps the rankings emitted by one GET /v1/query/stream
 	// response and the enumeration depth of async jobs (default 100,000).

@@ -148,6 +148,10 @@ func TestVerifyErrors(t *testing.T) {
 		{"huge samples", "/v1/fig1/verify?weights=1,1&samples=999999999", http.StatusBadRequest},
 		{"non-finite weight", "/v1/fig1/verify?weights=1,NaN", http.StatusBadRequest},
 		{"negative theta", "/v1/fig1/verify?weights=1,1&theta=-0.05", http.StatusBadRequest},
+		// A present zero is not an absent parameter: it must not silently
+		// widen the region to the full function space.
+		{"explicit zero theta", "/v1/fig1/verify?weights=1,1&theta=0", http.StatusBadRequest},
+		{"explicit zero cosine", "/v1/fig1/verify?weights=1,1&cosine=0", http.StatusBadRequest},
 		{"NaN cosine", "/v1/fig1/verify?weights=1,1&cosine=NaN", http.StatusBadRequest},
 		{"cosine above 1", "/v1/fig1/verify?weights=1,1&cosine=1.5", http.StatusBadRequest},
 		{"overflowing page", "/v1/fig1/rankings?page=922337203685477580&per_page=100", http.StatusBadRequest},

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"net/http"
-
-	"stablerank"
+	"net/url"
 )
 
 // GET /v1/query/stream: incremental enumeration as NDJSON. One line per
@@ -52,48 +52,29 @@ type streamError struct {
 	Error string `json:"error"`
 }
 
-// handleQueryStream is GET /v1/query/stream.
+// handleQueryStream is GET /v1/query/stream: the URL decodes into a
+// one-operation query request that runs through the query pipeline, and
+// the operation's rankings are written as they are enumerated. Streams are
+// node-local and uncached.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	qc, err := s.queryContextNamed(r, q.Get("dataset"))
+	req, err := s.streamRequest(r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	var query stablerank.Query
-	op := q.Get("op")
-	if op == "" {
-		op = "enumerate"
+	cq, _, err := s.compileRequest(req, s.streamLimits())
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	switch op {
-	case "enumerate":
-		limit, err := intParam(q.Get("limit"), 0)
-		if err != nil || limit < 0 || limit > int64(s.cfg.MaxStreamRows) {
-			writeError(w, errBadRequest("limit must be in [0, %d]", s.cfg.MaxStreamRows))
-			return
-		}
-		if limit == 0 {
-			// Open enumeration: run one past the row cap so the summary can
-			// tell "exhausted exactly at the cap" from "cut off by it".
-			limit = int64(s.cfg.MaxStreamRows) + 1
-		}
-		query = stablerank.EnumerateQuery{Limit: int(limit)}
-	case "toph":
-		h, err := intParam(q.Get("h"), 10)
-		if err != nil || h < 1 || h > int64(s.cfg.MaxStreamRows) {
-			writeError(w, errBadRequest("h must be in [1, %d]", s.cfg.MaxStreamRows))
-			return
-		}
-		query = stablerank.TopHQuery{H: int(h)}
-	case "above":
-		threshold, err := floatParam(q.Get("s"), -1)
-		if err != nil || threshold <= 0 || threshold > 1 {
-			writeError(w, errBadRequest("s must be in (0, 1]"))
-			return
-		}
-		query = stablerank.AboveQuery{Threshold: threshold}
-	default:
-		writeError(w, errBadRequest("op must be enumerate, toph or above"))
+	ds, a, _, err := s.analyzerFor(cq)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	queries, err := cq.buildQueries(s, ds)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 
@@ -105,7 +86,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 	count, mass := 0, 0.0
 	truncated := false
-	for res, err := range qc.analyzer.Stream(r.Context(), query) {
+	for res, err := range a.Stream(r.Context(), queries[0]) {
 		if err != nil {
 			// Before the first line the status code is still open: report
 			// client hang-ups and real failures properly. Mid-stream, the
@@ -135,7 +116,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			ConfidenceError: st.ConfidenceError,
 			Cumulative:      mass,
 			Exact:           st.Exact,
-			Items:           s.itemRefs(qc.ds, st.Ranking.Order),
+			Items:           s.itemRefs(ds, st.Ranking.Order),
 			Weights:         st.Weights,
 		}
 		if err := enc.Encode(line); err != nil {
@@ -150,4 +131,20 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// streamRequest decodes the stream URL into a one-operation query request:
+// ?dataset= plus the region, seed and samples parameters, and ?op= with its
+// bound (?limit= for enumerate, the default op, where 0 means open).
+func (s *Server) streamRequest(q url.Values) (*queryRequest, error) {
+	req, err := s.urlRequest(q, q.Get("dataset"))
+	if err != nil {
+		return nil, err
+	}
+	spec, err := enumOp(q, cmp.Or(q.Get("op"), "enumerate"), s.cfg.MaxStreamRows)
+	if err != nil {
+		return nil, err
+	}
+	req.Queries = []querySpec{spec}
+	return req, nil
 }

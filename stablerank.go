@@ -55,10 +55,6 @@ type Stable = core.Stable
 // summed. See Analyzer.TopHMerged.
 type MergedStable = core.MergedStable
 
-// BatchVerification is one ranking's outcome within Analyzer.VerifyBatch:
-// either a Verification or that ranking's own error.
-type BatchVerification = core.BatchVerification
-
 // BoundaryFacet is one facet of a ranking region: crossing it swaps exactly
 // the named item pair. See Analyzer.Boundary.
 type BoundaryFacet = md.BoundaryFacet
@@ -100,11 +96,11 @@ func WithSampleCount(n int) Option { return core.WithSampleCount(n) }
 func WithConfidenceLevel(alpha float64) Option { return core.WithConfidenceLevel(alpha) }
 
 // WithWorkers sets how many goroutines shard the Monte-Carlo sample-pool
-// build and the VerifyBatch sweep (default 0 = GOMAXPROCS). Determinism is
-// independent of this knob: the pool is drawn in fixed-size chunks whose RNG
-// streams are seeded from (seed, chunk index), so worker counts 1, 2 and 64
-// all produce bit-identical pools — and therefore identical stability
-// results — for the same seed.
+// build and the fused verification sweep of Do (default 0 = GOMAXPROCS).
+// Determinism is independent of this knob: the pool is drawn in fixed-size
+// chunks whose RNG streams are seeded from (seed, chunk index), so worker
+// counts 1, 2 and 64 all produce bit-identical pools — and therefore
+// identical stability results — for the same seed.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithAdaptive enables adaptive verification at the given target confidence
@@ -273,38 +269,29 @@ func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.core.AdaptiveRowsSaved()
 // interest — the fraction of acceptable scoring functions that induce it:
 // exact in two dimensions, a Monte-Carlo estimate with a confidence error
 // otherwise. It returns ErrInfeasibleRanking when no acceptable function
-// induces r.
+// induces r. It is Do with one VerifyQuery; verify many rankings in one Do
+// call to share a single sweep of the sample pool.
 func (a *Analyzer) VerifyStability(ctx context.Context, r Ranking) (Verification, error) {
-	return a.core.VerifyStability(orBackground(ctx), r)
+	res, err := a.one(ctx, VerifyQuery{Ranking: r})
+	if err != nil {
+		return Verification{}, err
+	}
+	return *res.Verification, nil
 }
 
-// VerifyBatch computes the stability of many rankings in one pass: exact
-// per-ranking scans in two dimensions, otherwise a single sharded sweep of
-// the Monte-Carlo sample pool with every ranking's constraint tests fused —
-// the amortized form of Problem 1 behind the service's POST /batch endpoint.
-// Per-ranking failures (e.g. ErrInfeasibleRanking) are reported in the
-// matching BatchVerification.Err without failing the rest of the batch.
-func (a *Analyzer) VerifyBatch(ctx context.Context, rankings []Ranking) ([]BatchVerification, error) {
-	return a.core.VerifyBatch(orBackground(ctx), rankings)
-}
-
-// TopH returns the h most stable rankings (batch Problem 2, count form).
+// TopH returns the h most stable rankings (batch Problem 2, count form). It
+// is Do with one TopHQuery.
 func (a *Analyzer) TopH(ctx context.Context, h int) ([]Stable, error) {
-	return a.core.TopH(orBackground(ctx), h)
-}
-
-// TopHBatch answers several top-h queries with one enumeration to the
-// largest requested h; each query receives a prefix of that single pass. The
-// returned slices share one backing enumeration and must be treated as
-// read-only.
-func (a *Analyzer) TopHBatch(ctx context.Context, hs []int) ([][]Stable, error) {
-	return a.core.TopHBatch(orBackground(ctx), hs)
+	res, err := a.one(ctx, TopHQuery{H: h})
+	return res.Stables, err
 }
 
 // AboveThreshold returns every ranking with stability >= s (batch Problem 2,
-// threshold form), in decreasing stability order.
+// threshold form), in decreasing stability order. It is Do with one
+// AboveQuery.
 func (a *Analyzer) AboveThreshold(ctx context.Context, s float64) ([]Stable, error) {
-	return a.core.AboveThreshold(orBackground(ctx), s)
+	res, err := a.one(ctx, AboveQuery{Threshold: s})
+	return res.Stables, err
 }
 
 // TopHMerged enumerates ranking regions in decreasing stability, merging
@@ -342,16 +329,31 @@ func (a *Analyzer) Randomized(mode Mode, k int) (*Randomized, error) {
 // ItemRankDistribution samples the region of interest n times and returns
 // the distribution of the given item's rank — the distributional form of
 // Example 1's consumer question ("does Cornell make the top-10 under
-// acceptable weights?").
+// acceptable weights?"). It is Do with one ItemRankQuery.
 func (a *Analyzer) ItemRankDistribution(ctx context.Context, item, n int) (RankDistribution, error) {
-	return a.core.ItemRankDistribution(orBackground(ctx), item, n)
+	res, err := a.one(ctx, ItemRankQuery{Item: item, Samples: n})
+	if err != nil {
+		return RankDistribution{}, err
+	}
+	return *res.RankDistribution, nil
 }
 
 // Boundary returns the non-redundant boundary facets of ranking r's region:
 // the item pairs whose exchange a weight perturbation can realize first. It
-// works in any dimension.
+// works in any dimension. It is Do with one BoundaryQuery.
 func (a *Analyzer) Boundary(r Ranking) ([]BoundaryFacet, error) {
-	return a.core.Boundary(r)
+	res, err := a.one(context.Background(), BoundaryQuery{Ranking: r}) //srlint:ctxflow boundary facets are exact geometry, no sampling; exported signature predates context plumbing
+	return res.Facets, err
+}
+
+// one answers a single query through Do, returning the query's own error
+// (for example ErrInfeasibleRanking) as the call's error.
+func (a *Analyzer) one(ctx context.Context, q Query) (Result, error) {
+	res, err := a.core.Do(orBackground(ctx), q)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], res[0].Err
 }
 
 // orBackground tolerates a nil context at the public boundary so facade
