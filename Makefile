@@ -19,7 +19,7 @@ GATETHRESHOLD ?= 1.25
 # stable at -benchtime 1x while skipping microsecond-scale noise.
 GATEMIN ?= 2ms
 
-.PHONY: all build test race vet fmt analyze srbench-check bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
+.PHONY: all build test race vet fmt analyze srbench-check srbench-smoke bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
 
 all: build
 
@@ -53,6 +53,17 @@ analyze:
 ## run
 srbench-check:
 	cd srbench && $(GO) vet ./... && $(GO) test ./...
+
+## srbench-smoke: a 3-second traced srbench run of every workload against a
+## live stablerankd. A traced run checks, bit for bit, each HTTP answer against
+## the in-process handler and the library, the live drift events against
+## LastDrift, and LastDrift against mc.RankShift; srbench exits non-zero on
+## any mismatch or failed request, and so does this target
+srbench-smoke:
+	@for w in verify enumerate churn regions; do \
+		echo "srbench-smoke: $$w"; \
+		bash srbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 || exit 1; \
+	done
 
 ## fmt: fail if any file is not gofmt-clean
 fmt:
@@ -124,4 +135,4 @@ clean-data:
 	rm -f coverage.out coverage.html .api.current.txt
 
 ## ci: everything the CI workflow's core job runs
-ci: build fmt vet analyze test race apicheck srbench-check
+ci: build fmt vet analyze test race apicheck srbench-check srbench-smoke

@@ -85,8 +85,10 @@ func (a *Analyzer) BaselineKey() uint64 { return a.core.BaselineKey() }
 // LastDrift reports the stability drift of the ApplyDelta call that produced
 // this analyzer: per touched item, the score displacement across the whole
 // pool and the rank displacement across the first rankRows pool samples
-// (rankRows <= 0 means all). Nil when the analyzer was not produced by
-// ApplyDelta.
+// (rankRows <= 0 means all). Ranks compare the two endpoint datasets, so an
+// item added and removed within the batch has no rank shift: its Shift is
+// {Rows: rows} with every other field zero. Nil when the analyzer was not
+// produced by ApplyDelta.
 func (a *Analyzer) LastDrift(ctx context.Context, rankRows int) ([]Drift, error) {
 	return a.core.LastDrift(orBackground(ctx), rankRows)
 }

@@ -7,6 +7,8 @@ package stablerank_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -87,8 +89,10 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 }
 
 // BenchmarkDriftStream: delta application plus the drift measurement the
-// server's NDJSON feed publishes per PATCH (score pass + 2048-row rank
-// shift) — the full cost of a PATCH with drift subscribers attached.
+// server's NDJSON feed publishes per PATCH (score pass over the 400k-sample
+// pool + 2048-row rank pass, both sharded over GOMAXPROCS workers) — the
+// library cost of a PATCH with drift subscribers attached, which the PATCH
+// response waits for.
 func BenchmarkDriftStream(b *testing.B) {
 	ctx := context.Background()
 	ds := benchDiamonds(deltaBenchItems, 3)
@@ -112,6 +116,53 @@ func BenchmarkDriftStream(b *testing.B) {
 		if len(drifts) != 1 {
 			b.Fatalf("got %d drifts, want 1", len(drifts))
 		}
+	}
+}
+
+// BenchmarkLastDrift times drift pricing alone at the shape of srbench's
+// churn workload: n=1000 items, d=4, a 4096-sample pool, 2048 rank rows,
+// update-only batches of 1 and 4 deltas. ApplyDelta runs outside the timer;
+// every iteration prices a fresh batch, so the once-per-batch score pass is
+// inside it. Compare -cpu 1 with -cpu 2 to separate the single-core cost of
+// the rank pass from its sharding.
+func BenchmarkLastDrift(b *testing.B) {
+	ctx := context.Background()
+	ds := stablerank.Independent(rand.New(rand.NewSource(benchSeed)), 1000, 4)
+	a, err := stablerank.New(ds, stablerank.WithSeed(benchSeed), stablerank.WithSampleCount(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := a.Warm(ctx); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		b.Run(fmt.Sprintf("deltas=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(benchSeed))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				deltas := make([]stablerank.Delta, k)
+				for j := range deltas {
+					deltas[j] = stablerank.Delta{
+						Op:    stablerank.AttrUpdate,
+						ID:    ds.Item((i*k + j) % ds.N()).ID,
+						Attrs: stablerank.NewVector(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()),
+					}
+				}
+				na, err := a.ApplyDelta(ctx, deltas...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				drifts, err := na.LastDrift(ctx, 2048)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(drifts) != k {
+					b.Fatalf("got %d drifts, want %d", len(drifts), k)
+				}
+			}
+		})
 	}
 }
 

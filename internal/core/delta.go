@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +26,8 @@ const (
 // of the touched item across the Monte-Carlo pool (one blocked row-pass) and
 // its rank displacement across a sample of pool rows. For an ItemAdd the
 // "before" side is empty (score 0, rank n+1); for an ItemRemove the "after"
-// side is.
+// side is. An item on neither side (added and removed within the batch) has
+// no rank to shift: its Shift is {Rows: rows} with every other field zero.
 type Drift struct {
 	ID string
 	Op dataset.DeltaOp
@@ -243,9 +243,7 @@ func removeRow(m vecmat.Matrix, idx int) vecmat.Matrix {
 
 // pass runs the per-delta score pass over the pool at most once: one
 // EvalRowsBlocked sweep evaluating every touched item's before/after
-// attribute vectors against every pool sample. Fixed-size chunks are
-// sharded across workers and the partial sums are reduced in chunk order,
-// so the statistics are bit-deterministic for every worker count.
+// attribute vectors against every pool sample, sharded by shardRows.
 // A completed pass (success or deterministic failure) is latched and shared
 // by every later call; a pass aborted by the caller's context is NOT — the
 // cancellation is returned to that caller only, and the next call with a
@@ -265,7 +263,50 @@ func (rec *deltaRecord) pass(ctx context.Context, pool vecmat.Matrix, workers in
 	return stats, err
 }
 
-const deltaChunkRows = 4096
+const (
+	// deltaChunkRows is the score pass's chunk: its per-chunk float sums are
+	// reduced in chunk order, so the chunk size fixes MeanScoreDelta's
+	// summation order.
+	deltaChunkRows = 4096
+	// rankChunkRows is the rank pass's chunk. A rank row scores both
+	// endpoint datasets (about 2n dot products), so at n=1000 a chunk is a
+	// few milliseconds of work and a 2048-row pass still spreads over 8
+	// chunks. Its tallies are integers, so the chunk size cannot change the
+	// answer.
+	rankChunkRows = 256
+)
+
+// shardRows runs a pass over pool rows [0, rows) cut into fixed chunks of
+// chunkRows, claimed in ascending order by up to workers goroutines. Each
+// worker calls newWorker once for its own scratch and the returned body
+// once per chunk c covering rows [lo, hi); bodies write results into
+// per-chunk slots that the caller reduces after shardRows returns, so the
+// answer does not depend on the worker count. A cancelled context stops
+// every worker before its next chunk; shardRows returns only after all
+// workers have exited, with the context's error if it was cancelled.
+func shardRows(ctx context.Context, rows, chunkRows, workers int, newWorker func() func(c, lo, hi int)) error {
+	chunks := (rows + chunkRows - 1) / chunkRows
+	workers = min(max(workers, 1), chunks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := newWorker()
+			for {
+				c := int(next.Add(1)) - 1
+				if c >= chunks || ctx.Err() != nil {
+					return
+				}
+				lo := c * chunkRows
+				body(c, lo, min(lo+chunkRows, rows))
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
 
 func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, workers int) ([]scoreStat, error) {
 	k := len(rec.trace)
@@ -300,66 +341,41 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 	chunks := (rows + deltaChunkRows - 1) / deltaChunkRows
 	sums := make([][]float64, chunks)
 	maxs := make([][]float64, chunks)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float64, deltaChunkRows*sides)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks || ctx.Err() != nil {
-					return
-				}
-				lo := c * deltaChunkRows
-				hi := lo + deltaChunkRows
-				if hi > rows {
-					hi = rows
-				}
-				pool.EvalRowsBlocked(normals, lo, hi, out)
-				sum := make([]float64, k)
-				mx := make([]float64, k)
-				for r := 0; r < hi-lo; r++ {
-					base := r * sides
-					for i := range pairs {
-						var before, after float64
-						if pairs[i].before >= 0 {
-							before = out[base+pairs[i].before]
-						}
-						if pairs[i].after >= 0 {
-							after = out[base+pairs[i].after]
-						}
-						dlt := after - before
-						sum[i] += dlt
-						if dlt < 0 {
-							dlt = -dlt
-						}
-						if dlt > mx[i] {
-							mx[i] = dlt
-						}
+	err := shardRows(ctx, rows, deltaChunkRows, workers, func() func(c, lo, hi int) {
+		out := make([]float64, deltaChunkRows*sides)
+		return func(c, lo, hi int) {
+			pool.EvalRowsBlocked(normals, lo, hi, out)
+			sum := make([]float64, k)
+			mx := make([]float64, k)
+			for r := 0; r < hi-lo; r++ {
+				base := r * sides
+				for i := range pairs {
+					var before, after float64
+					if pairs[i].before >= 0 {
+						before = out[base+pairs[i].before]
+					}
+					if pairs[i].after >= 0 {
+						after = out[base+pairs[i].after]
+					}
+					dlt := after - before
+					sum[i] += dlt
+					if dlt < 0 {
+						dlt = -dlt
+					}
+					if dlt > mx[i] {
+						mx[i] = dlt
 					}
 				}
-				sums[c] = sum
-				maxs[c] = mx
 			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			sums[c] = sum
+			maxs[c] = mx
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	stats := make([]scoreStat, k)
 	for c := 0; c < chunks; c++ {
-		if sums[c] == nil {
-			return nil, fmt.Errorf("core: delta score pass missing chunk %d", c)
-		}
 		for i := 0; i < k; i++ {
 			stats[i].mean += sums[c][i]
 			if maxs[c][i] > stats[i].maxAbs {
@@ -376,13 +392,73 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 	return stats, nil
 }
 
+// rankPass measures every touched item's rank displacement over the first
+// rows pool samples (rows <= 0 or beyond the pool means all) — the
+// mc.RankShift of each trace entry between rec.oldDS and newDS, computed in
+// one sharded pass: each sample scores the old and the new attrs matrix once
+// with the d-specialized MulVec kernel, and every entry is ranked on both
+// sides from those two score vectors with mc.RankAmong. An entry absent from
+// one side ranks n+1 there; one absent from both is not ranked at all.
+func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS *dataset.Dataset, rows, workers int) ([]mc.Shift, error) {
+	if rows <= 0 || rows > pool.Rows() {
+		rows = pool.Rows()
+	}
+	k := len(rec.trace)
+	oldIdx, newIdx := make([]int, k), make([]int, k)
+	for i, ap := range rec.trace {
+		oldIdx[i] = indexOf(rec.oldDS, ap.Delta.ID)
+		newIdx[i] = indexOf(newDS, ap.Delta.ID)
+	}
+	nOld, nNew := rec.oldAttrs.Rows(), rec.newAttrs.Rows()
+	tallies := make([][]mc.ShiftTally, (rows+rankChunkRows-1)/rankChunkRows)
+	err := shardRows(ctx, rows, rankChunkRows, workers, func() func(c, lo, hi int) {
+		oldScores := make([]float64, nOld)
+		newScores := make([]float64, nNew)
+		return func(c, lo, hi int) {
+			t := make([]mc.ShiftTally, k)
+			for r := lo; r < hi; r++ {
+				w := pool.Row(r)
+				rec.oldAttrs.MulVec(w, oldScores)
+				rec.newAttrs.MulVec(w, newScores)
+				for i := range t {
+					if oldIdx[i] < 0 && newIdx[i] < 0 {
+						continue
+					}
+					before, after := nOld+1, nNew+1
+					if oldIdx[i] >= 0 {
+						before = mc.RankAmong(oldScores, oldIdx[i])
+					}
+					if newIdx[i] >= 0 {
+						after = mc.RankAmong(newScores, newIdx[i])
+					}
+					t[i].Add(before, after)
+				}
+			}
+			tallies[c] = t
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]mc.Shift, k)
+	for i := range out {
+		var t mc.ShiftTally
+		for _, ct := range tallies {
+			t.Merge(ct[i])
+		}
+		out[i] = t.Shift(rows)
+	}
+	return out, nil
+}
+
 // LastDrift reports the stability drift of the most recent ApplyDelta that
 // produced this analyzer: per touched item, the score displacement across
 // the whole pool and the rank displacement across the first rankRows pool
-// samples (rankRows <= 0 means all — at O(n) per sample, cap it for large
-// pools). Returns nil when this analyzer was not produced by ApplyDelta.
-// Items touched more than once in the batch are compared between the two
-// endpoint datasets, not the intermediate states.
+// samples (rankRows <= 0 means all). Ranking costs two O(n) scorings of the
+// endpoint datasets per sample plus O(n) per touched item, sharded over
+// Workers(); cap rankRows for large pools. Returns nil when this analyzer was
+// not produced by ApplyDelta. Items touched more than once in the batch are
+// compared between the two endpoint datasets, not the intermediate states.
 func (a *Analyzer) LastDrift(ctx context.Context, rankRows int) ([]Drift, error) {
 	rec := a.last
 	if rec == nil {
@@ -396,21 +472,19 @@ func (a *Analyzer) LastDrift(ctx context.Context, rankRows int) ([]Drift, error)
 	if err != nil {
 		return nil, err
 	}
+	shifts, err := rec.rankPass(ctx, pool, a.ds, rankRows, a.Workers())
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Drift, len(rec.trace))
 	for i, ap := range rec.trace {
-		oldIdx := indexOf(rec.oldDS, ap.Delta.ID)
-		newIdx := indexOf(a.ds, ap.Delta.ID)
-		sh, err := mc.RankShift(ctx, rec.oldAttrs, rec.newAttrs, oldIdx, newIdx, pool, rankRows)
-		if err != nil {
-			return nil, err
-		}
 		out[i] = Drift{
 			ID:               ap.Delta.ID,
 			Op:               ap.Delta.Op,
 			PoolRows:         stats[i].rows,
 			MeanScoreDelta:   stats[i].mean,
 			MaxAbsScoreDelta: stats[i].maxAbs,
-			Shift:            sh,
+			Shift:            shifts[i],
 		}
 	}
 	return out, nil

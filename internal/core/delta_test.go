@@ -2,12 +2,20 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
+	"stablerank/internal/mc"
+	"stablerank/internal/vecmat"
 )
 
 func deltaDS(t *testing.T, n, d int, seed int64) *dataset.Dataset {
@@ -137,9 +145,34 @@ func TestApplyDeltaErrors(t *testing.T) {
 	}
 }
 
-// TestLastDriftRetriesAfterCancel: a context cancelled during the drift
-// score pass must not be latched into the delta record — the same caller's
-// next LastDrift with a live context gets the real statistics.
+// cancelAfter is a context that cancels itself on its polls-th Err call: a
+// deterministic cancellation partway through a chunked pass, which polls
+// Err once per chunk.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+}
+
+func newCancelAfter(parent context.Context, polls int64) *cancelAfter {
+	ctx, cancel := context.WithCancel(parent)
+	c := &cancelAfter{Context: ctx, cancel: cancel}
+	c.polls.Store(polls)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestLastDriftRetriesAfterCancel: a context cancelled before or during the
+// drift passes must not be latched into the delta record — the same caller's
+// next LastDrift with a live context gets the real statistics — and a pass
+// cancelled partway stops with the context's error and leaves no worker
+// goroutine behind.
 func TestLastDriftRetriesAfterCancel(t *testing.T) {
 	ctx := context.Background()
 	a, err := New(deltaDS(t, 12, 2, 4), WithSampleCount(1000), WithSeed(5))
@@ -164,6 +197,57 @@ func TestLastDriftRetriesAfterCancel(t *testing.T) {
 	}
 	if len(drift) != 1 || drift[0].PoolRows != 1000 || drift[0].MeanScoreDelta <= 0 {
 		t.Fatalf("retried drift = %+v", drift)
+	}
+
+	// 20000 rows: the score pass spans 5 chunks and the all-rows rank pass
+	// 79, so small poll counts cancel the score pass and larger ones the
+	// rank pass, partway through.
+	big, err := New(deltaDS(t, 40, 3, 6), WithSampleCount(20000), WithSeed(5), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Warm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Delta{{Op: AttrUpdate, ID: "i3", Attrs: geom.NewVector(4, 0, 4)}, {Op: ItemRemove, ID: "i5"}}
+	ref, err := big.ApplyDelta(ctx, batch...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.LastDrift(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for _, polls := range []int64{2, 4, 20, 60} {
+		nb, err := big.ApplyDelta(ctx, batch...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx := newCancelAfter(ctx, polls)
+		if _, err := nb.LastDrift(cctx, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("polls=%d: LastDrift cancelled mid-pass returned %v, want context.Canceled", polls, err)
+		}
+		// Stopping within one chunk: after the cancelling poll, each of the
+		// other 3 workers polls at most once more before exiting, and the
+		// pass and LastDrift check the context once each on the way out.
+		if extra := -cctx.polls.Load(); extra > 5 {
+			t.Fatalf("polls=%d: %d polls after cancellation; workers kept claiming chunks", polls, extra)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("polls=%d: %d goroutines after the cancelled pass, baseline %d", polls, n, baseline)
+		}
+		got, err := nb.LastDrift(ctx, 0)
+		if err != nil {
+			t.Fatalf("polls=%d: retry: %v", polls, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("polls=%d: retried drift %+v, want %+v", polls, got, want)
+		}
 	}
 }
 
@@ -208,5 +292,225 @@ func TestLastDrift(t *testing.T) {
 	ad := drift[2]
 	if ad.Op != ItemAdd || ad.Shift.MeanBefore != 13 {
 		t.Fatalf("added item should rank n_old+1=13 before: %+v", ad.Shift)
+	}
+}
+
+// driftDS is a random n-item d-dimensional dataset named i0..i{n-1}. With
+// grid set the attributes are small integers, so duplicate items make exact
+// score ties under every weight vector.
+func driftDS(t *testing.T, rng *rand.Rand, n, d int, grid bool) *dataset.Dataset {
+	t.Helper()
+	ds := dataset.MustNew(d)
+	for i := 0; i < n; i++ {
+		if err := ds.Add(fmt.Sprintf("i%d", i), driftAttrs(rng, d, grid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ds
+}
+
+func driftAttrs(rng *rand.Rand, d int, grid bool) geom.Vector {
+	v := make(geom.Vector, d)
+	for j := range v {
+		if grid {
+			v[j] = float64(rng.Intn(3))
+		} else {
+			v[j] = rng.Float64()
+		}
+	}
+	return v
+}
+
+// driftBatch is a random valid batch of k deltas mixing updates, adds and
+// removes; about half the ops reuse an ID the batch already touched, so items
+// are updated after an add, removed after an update, re-added after a
+// remove, and so on.
+func driftBatch(rng *rand.Rand, ds *dataset.Dataset, k int, grid bool) []Delta {
+	live := make(map[string]bool, ds.N())
+	for i := 0; i < ds.N(); i++ {
+		live[ds.Item(i).ID] = true
+	}
+	var touched []string
+	fresh := 0
+	pick := func() string {
+		if len(touched) > 0 && rng.Intn(2) == 0 {
+			return touched[rng.Intn(len(touched))]
+		}
+		if rng.Intn(4) == 0 {
+			fresh++
+			return fmt.Sprintf("new%d", fresh)
+		}
+		return ds.Item(rng.Intn(ds.N())).ID
+	}
+	var out []Delta
+	for len(out) < k {
+		id := pick()
+		var dl Delta
+		switch {
+		case !live[id]:
+			dl = Delta{Op: ItemAdd, ID: id, Attrs: driftAttrs(rng, ds.D(), grid)}
+			live[id] = true
+		case rng.Intn(3) == 0 && len(live) > 2:
+			dl = Delta{Op: ItemRemove, ID: id}
+			delete(live, id)
+		default:
+			dl = Delta{Op: AttrUpdate, ID: id, Attrs: driftAttrs(rng, ds.D(), grid)}
+		}
+		out = append(out, dl)
+		touched = append(touched, id)
+	}
+	return out
+}
+
+func attrsMatrix(ds *dataset.Dataset) vecmat.Matrix {
+	m := vecmat.New(ds.N(), ds.D())
+	for i := 0; i < ds.N(); i++ {
+		m.SetRow(i, ds.Attrs(i))
+	}
+	return m
+}
+
+// TestLastDriftMatchesRankShift is the rank pass's differential test: on
+// random datasets (some with tied scores) and random mixed batches, every
+// entry's Shift equals the per-item reference mc.RankShift, for rank rows
+// covering all of the pool, a prefix, and more than the pool, and the whole
+// []Drift is identical for 1, 2 and 8 workers.
+func TestLastDriftMatchesRankShift(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	const poolRows = 9000 // three score-pass chunks, 36 rank-pass chunks
+	for trial, d := range []int{2, 3, 4, 7, 2, 3, 4, 7} {
+		grid := trial%2 == 0
+		ds := driftDS(t, rng, 20+rng.Intn(30), d, grid)
+		deltas := driftBatch(rng, ds, 3+rng.Intn(5), grid)
+		if trial == 0 {
+			// Pin the phantom: an item added and removed within one batch.
+			deltas = append(deltas, Delta{Op: ItemAdd, ID: "ghost", Attrs: driftAttrs(rng, d, grid)}, Delta{Op: ItemRemove, ID: "ghost"})
+		}
+		nds, err := dataset.ApplyDeltas(ds, deltas...)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		oldAttrs, newAttrs := attrsMatrix(ds), attrsMatrix(nds)
+		for _, rankRows := range []int{0, 1000, poolRows + 500} {
+			var first []Drift
+			for _, workers := range []int{1, 2, 8} {
+				a, err := New(ds, WithSampleCount(poolRows), WithSeed(int64(trial)), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Warm(ctx); err != nil {
+					t.Fatal(err)
+				}
+				na, err := a.ApplyDelta(ctx, deltas...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := na.LastDrift(ctx, rankRows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = got
+					pool, err := na.samplePool(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, dr := range got {
+						oldIdx, newIdx := indexOf(ds, dr.ID), indexOf(nds, dr.ID)
+						want, err := mc.RankShift(ctx, oldAttrs, newAttrs, oldIdx, newIdx, pool, rankRows)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if dr.Shift != want {
+							t.Fatalf("trial %d d=%d rankRows=%d entry %d (%v %s): pass %+v, RankShift %+v",
+								trial, d, rankRows, i, dr.Op, dr.ID, dr.Shift, want)
+						}
+						if oldIdx < 0 && newIdx < 0 && dr.Shift != (mc.Shift{Rows: dr.Shift.Rows}) {
+							t.Fatalf("trial %d: %s is in neither dataset but shifted: %+v", trial, dr.ID, dr.Shift)
+						}
+					}
+					continue
+				}
+				if !slices.Equal(got, first) {
+					t.Fatalf("trial %d d=%d rankRows=%d: workers=%d drift\n%+v\ndiffers from workers=1\n%+v", trial, d, rankRows, workers, got, first)
+				}
+			}
+		}
+	}
+}
+
+// TestLastDriftPhantomItem: an item added and then removed in the same
+// batch exists in neither endpoint dataset, so it has no rank to shift —
+// even though the two datasets differ in size.
+func TestLastDriftPhantomItem(t *testing.T) {
+	ctx := context.Background()
+	ds := dataset.MustNew(2)
+	for i, id := range []string{"a", "b", "c", "d"} {
+		ds.MustAdd(id, float64(i), float64(4-i))
+	}
+	a, err := New(ds, WithSampleCount(64), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	na, err := a.ApplyDelta(ctx,
+		Delta{Op: ItemAdd, ID: "x", Attrs: geom.NewVector(9, 9)},
+		Delta{Op: ItemRemove, ID: "b"},
+		Delta{Op: ItemRemove, ID: "x"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift, err := na.LastDrift(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if drift[i].ID != "x" || drift[i].Shift != (mc.Shift{Rows: 64}) {
+			t.Fatalf("drift[%d] = %+v, want x with Shift{Rows: 64}", i, drift[i])
+		}
+	}
+	if b := drift[1].Shift; b.Rows != 64 || b.MeanAfter != 4 {
+		t.Fatalf("removed b should rank n_new+1 = 4 after: %+v", b)
+	}
+}
+
+// TestLastDriftConcurrent: many goroutines pricing the same batch at once
+// share the latched score pass and each run their own rank pass; every
+// caller gets the same answer. Run under -race.
+func TestLastDriftConcurrent(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(21))
+	ds := driftDS(t, rng, 40, 3, true)
+	a, err := New(ds, WithSampleCount(9000), WithSeed(2), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Warm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	na, err := a.ApplyDelta(ctx, driftBatch(rng, ds, 5, true)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	results := make([][]Drift, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = na.LastDrift(ctx, 0)
+		}()
+	}
+	wg.Wait()
+	for g := range callers {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		if !slices.Equal(results[g], results[0]) {
+			t.Fatalf("caller %d drift %+v differs from caller 0 %+v", g, results[g], results[0])
+		}
 	}
 }

@@ -98,7 +98,9 @@ func (d RankDistribution) Mode() int {
 // ItemRankDistribution samples the region of interest n times and returns
 // the distribution of the item's 1-based rank. Ranks use the same
 // deterministic tie-break as the ranking operator (score ties go to the
-// smaller index). Cancelling ctx aborts the sweep with the context's error.
+// smaller index): each sample scores every item once with the d-specialized
+// MulVec kernel and ranks the item with RankAmong. Cancelling ctx aborts the
+// sweep with the context's error.
 func ItemRankDistribution(ctx context.Context, ds *dataset.Dataset, sampler sampling.Sampler, item, n int) (RankDistribution, error) {
 	if ds == nil || ds.N() == 0 {
 		return RankDistribution{}, dataset.ErrEmptyDataset
@@ -117,14 +119,15 @@ func ItemRankDistribution(ctx context.Context, ds *dataset.Dataset, sampler samp
 	}
 	dist := RankDistribution{Item: item, Counts: make(map[int]int), Best: ds.N() + 1}
 	// Copy the item attributes into one contiguous row-major matrix so the
-	// per-sample rank sweep walks sequential memory, and reuse one sample
-	// buffer across draws: the loop body is allocation-free.
+	// per-sample scoring walks sequential memory, and reuse one sample and
+	// one score buffer across draws: the loop body is allocation-free.
 	attrs := vecmat.New(ds.N(), ds.D())
 	for i := 0; i < ds.N(); i++ {
 		attrs.SetRow(i, ds.Attrs(i))
 	}
 	into, _ := sampler.(sampling.IntoSampler)
 	wbuf := make(geom.Vector, ds.D())
+	scores := make([]float64, ds.N())
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return RankDistribution{}, err
@@ -138,7 +141,8 @@ func ItemRankDistribution(ctx context.Context, ds *dataset.Dataset, sampler samp
 		if err != nil {
 			return RankDistribution{}, err
 		}
-		r := RankOf(attrs, wbuf, item)
+		attrs.MulVec(wbuf, scores)
+		r := RankAmong(scores, item)
 		dist.Counts[r]++
 		if r < dist.Best {
 			dist.Best = r
@@ -151,12 +155,36 @@ func ItemRankDistribution(ctx context.Context, ds *dataset.Dataset, sampler samp
 	return dist, nil
 }
 
+// RankAmong returns the 1-based rank of item given every item's score under
+// one weight vector: 1 + #{j < item: scores[j] >= scores[item]} +
+// #{j > item: scores[j] > scores[item]}, i.e. score ties go to the smaller
+// index, as in the ranking operator. It is the one rank count every pool
+// sweep shares — the fused query sweep's item-rank histograms,
+// ItemRankDistribution and the delta drift pass — so callers score a sample
+// once (MulVec) and rank as many items as they need from the same vector.
+func RankAmong(scores []float64, item int) int {
+	st := scores[item]
+	rank := 1
+	for _, s := range scores[:item] {
+		if s >= st {
+			rank++
+		}
+	}
+	for _, s := range scores[item+1:] {
+		if s > st {
+			rank++
+		}
+	}
+	return rank
+}
+
 // RankOf returns the 1-based rank of item under w in one O(n) flat sweep
 // over a contiguous attrs matrix (one row per dataset item): one plus the
 // number of items scoring strictly higher (or tying with a smaller index).
 // The per-item dot products accumulate in the same order as dataset.Score,
 // so ranks match the slice-of-vectors implementation bit for bit. It is the
-// kernel the fused query sweep shares with ItemRankDistribution.
+// per-item reference that tests and benchmarks check RankAmong's sweeps
+// against; the production sweeps score each sample once and use RankAmong.
 func RankOf(attrs vecmat.Matrix, w geom.Vector, item int) int {
 	score := vecmat.Dot(w, attrs.Row(item))
 	rank := 1

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"stablerank/internal/vecmat"
@@ -70,5 +71,60 @@ func TestRankShiftRowCapAndCancel(t *testing.T) {
 	cancel()
 	if _, err := RankShift(ctx, attrs, attrs, 0, 0, pool, 0); err == nil {
 		t.Fatal("cancelled context should fail")
+	}
+}
+
+// TestRankShiftAbsentBothSides: an item added and removed within one batch
+// exists in neither endpoint dataset. It has no rank on either side, so it
+// must not report a shift — even when the two datasets differ in size and
+// "n+1 of each side" would differ.
+func TestRankShiftAbsentBothSides(t *testing.T) {
+	old, _ := vecmat.FromRows(2, [][]float64{{0, 4}, {1, 3}, {2, 2}, {3, 1}})
+	upd, _ := vecmat.FromRows(2, [][]float64{{0, 4}, {2, 2}, {3, 1}})
+	pool, _ := vecmat.FromRows(2, [][]float64{{1, 0}, {0, 1}, {0.5, 0.5}})
+	for _, rows := range []int{0, 2} {
+		sh, err := RankShift(context.Background(), old, upd, -1, -1, pool, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rows
+		if rows == 0 {
+			want = pool.Rows()
+		}
+		if sh != (Shift{Rows: want}) {
+			t.Fatalf("rows=%d: absent item shifted: %+v", rows, sh)
+		}
+	}
+}
+
+// TestRankAmongMatchesRankOf: ranking from a MulVec score vector agrees with
+// the per-item reference for every item, including exact score ties between
+// duplicate small-integer items, in every specialized dimension and the
+// generic one.
+func TestRankAmongMatchesRankOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, d := range []int{2, 3, 4, 7} {
+		attrs := vecmat.New(25, d)
+		for i := 0; i < attrs.Rows(); i++ {
+			for j := range attrs.Row(i) {
+				attrs.Row(i)[j] = float64(rng.Intn(3))
+			}
+		}
+		scores := make([]float64, attrs.Rows())
+		for trial := 0; trial < 50; trial++ {
+			w := make([]float64, d)
+			for j := range w {
+				w[j] = rng.Float64()
+			}
+			if trial == 0 {
+				w[0] = 0 // a zero weight ties every item differing only there
+			}
+			attrs.MulVec(w, scores)
+			for item := 0; item < attrs.Rows(); item++ {
+				if got, want := RankAmong(scores, item), RankOf(attrs, w, item); got != want {
+					t.Fatalf("d=%d trial %d item %d: RankAmong %d, RankOf %d", d, trial, item, got, want)
+				}
+			}
+		}
 	}
 }

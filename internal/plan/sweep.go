@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stablerank/internal/geom"
 	"stablerank/internal/mc"
 	"stablerank/internal/md"
 	"stablerank/internal/vecmat"
@@ -16,8 +15,9 @@ import (
 // answers every verify AND item-rank query in the batch. It generalizes the
 // verify-only batch sweep (md.VerifyBatchMatrix): within each pool block,
 // every live ranking's flat constraint matrix counts its members with the
-// vecmat kernel, and every item-rank query accumulates the item's rank for
-// each sample row. Counts are exact integer sums, so results are
+// vecmat kernel, and each sample row an item-rank query covers is scored once
+// (MulVec) and ranks every such query's item from that one score vector
+// (mc.RankAmong). Counts are exact integer sums, so results are
 // bit-identical for every worker count.
 
 // sweepBlock is the per-worker pool shard size; context cancellation is
@@ -29,6 +29,16 @@ const sweepBlock = 4096
 // dataset item, and how many leading pool rows it consumes.
 type fusedItem struct {
 	qi, item, n int
+}
+
+// prefixRows is the longest pool prefix any of the item-rank queries
+// consumes.
+func prefixRows(items []fusedItem) int {
+	rows := 0
+	for _, it := range items {
+		rows = max(rows, it.n)
+	}
+	return rows
 }
 
 // fusedSweep walks the pool once, feeding every verify constraint matrix and
@@ -70,6 +80,7 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 			attrs.SetRow(i, env.DS.Attrs(i))
 		}
 	}
+	itemRows := prefixRows(items) // rows past it score nothing
 	if env.OnSweep != nil {
 		env.OnSweep()
 	}
@@ -110,6 +121,10 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 				rc[k] = make([]int, env.DS.N()+1)
 			}
 			rankCounts[w] = rc
+			var scores []float64
+			if len(items) > 0 {
+				scores = make([]float64, env.DS.N())
+			}
 			for {
 				select {
 				case <-stop:
@@ -130,10 +145,12 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 				// into registers once and streamed against the concatenated
 				// constraint matrix of every live ranking.
 				vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, vc)
-				for k, it := range items {
-					for row, rows := lo, min(hi, it.n); row < rows; row++ {
-						r := mc.RankOf(attrs, geom.Vector(pool.Row(row)), it.item)
-						rc[k][r]++
+				for row, rows := lo, min(hi, itemRows); row < rows; row++ {
+					attrs.MulVec(pool.Row(row), scores)
+					for k, it := range items {
+						if row < it.n {
+							rc[k][mc.RankAmong(scores, it.item)]++
+						}
 					}
 				}
 			}

@@ -2,10 +2,12 @@ package plan
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"stablerank/internal/dataset"
+	"stablerank/internal/mc"
 	"stablerank/internal/md"
 	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
@@ -220,6 +222,83 @@ func TestAdaptiveSweepDeterministic(t *testing.T) {
 		g, w := strict[i].Verify, exact[i].Verify
 		if g.Adaptive || g.SampleCount != pool.Rows() || g.Stability != w.Stability || g.ConfidenceError != w.ConfidenceError {
 			t.Fatalf("query %d: exhausted adaptive sweep != exact sweep (%+v vs %+v)", i, g, w)
+		}
+	}
+}
+
+// TestItemRankMatchesRankOf: one Exec holding three item-rank queries with
+// different sample counts — the whole pool and a pool prefix on the fused
+// sweep, and more samples than the pool on the ItemRankDistribution path —
+// gives histograms equal to a per-row mc.RankOf loop over the same weight
+// vectors, for 1 and 8 workers. Small-integer attributes make duplicate
+// items, so the tie rule is exercised.
+func TestItemRankMatchesRankOf(t *testing.T) {
+	const poolRows = 10000
+	for _, d := range []int{3, 4} {
+		rr := rand.New(rand.NewSource(int64(d)))
+		ds := dataset.MustNew(d)
+		for i := 0; i < 60; i++ {
+			v := make([]float64, d)
+			for j := range v {
+				v[j] = float64(rr.Intn(3))
+			}
+			ds.MustAdd("", v...)
+		}
+		attrs := vecmat.New(ds.N(), d)
+		for i := 0; i < ds.N(); i++ {
+			attrs.SetRow(i, ds.Attrs(i))
+		}
+		pool := testPool(t, 300+int64(d), poolRows, d)
+		sampler := func(off int64) (sampling.Sampler, error) {
+			return sampling.NewUniform(d, rand.New(rand.NewSource(500+off)))
+		}
+		queries := []Query{
+			ItemRankQuery{Item: 3},
+			ItemRankQuery{Item: 7, Samples: 2500},
+			ItemRankQuery{Item: 3, Samples: poolRows + 1500},
+		}
+		want := make([]map[int]int, len(queries))
+		for qi, q := range queries {
+			q := q.(ItemRankQuery)
+			want[qi] = map[int]int{}
+			if q.Samples <= poolRows {
+				n := q.Samples
+				if n == 0 {
+					n = poolRows
+				}
+				for r := 0; r < n; r++ {
+					want[qi][mc.RankOf(attrs, pool.Row(r), q.Item)]++
+				}
+				continue
+			}
+			s, err := sampler(itemRankSeedOffset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := make([]float64, d)
+			for r := 0; r < q.Samples; r++ {
+				if err := s.(sampling.IntoSampler).SampleInto(w); err != nil {
+					t.Fatal(err)
+				}
+				want[qi][mc.RankOf(attrs, w, q.Item)]++
+			}
+		}
+		for _, workers := range []int{1, 8} {
+			env := testEnv(ds, pool, workers)
+			env.Sampler = sampler
+			out, err := Exec(ctx, env, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range queries {
+				got := out[qi].ItemRank
+				if got == nil {
+					t.Fatalf("d=%d workers=%d query %d: no distribution (err %v)", d, workers, qi, out[qi].Err)
+				}
+				if !maps.Equal(got.Counts, want[qi]) {
+					t.Fatalf("d=%d workers=%d query %d: histogram %v, RankOf loop %v", d, workers, qi, got.Counts, want[qi])
+				}
+			}
 		}
 	}
 }

@@ -275,6 +275,49 @@ func TestDriftStream(t *testing.T) {
 	}
 }
 
+// TestDriftPhantomItem: an item added and removed within one PATCH is in
+// neither endpoint dataset, so its drift events carry the rank rows but no
+// rank movement, though the PATCH shrinks the dataset by one.
+func TestDriftPhantomItem(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	resp, err := http.Get(ts.URL + "/v1/ind3/drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() {
+		t.Fatalf("no hello line: %v", sc.Err())
+	}
+	if code, body := patchRaw(t, ts.URL, "ind3",
+		`{"deltas":[{"op":"add","id":"x","attrs":[9,9,9]},{"op":"remove","id":"i2"},{"op":"remove","id":"x"}]}`); code != http.StatusOK {
+		t.Fatalf("patch = %d: %s", code, body)
+	}
+	var events []driftEvent
+	for len(events) < 3 && sc.Scan() {
+		var ev driftEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("drift line: %v\n%s", err, sc.Text())
+		}
+		events = append(events, ev)
+	}
+	if len(events) < 3 {
+		t.Fatalf("got %d drift events, want 3 (%v)", len(events), sc.Err())
+	}
+	for _, ev := range []driftEvent{events[0], events[2]} {
+		if ev.ID != "x" || ev.RankRows <= 0 {
+			t.Fatalf("drift event = %+v, want x with positive rank rows", ev)
+		}
+		if ev.RankChanged != 0 || ev.RankImproved != 0 || ev.RankWorsened != 0 || ev.MaxAbsRankShift != 0 ||
+			ev.MeanAbsRankShift != 0 || ev.MeanRankBefore != 0 || ev.MeanRankAfter != 0 {
+			t.Fatalf("item in neither dataset shifted rank: %+v", ev)
+		}
+	}
+	if rm := events[1]; rm.ID != "i2" || rm.RankChanged == 0 {
+		t.Fatalf("removed i2 should sink: %+v", rm)
+	}
+}
+
 // TestDriftOutlivesRequestTimeout: the drift subscription is exempt from
 // the per-request deadline — an event published long after RequestTimeout
 // still arrives — yet a client hang-up still ends it without leaking the
