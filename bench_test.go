@@ -904,6 +904,114 @@ func BenchmarkKernelCountInside(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelCountIndexed: the fused sweep's verify counts at the verify
+// workload's shape — FIFA 300 items, d = 4, one 100k-row pool per cone of
+// cosine 0.998, 0.995 and 0.99 around FIFA's weights, 4 rankings drawn in
+// each cone — counted by the linear grouped kernel (ConcatGroups +
+// CountInsideGrouped over each pool, as the sweep does without an index) and
+// by the kd-tree index (one Count per ranking). build times BuildIndex on
+// the three pools. churn-shape is 1000 items over a 4096-row full-space
+// pool, about 4 rows per constraint: the use rule must pick the linear
+// kernel there, and the arm times the kernel it picks.
+func BenchmarkKernelCountIndexed(b *testing.B) {
+	const n, d, rows, perCone = 300, 4, 100_000, 4
+	ds := datagen.FIFA(rand.New(rand.NewSource(benchSeed)), n)
+	ref := datagen.FIFAReferenceWeights()
+	type shape struct {
+		pool vecmat.Matrix
+		cons []vecmat.Matrix
+	}
+	draw := func(b *testing.B, ds *dataset.Dataset, roi geom.Region, rows, rankings int) shape {
+		b.Helper()
+		pool, err := mc.BuildPoolMatrix(ctx, mc.ConeSamplers(roi, benchSeed), rows, ds.D(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(benchSeed)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh := shape{pool: pool}
+		for len(sh.cons) < rankings {
+			w, err := s.Sample()
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, _, err := md.ConstraintMatrix(ds, rank.Compute(ds, w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh.cons = append(sh.cons, m)
+		}
+		return sh
+	}
+	var shapes []shape
+	for _, cos := range []float64{0.998, 0.995, 0.99} {
+		cone, err := geom.NewConeFromCosine(geom.NewVector(ref...), cos)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shapes = append(shapes, draw(b, ds, cone, rows, perCone))
+	}
+	linear := func(sh shape) []int {
+		grouped, starts := vecmat.ConcatGroups(d, sh.cons)
+		counts := make([]int, len(sh.cons))
+		vecmat.CountInsideGrouped(grouped, starts, sh.pool, 0, sh.pool.Rows(), counts)
+		return counts
+	}
+	indexes := make([]*vecmat.Index, len(shapes))
+	for i, sh := range shapes {
+		indexes[i] = vecmat.BuildIndex(sh.pool)
+		for j, want := range linear(sh) {
+			if !vecmat.UseIndex(sh.pool, sh.cons[j]) {
+				b.Fatalf("verify shape: use rule rejects %d rows over %d constraints", sh.pool.Rows(), sh.cons[j].Rows())
+			}
+			var s vecmat.IndexScratch
+			if got := indexes[i].Count(sh.cons[j], &s); got != want {
+				b.Fatalf("pool %d ranking %d: index %d, linear %d", i, j, got, want)
+			}
+		}
+	}
+	b.Run("linear", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, sh := range shapes {
+				linear(sh)
+			}
+		}
+	})
+	b.Run("indexed", func(b *testing.B) {
+		var s vecmat.IndexScratch
+		b.ReportAllocs()
+		for b.Loop() {
+			for i, sh := range shapes {
+				for _, cons := range sh.cons {
+					indexes[i].Count(cons, &s)
+				}
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, sh := range shapes {
+				vecmat.BuildIndex(sh.pool)
+			}
+		}
+	})
+	b.Run("churn-shape", func(b *testing.B) {
+		churn := datagen.Independent(rand.New(rand.NewSource(benchSeed)), 1000, d)
+		sh := draw(b, churn, geom.FullSpace{D: d}, 4096, 1)
+		if vecmat.UseIndex(sh.pool, sh.cons[0]) {
+			b.Fatalf("churn shape: use rule picks the index for %d rows over %d constraints", sh.pool.Rows(), sh.cons[0].Rows())
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			linear(sh)
+		}
+	})
+}
+
 // BenchmarkKernelRankCompute: the allocation-free argsort ranking 200k
 // items — the per-sample unit of every randomized operator.
 func BenchmarkKernelRankCompute(b *testing.B) {

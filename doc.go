@@ -43,10 +43,15 @@
 // benchstat (stablerankd exposes an opt-in loopback -pprof listener).
 // Batched sweeps are matrix-matrix: the grouped kernels evaluate all K live
 // constraint normals of a batch per pool row-pass, so a wide batch costs
-// one pool read regardless of K.
+// one pool read regardless of K. Once a pool has served enough verify
+// counts, the analyzer builds a kd-tree index over it (a row permutation
+// plus one bounding box per node, at most a quarter of the pool's bytes and
+// included in PoolMemoryBytes); a ranking with enough pool rows per
+// constraint is then counted by pruning whole boxes outside its region, and
+// the conservative box tests make that count equal the scan's bit for bit.
 //
 // Adaptive verification: verify sweeps are exact by default — every verify
-// reads the whole pool. WithAdaptive(target) opts an analyzer into early
+// counts over the whole pool. WithAdaptive(target) opts an analyzer into early
 // stopping: the sweep walks the pool in a fixed doubling-chunk schedule and
 // retires each verify once its Equation 10 confidence-interval half-width
 // clears the target, reporting the rows actually used (SampleCount), the

@@ -117,6 +117,10 @@ type Analyzer struct {
 // poolState is one attempt at building the shared sample pool. The pool is
 // one contiguous row-major matrix (stride = the dataset dimension), the
 // storage every flat verification and enumeration kernel sweeps directly.
+// Once built, the cell also owns the pool's kd-tree range-counting index,
+// built lazily by the build rule (see indexAfterPasses). Everything in a
+// built cell is immutable or atomic, so ApplyDelta shares the cell — pool,
+// index and pass count — verbatim between analyzers.
 type poolState struct {
 	once    sync.Once
 	samples vecmat.Matrix
@@ -129,6 +133,46 @@ type poolState struct {
 	// built is set (after once completes) iff the attempt succeeded; it lets
 	// PoolBuilt peek without racing a build in flight.
 	built atomic.Bool
+	// passes counts the qualifying full-pool ranking passes (one per verify
+	// ranking a fused sweep could count through an index) swept over this
+	// pool. indexBuilds is claimed 0 -> 1 by the one sweep that builds the
+	// index; index holds it once finished. The index is never snapshotted.
+	passes      atomic.Int64
+	indexBuilds atomic.Int32
+	index       atomic.Pointer[vecmat.Index]
+}
+
+// indexAfterPasses is the build rule T: a pool builds its kd-tree index on
+// the fused sweep that brings its qualifying ranking passes (this sweep's
+// included) to T, so a pool swept once or twice — warm-up, a region
+// restored for one request — never pays for a build. T is the ski-rental
+// break-even point, build time over the saving per pass, measured on a
+// 2-core VM with one goroutine: a 100k-row d = 4 pool builds in about 40 ms
+// and a verify-shaped ranking (FIFA, 300 items, cosines 0.998-0.99) costs
+// about 3 ms scanned and 0.15 ms through the index, which breaks even at
+// about 14 passes; a 20k-row pool builds in about 6 ms and a regions-shaped
+// ranking (150 items) saves 0.38 ms, breaking even at 16.
+const indexAfterPasses = 16
+
+// poolIndex is the plan's Env.Index: it records this sweep's qualifying
+// passes against the built pool's cell and returns the cell's index,
+// building it first when these passes bring the count to T. The build is
+// synchronous, bounded CPU with no I/O, and claimed by CAS, so at most one
+// runs per cell; sweeps arriving meanwhile get nil and scan.
+func (a *Analyzer) poolIndex(qualifying int) *vecmat.Index {
+	st := a.pool.Load()
+	if !st.built.Load() {
+		return nil
+	}
+	if ix := st.index.Load(); ix != nil {
+		return ix
+	}
+	if st.passes.Add(int64(qualifying)) < indexAfterPasses || !st.indexBuilds.CompareAndSwap(0, 1) {
+		return nil
+	}
+	ix := vecmat.BuildIndex(st.samples)
+	st.index.Store(ix)
+	return ix
 }
 
 // PoolCache is an external snapshot store for the Monte-Carlo sample pool,
@@ -493,16 +537,16 @@ func (a *Analyzer) buildPool(ctx context.Context) (vecmat.Matrix, error) {
 }
 
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
-// sample pool — the backing array plus the interned snapshot-key string
-// kept alongside it — or 0 while no pool is built. This is the number
-// stablerankd surfaces per analyzer in /statsz, so it must cover everything
-// the pool pins, not just the matrix.
+// sample pool — the backing array, the interned snapshot-key string kept
+// alongside it and, once built, the pool's kd-tree index — or 0 while no
+// pool is built. This is the number stablerankd surfaces per analyzer in
+// /statsz, so it must cover everything the pool pins, not just the matrix.
 func (a *Analyzer) PoolMemoryBytes() int64 {
 	st := a.pool.Load()
 	if st == nil || !st.built.Load() {
 		return 0
 	}
-	return st.samples.Bytes() + int64(len(st.key))
+	return st.samples.Bytes() + int64(len(st.key)) + st.index.Load().Bytes()
 }
 
 // PoolRestores returns how many times the pool was installed from the

@@ -202,8 +202,9 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 
 	rec := &deltaRecord{trace: trace, oldDS: a.ds, oldAttrs: attrs, newAttrs: nattrs}
 	if st := a.pool.Load(); st != nil && st.built.Load() {
-		// Share the built pool verbatim: the poolState cell is immutable once
-		// built, so both analyzers sweep the same backing matrix. The blocked
+		// Share the built pool verbatim: a built poolState cell holds only
+		// immutable or atomic state, so both analyzers sweep the same
+		// backing matrix and share its index and pass count. The blocked
 		// row-pass pricing the delta against every sample is deferred to
 		// LastDrift, so callers that never read drift pay only for the
 		// splice.

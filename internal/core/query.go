@@ -184,6 +184,7 @@ func (a *Analyzer) planEnv() *plan.Env {
 		},
 		Confidence:    func(s float64, n int) float64 { return confidenceOf(s, n, a.alpha) },
 		OnSweep:       func() { a.sweeps.Add(1) },
+		Index:         a.poolIndex,
 		AdaptiveError: a.adaptiveErr,
 		OnAdaptiveStop: func(rowsUsed, poolRows int) {
 			a.adaptiveStops.Add(1)

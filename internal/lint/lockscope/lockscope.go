@@ -34,7 +34,7 @@ import (
 // defaults cover the repo's pool-scale sweeps and outbound HTTP.
 var DefaultExpensive = []string{
 	"LastDrift",
-	"VerifyBatch",
+	"BuildIndex",
 	"BuildPool",
 	"ParallelEstimate",
 	"net/http.Client",

@@ -155,8 +155,8 @@ func VerifyMatrix(ctx context.Context, ds *dataset.Dataset, r rank.Ranking, pool
 // ConstraintMatrix returns ranking r's region as both the contiguous
 // oriented constraint matrix the flat counting kernels sweep and the API
 // halfspace form (row views into the matrix). It is the entry point the
-// fused query planner shares with VerifyMatrix/VerifyBatchMatrix, and
-// returns ErrInfeasibleRanking exactly when they would.
+// fused query planner shares with VerifyMatrix, and returns
+// ErrInfeasibleRanking exactly when it would.
 func ConstraintMatrix(ds *dataset.Dataset, r rank.Ranking) (vecmat.Matrix, []geom.Halfspace, error) {
 	return rankingRegionMatrix(ds, r)
 }

@@ -7,8 +7,8 @@
 // expensive machinery instead of re-running it per call:
 //
 //   - every verify and item-rank query is answered by ONE fused sweep of the
-//     Monte-Carlo sample pool (generalizing the verify-only batch sweep to
-//     mixed query sets), and
+//     Monte-Carlo sample pool (its verify counts taken through the pool's
+//     kd-tree index where that pays), and
 //   - every enumeration-shaped query (top-h, above-threshold, enumerate) is
 //     answered from ONE cursor driven to the deepest demand, each query
 //     taking a prefix of that single pass.
@@ -191,6 +191,13 @@ type Env struct {
 	// OnSweep is invoked once per fused pool sweep, letting callers count
 	// sweeps (nil disables).
 	OnSweep func()
+	// Index returns the range-counting index over the pool Pool returns, or
+	// nil while none is built. qualifying is the number of verify rankings
+	// in this fused sweep that would be counted through an index
+	// (vecmat.UseIndex); the callback records them toward its build rule and
+	// may build the index before returning. Counts are identical either way.
+	// nil counts every ranking with the block scan.
+	Index func(qualifying int) *vecmat.Index
 	// AdaptiveError > 0 enables adaptive verification: verify queries are
 	// swept in growing chunks of pool rows and stop as soon as the Confidence
 	// half-width of the running estimate drops to this target. 0 (the

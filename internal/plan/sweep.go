@@ -12,17 +12,18 @@ import (
 )
 
 // The fused sweep: one sharded pass over the Monte-Carlo sample pool that
-// answers every verify AND item-rank query in the batch. It generalizes the
-// verify-only batch sweep (md.VerifyBatchMatrix): within each pool block,
-// every live ranking's flat constraint matrix counts its members with the
-// vecmat kernel, and each sample row an item-rank query covers is scored once
-// (MulVec) and ranks every such query's item from that one score vector
-// (mc.RankAmong). Counts are exact integer sums, so results are
-// bit-identical for every worker count.
+// answers every verify AND item-rank query in the batch. Within each pool
+// block, every scanned ranking's flat constraint matrix counts its members
+// with the vecmat kernel, and each sample row an item-rank query covers is
+// scored once (MulVec) and ranks every such query's item from that one score
+// vector (mc.RankAmong). A ranking with enough pool rows per constraint row
+// (vecmat.UseIndex) is instead counted through the pool's kd-tree index when
+// Env.Index supplies one, as one task beside the blocks. Counts are exact
+// integer sums and the index count equals the kernel's, so results are
+// bit-identical for every worker count, with or without the index.
 
 // sweepBlock is the per-worker pool shard size; context cancellation is
-// polled once per block. It matches the historical batch-verification block
-// so single-verify sweeps count in the same block order.
+// polled once per block and once per indexed ranking.
 const sweepBlock = 4096
 
 // fusedItem is one pool-resident item-rank query: the outcome index, the
@@ -64,13 +65,36 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 	if len(live)+len(items) == 0 {
 		return nil
 	}
-	// Concatenate every live ranking's constraints into one flat matrix so a
-	// pool block is streamed once for the whole batch (matrix-matrix sweep)
+	// Route each ranking: through the index when its group qualifies and the
+	// Env has one, through the block scan otherwise. The qualifying count is
+	// reported even when no index comes back: it drives the build rule.
+	var ix *vecmat.Index
+	if env.Index != nil {
+		qualifying := 0
+		for _, v := range live {
+			if vecmat.UseIndex(pool, v.cons) {
+				qualifying++
+			}
+		}
+		if qualifying > 0 {
+			ix = env.Index(qualifying)
+		}
+	}
+	var scanned, indexed []int // positions in live
+	for li, v := range live {
+		if ix != nil && vecmat.UseIndex(pool, v.cons) {
+			indexed = append(indexed, li)
+		} else {
+			scanned = append(scanned, li)
+		}
+	}
+	// Concatenate every scanned ranking's constraints into one flat matrix
+	// so a pool block is streamed once for all of them (matrix-matrix sweep)
 	// instead of once per ranking; per-group early exit keeps the counts
 	// bit-identical to per-ranking CountInside sweeps.
-	consMats := make([]vecmat.Matrix, len(live))
-	for li, v := range live {
-		consMats[li] = v.cons
+	consMats := make([]vecmat.Matrix, len(scanned))
+	for si, li := range scanned {
+		consMats[si] = live[li].cons
 	}
 	grouped, starts := vecmat.ConcatGroups(env.DS.D(), consMats)
 	var attrs vecmat.Matrix
@@ -81,22 +105,31 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		}
 	}
 	itemRows := prefixRows(items) // rows past it score nothing
+	scanRows := itemRows
+	if len(scanned) > 0 {
+		scanRows = pool.Rows()
+	}
 	if env.OnSweep != nil {
 		env.OnSweep()
 	}
 
+	// Tasks [0, blocks) scan pool blocks; tasks [blocks, blocks+len(indexed))
+	// count one indexed ranking each.
+	blocks := (scanRows + sweepBlock - 1) / sweepBlock
+	tasks := blocks + len(indexed)
 	workers := env.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	blocks := (pool.Rows() + sweepBlock - 1) / sweepBlock
-	if workers > blocks {
-		workers = blocks
+	if workers > tasks {
+		workers = tasks
 	}
 	// Per-worker accumulators, merged after the sweep: one membership count
-	// per live verify, one dense rank histogram (1..N) per item query.
+	// per scanned verify, one dense rank histogram (1..N) per item query.
+	// Each indexed ranking's count is written by the one task that owns it.
 	verifyCounts := make([][]int, workers)
 	rankCounts := make([][][]int, workers)
+	indexCounts := make([]int, len(indexed))
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -114,7 +147,7 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vc := make([]int, len(live))
+			vc := make([]int, len(scanned))
 			verifyCounts[w] = vc
 			rc := make([][]int, len(items))
 			for k := range items {
@@ -125,25 +158,31 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 			if len(items) > 0 {
 				scores = make([]float64, env.DS.N())
 			}
+			var scratch vecmat.IndexScratch
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
+				t := int(next.Add(1)) - 1
+				if t >= tasks {
 					return
 				}
 				if err := ctx.Err(); err != nil {
 					fail(err)
 					return
 				}
-				lo := b * sweepBlock
-				hi := min(lo+sweepBlock, pool.Rows())
+				if t >= blocks {
+					j := t - blocks
+					indexCounts[j] = ix.Count(live[indexed[j]].cons, &scratch)
+					continue
+				}
+				lo := t * sweepBlock
+				hi := min(lo+sweepBlock, scanRows)
 				// Sample-major within the block: each sample row is hoisted
 				// into registers once and streamed against the concatenated
-				// constraint matrix of every live ranking.
+				// constraint matrix of every scanned ranking.
 				vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, vc)
 				for row, rows := lo, min(hi, itemRows); row < rows; row++ {
 					attrs.MulVec(pool.Row(row), scores)
@@ -166,13 +205,18 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		return sweepErr
 	}
 
-	for li, v := range live {
-		total := 0
+	totals := make([]int, len(live))
+	for si, li := range scanned {
 		for w := range verifyCounts {
-			total += verifyCounts[w][li]
+			totals[li] += verifyCounts[w][si]
 		}
+	}
+	for j, li := range indexed {
+		totals[li] = indexCounts[j]
+	}
+	for li, v := range live {
 		o := out[v.qi].Verify
-		o.Stability = float64(total) / float64(pool.Rows())
+		o.Stability = float64(totals[li]) / float64(pool.Rows())
 		if env.Confidence != nil {
 			o.ConfidenceError = env.Confidence(o.Stability, pool.Rows())
 		}

@@ -64,6 +64,25 @@ func testEnv(ds *dataset.Dataset, pool vecmat.Matrix, workers int) *Env {
 	}
 }
 
+// indexedEnv is testEnv whose Index callback always returns an index over
+// pool, so every qualifying ranking is counted through it.
+func indexedEnv(ds *dataset.Dataset, pool vecmat.Matrix, workers int) *Env {
+	env := testEnv(ds, pool, workers)
+	ix := vecmat.BuildIndex(pool)
+	env.Index = func(int) *vecmat.Index { return ix }
+	return env
+}
+
+// envModes runs the sweep tests twice: scanning every ranking, and with
+// every qualifying ranking counted through the pool's index.
+var envModes = []struct {
+	name string
+	env  func(*dataset.Dataset, vecmat.Matrix, int) *Env
+}{
+	{"scan", testEnv},
+	{"index", indexedEnv},
+}
+
 // verifyQueriesFor derives feasible rankings from random weight vectors so
 // every query has a non-degenerate region.
 func verifyQueriesFor(t *testing.T, ds *dataset.Dataset, seed int64, k int) []Query {
@@ -103,22 +122,24 @@ func TestFusedSweepMatchesPerNormal(t *testing.T) {
 				want[i] = float64(m.CountInside(pool, 0, pool.Rows())) / float64(pool.Rows())
 			}
 
-			for _, workers := range []int{1, 2, 3, 8} {
-				out, err := Exec(ctx, testEnv(ds, pool, workers), queries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range queries {
-					v := out[i].Verify
-					if v == nil {
-						t.Fatalf("d=%d seed=%d workers=%d query %d: no verification (err %v)", d, seed, workers, i, out[i].Err)
+			for _, mode := range envModes {
+				for _, workers := range []int{1, 2, 3, 8} {
+					out, err := Exec(ctx, mode.env(ds, pool, workers), queries)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if v.Stability != want[i] {
-						t.Fatalf("d=%d seed=%d workers=%d query %d: fused %v, per-normal %v",
-							d, seed, workers, i, v.Stability, want[i])
-					}
-					if v.SampleCount != pool.Rows() || v.Adaptive {
-						t.Fatalf("exact sweep reported SampleCount=%d Adaptive=%v", v.SampleCount, v.Adaptive)
+					for i := range queries {
+						v := out[i].Verify
+						if v == nil {
+							t.Fatalf("%s d=%d seed=%d workers=%d query %d: no verification (err %v)", mode.name, d, seed, workers, i, out[i].Err)
+						}
+						if v.Stability != want[i] {
+							t.Fatalf("%s d=%d seed=%d workers=%d query %d: fused %v, per-normal %v",
+								mode.name, d, seed, workers, i, v.Stability, want[i])
+						}
+						if v.SampleCount != pool.Rows() || v.Adaptive {
+							t.Fatalf("exact sweep reported SampleCount=%d Adaptive=%v", v.SampleCount, v.Adaptive)
+						}
 					}
 				}
 			}
@@ -137,8 +158,12 @@ func TestFusedSweepMixedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		out, err := Exec(ctx, testEnv(ds, pool, workers), queries)
+	for _, run := range []struct {
+		env     func(*dataset.Dataset, vecmat.Matrix, int) *Env
+		workers int
+	}{{testEnv, 2}, {testEnv, 8}, {indexedEnv, 1}, {indexedEnv, 2}, {indexedEnv, 8}} {
+		workers := run.workers
+		out, err := Exec(ctx, run.env(ds, pool, workers), queries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,24 +114,42 @@ func (m Matrix) EvalRows(normal []float64, lo, hi int, out []float64) {
 		panic(fmt.Sprintf("vecmat: EvalRows normal length %d, stride %d", len(normal), m.stride))
 	}
 	d := m.stride
+	if lo >= hi {
+		return
+	}
+	// The small strides slice the row range and out once and walk both
+	// with a length test the compiler can prove, so the loop bodies carry
+	// no bounds checks.
 	switch d {
 	case 2:
 		n0, n1 := normal[0], normal[1]
-		for i := lo; i < hi; i++ {
-			r := m.data[i*2 : i*2+2 : i*2+2]
-			out[i-lo] = n0*r[0] + n1*r[1]
+		rows, o := m.data[lo*2:hi*2], out[:hi-lo]
+		for i := range o {
+			if len(rows) < 2 {
+				break
+			}
+			o[i] = n0*rows[0] + n1*rows[1]
+			rows = rows[2:]
 		}
 	case 3:
 		n0, n1, n2 := normal[0], normal[1], normal[2]
-		for i := lo; i < hi; i++ {
-			r := m.data[i*3 : i*3+3 : i*3+3]
-			out[i-lo] = n0*r[0] + n1*r[1] + n2*r[2]
+		rows, o := m.data[lo*3:hi*3], out[:hi-lo]
+		for i := range o {
+			if len(rows) < 3 {
+				break
+			}
+			o[i] = n0*rows[0] + n1*rows[1] + n2*rows[2]
+			rows = rows[3:]
 		}
 	case 4:
 		n0, n1, n2, n3 := normal[0], normal[1], normal[2], normal[3]
-		for i := lo; i < hi; i++ {
-			r := m.data[i*4 : i*4+4 : i*4+4]
-			out[i-lo] = n0*r[0] + n1*r[1] + n2*r[2] + n3*r[3]
+		rows, o := m.data[lo*4:hi*4], out[:hi-lo]
+		for i := range o {
+			if len(rows) < 4 {
+				break
+			}
+			o[i] = n0*rows[0] + n1*rows[1] + n2*rows[2] + n3*rows[3]
+			rows = rows[4:]
 		}
 	default:
 		for i := lo; i < hi; i++ {

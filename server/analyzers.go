@@ -325,7 +325,8 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 }
 
 // analyzerStat is one resident analyzer's /statsz row. PoolBytes is the full
-// retained footprint: the sample matrix plus the interned snapshot key.
+// retained footprint: the sample matrix, the interned snapshot key and, once
+// built, the pool's kd-tree counting index.
 type analyzerStat struct {
 	Key          string  `json:"key"`
 	SampleCount  int     `json:"sample_count"`

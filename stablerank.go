@@ -229,9 +229,9 @@ func (a *Analyzer) PoolBuilt() bool { return a.core.PoolBuilt() }
 
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
 // sample pool — the contiguous backing array (SampleCount x dimension
-// float64s) plus the interned snapshot-key string retained with it — or 0
-// while no pool is built. This is the per-analyzer memory figure stablerankd
-// reports in /statsz.
+// float64s), the interned snapshot-key string retained with it and, once
+// built, the pool's kd-tree counting index — or 0 while no pool is built.
+// This is the per-analyzer memory figure stablerankd reports in /statsz.
 func (a *Analyzer) PoolMemoryBytes() int64 { return a.core.PoolMemoryBytes() }
 
 // PoolRestores returns how many times the pool was installed from an
