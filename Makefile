@@ -7,13 +7,14 @@ BENCHJSON ?= BENCH_pr10.json
 
 # Perf-gate knobs: the previous PR's checked-in benchmark stream, the gated
 # benchmark families (pool build, snapshot cold/warm load, every verification
-# path, the fused and adaptive query plans, the flat vecmat/rank kernels, the
-# remote chunk-fill protocol, and the incremental dataset-delta path), the
-# tolerated slowdown, and the noise floor below which 1x timings are not
-# trusted. With the baseline rolled to PR 9's stream, DeltaApply and
-# DriftStream are present on both sides and now gate.
+# path, the fused and adaptive query plans, cold and warm top-h enumeration,
+# the flat vecmat/rank kernels, the remote chunk-fill protocol, and the
+# incremental dataset-delta path), the tolerated slowdown, and the noise
+# floor below which 1x timings are not trusted. With the baseline rolled to
+# PR 9's stream, DeltaApply and DriftStream are present on both sides and
+# now gate.
 BENCHBASE ?= BENCH_pr9.json
-GATEMATCH ?= PoolBuild|SnapshotLoad|VerifyBatch|QueryFused|QueryAdaptive|SV2D|SVMD|Kernel|RemoteChunkFill|DeltaApply|DriftStream
+GATEMATCH ?= PoolBuild|SnapshotLoad|VerifyBatch|QueryFused|QueryAdaptive|QueryEnumerate|SV2D|SVMD|Kernel|RemoteChunkFill|DeltaApply|DriftStream
 GATETHRESHOLD ?= 1.25
 # 2ms gates every verification benchmark tier that runs long enough to be
 # stable at -benchtime 1x while skipping microsecond-scale noise.

@@ -49,6 +49,17 @@
 // included in PoolMemoryBytes); a ranking with enough pool rows per
 // constraint is then counted by pruning whole boxes outside its region, and
 // the conservative box tests make that count equal the scan's bit for bit.
+// Enumeration is memoized per analyzer: each Analyzer keeps the longest
+// prefix of its GET-NEXT sequence that any cursor (Do, Stream, Enumerator,
+// TopHMerged) has produced, up to the pool's own size in bytes (SampleCount
+// x d float64s, in 2D too), and every cursor replays it as deep copies
+// before building its own engine. A cursor that goes deeper regenerates and
+// discards the replayed rankings, continues live and extends the memo, so a
+// repeat top-h costs a copy of a few rankings and no request costs more
+// than a fresh enumeration. This is exact because GET-NEXT is deterministic
+// for a fixed dataset, region and pool, a cancelled and resumed engine
+// included; an ApplyDelta analyzer starts with an empty memo, and
+// PoolMemoryBytes counts the memo.
 //
 // Adaptive verification: verify sweeps are exact by default — every verify
 // counts over the whole pool. WithAdaptive(target) opts an analyzer into early

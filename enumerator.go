@@ -13,6 +13,12 @@ import (
 // delayed arrangement construction over the analyzer's Monte-Carlo sample
 // pool.
 //
+// An Enumerator first replays the prefix of the sequence that earlier
+// cursors on the same Analyzer have produced, which the Analyzer keeps up to
+// the size of its sample pool, and builds its own ray sweep or arrangement
+// only past it; the rankings are the same either way. Every Stable it
+// returns is the caller's own deep copy.
+//
 // An Enumerator is a single iteration cursor and is not safe for concurrent
 // use. Cancelling the context passed to Next (or driving Rankings) stops the
 // current refinement promptly and leaves the cursor consistent, so a later

@@ -51,11 +51,12 @@ var (
 
 // Analyzer answers stability questions about one dataset within one region
 // of interest. It is safe for concurrent use by multiple goroutines: the
-// configuration is immutable after New, and the lazily drawn Monte-Carlo
+// configuration is immutable after New, the lazily drawn Monte-Carlo
 // sample pool is built exactly once (behind a sync.Once) and never mutated
-// afterwards. Enumerator and Randomized values it hands out are iteration
-// cursors and are NOT individually goroutine-safe; create one per goroutine
-// (creating them concurrently from a shared Analyzer is fine).
+// afterwards, and the enumeration memo is an immutable prefix replaced by
+// compare-and-swap. Enumerator and Randomized values it hands out are
+// iteration cursors and are NOT individually goroutine-safe; create one per
+// goroutine (creating them concurrently from a shared Analyzer is fine).
 type Analyzer struct {
 	ds          *dataset.Dataset
 	roi         geom.Region
@@ -112,6 +113,11 @@ type Analyzer struct {
 	deltaResorted atomic.Int64
 
 	last *deltaRecord
+
+	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
+	// cursor has produced, nil before the first; see Enumerator. ApplyDelta
+	// does not carry it over: rankings depend on the data.
+	memo atomic.Pointer[enumMemo]
 }
 
 // poolState is one attempt at building the shared sample pool. The pool is
@@ -538,15 +544,20 @@ func (a *Analyzer) buildPool(ctx context.Context) (vecmat.Matrix, error) {
 
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
 // sample pool — the backing array, the interned snapshot-key string kept
-// alongside it and, once built, the pool's kd-tree index — or 0 while no
-// pool is built. This is the number stablerankd surfaces per analyzer in
-// /statsz, so it must cover everything the pool pins, not just the matrix.
+// alongside it and, once built, the pool's kd-tree index — plus the
+// enumeration memo (at most the pool's own size, in 2D too), or 0 while
+// neither exists. This is the number stablerankd surfaces per analyzer in
+// /statsz, so it must cover everything the analyzer pins, not just the
+// matrix.
 func (a *Analyzer) PoolMemoryBytes() int64 {
-	st := a.pool.Load()
-	if st == nil || !st.built.Load() {
-		return 0
+	var n int64
+	if m := a.memo.Load(); m != nil {
+		n = m.bytes
 	}
-	return st.samples.Bytes() + int64(len(st.key)) + st.index.Load().Bytes()
+	if st := a.pool.Load(); st != nil && st.built.Load() {
+		n += st.samples.Bytes() + int64(len(st.key)) + st.index.Load().Bytes()
+	}
+	return n
 }
 
 // PoolRestores returns how many times the pool was installed from the
@@ -583,49 +594,183 @@ type Stable = plan.Stable
 // Enumerator yields rankings in decreasing stability (the GET-NEXT operator
 // of Problem 3). In 2D it is exact; otherwise it runs the delayed
 // arrangement construction over the Monte-Carlo sample pool.
+//
+// Every cursor first replays the analyzer's memo, the longest prefix of the
+// sequence any cursor has produced, and builds its own ray sweep or engine
+// (a pool clone plus the exchange hyperplanes) only on the first Next past
+// it. The engine then regenerates and discards the replayed rankings —
+// GET-NEXT is deterministic for a fixed dataset, region and pool, a resumed
+// engine included — continues live, and publishes its longer prefix while
+// the memo's bound allows.
 type Enumerator struct {
+	a    *Analyzer
+	pool vecmat.Matrix   // d > 2
+	iv   geom.Interval2D // 2D
+	// next is the position in the sequence of the ranking Next returns next.
+	next int
+
+	// twoD or mdE is the live engine, nil while the cursor replays the memo;
+	// made counts the rankings it has produced, and those before next are
+	// discarded.
 	twoD *twod.Enumerator
 	mdE  *md.Engine
-	// conf computes the confidence half-width of a Monte-Carlo stability
-	// estimate (nil for the exact 2D path).
-	conf func(stability float64) float64
+	made int
+	// kept is the prefix [0, next) while the cursor may still publish it
+	// (keeping), with keptBytes its memo size.
+	kept      []Stable
+	keptBytes int64
+	keeping   bool
 }
 
-// Enumerator prepares the iterative stable-region enumeration. The returned
-// Enumerator is a single iteration cursor and is not safe for concurrent
-// use; calling this method concurrently to obtain one cursor per goroutine
-// is safe.
+// enumMemo is an immutable prefix of an analyzer's enumeration: the first
+// len(stables) rankings of its GET-NEXT sequence, bytes their size by
+// stableBytes, and done set when the sequence ends after them. The rankings
+// are never handed out, only deep copies of them.
+type enumMemo struct {
+	stables []Stable
+	bytes   int64
+	done    bool
+}
+
+// memoBound is the most bytes an analyzer's memo holds: the size of its
+// sample pool, SampleCount x d float64s, reckoned the same way in 2D where
+// no pool is drawn. For 100 items at d = 4 and a 20k pool that is about
+// 770 rankings.
+func (a *Analyzer) memoBound() int64 { return int64(a.sampleCount) * int64(a.ds.D()) * 8 }
+
+// stableBytes is one ranking's memo size: its order and weights at 8 bytes
+// per element.
+func stableBytes(s Stable) int64 { return 8 * int64(len(s.Ranking.Order)+len(s.Weights)) }
+
+// publishMemo installs m when it is a strictly longer prefix than the
+// current memo, or the same prefix newly marked done. Every prefix is of
+// the same sequence, so the longer one contains the shorter.
+func (a *Analyzer) publishMemo(m *enumMemo) {
+	for {
+		old := a.memo.Load()
+		if old != nil && (len(m.stables) < len(old.stables) ||
+			len(m.stables) == len(old.stables) && (old.done || !m.done)) {
+			return
+		}
+		if a.memo.CompareAndSwap(old, m) {
+			return
+		}
+	}
+}
+
+// cloneStable deep-copies the slices of s, so a caller that mutates its
+// result changes nobody else's answer.
+func cloneStable(s Stable) Stable {
+	s.Ranking = s.Ranking.Clone()
+	s.Weights = s.Weights.Clone()
+	return s
+}
+
+// Enumerator prepares the iterative stable-region enumeration. It obtains
+// the sample pool (d > 2) or the 2D interval now; the engine waits for the
+// first Next past the memo. The returned Enumerator is a single iteration
+// cursor and is not safe for concurrent use; calling this method
+// concurrently to obtain one cursor per goroutine is safe.
 func (a *Analyzer) Enumerator(ctx context.Context) (*Enumerator, error) {
+	e := &Enumerator{a: a}
 	if a.is2D() {
 		iv, err := a.interval()
 		if err != nil {
 			return nil, err
 		}
-		e, err := twod.NewEnumerator(a.ds, iv)
-		if err != nil {
-			return nil, err
-		}
-		return &Enumerator{twoD: e}, nil
+		e.iv = iv
+		return e, nil
 	}
 	pool, err := a.samplePool(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// The engine partitions the pool in place; hand it a deep copy (one
-	// contiguous memcpy) so verification calls on the analyzer keep their
-	// own row ordering (contents are identical).
-	e, err := md.NewEngineMatrix(a.ds, a.roi, pool.Clone(), md.SamplePartition)
-	if err != nil {
-		return nil, err
-	}
-	conf := func(s float64) float64 { return confidenceOf(s, pool.Rows(), a.alpha) }
-	return &Enumerator{mdE: e, conf: conf}, nil
+	e.pool = pool
+	return e, nil
 }
 
-// Next returns the next most stable ranking, or ErrExhausted. Cancelling
-// ctx makes Next return the context's error promptly; the enumeration state
-// stays consistent, so a later call with a live context resumes.
+// Next returns the next most stable ranking, or ErrExhausted. Every Stable
+// it returns is the caller's own deep copy. Cancelling ctx makes Next
+// return the context's error promptly; the enumeration state stays
+// consistent, so a later call with a live context resumes.
 func (e *Enumerator) Next(ctx context.Context) (Stable, error) {
+	if err := ctx.Err(); err != nil {
+		return Stable{}, err
+	}
+	if e.twoD == nil && e.mdE == nil {
+		m := e.a.memo.Load()
+		if m != nil && e.next < len(m.stables) {
+			e.next++
+			return cloneStable(m.stables[e.next-1]), nil
+		}
+		if m != nil && m.done {
+			return Stable{}, ErrExhausted
+		}
+		if err := e.start(m); err != nil {
+			return Stable{}, err
+		}
+	}
+	for e.made < e.next {
+		if _, err := e.step(ctx); err != nil {
+			return Stable{}, err
+		}
+		e.made++
+	}
+	s, err := e.step(ctx)
+	if errors.Is(err, ErrExhausted) && e.keeping {
+		e.a.publishMemo(&enumMemo{stables: e.kept, bytes: e.keptBytes, done: true})
+		e.kept, e.keeping = nil, false
+	}
+	if err != nil {
+		return Stable{}, err
+	}
+	e.made++
+	e.next++
+	if !e.keeping {
+		return s, nil
+	}
+	if b := stableBytes(s); e.keptBytes+b <= e.a.memoBound() {
+		e.kept = append(e.kept, s)
+		e.keptBytes += b
+		e.a.publishMemo(&enumMemo{stables: e.kept, bytes: e.keptBytes})
+		return cloneStable(s), nil
+	}
+	// Past the bound: stream on without keeping rows.
+	e.kept, e.keeping = nil, false
+	return s, nil
+}
+
+// start builds the live engine once the cursor has replayed all of memo m
+// (nil when empty), keeping the replayed prefix for later publishing.
+func (e *Enumerator) start(m *enumMemo) error {
+	a := e.a
+	if a.is2D() {
+		te, err := twod.NewEnumerator(a.ds, e.iv)
+		if err != nil {
+			return err
+		}
+		e.twoD = te
+	} else {
+		// The engine partitions the pool in place; hand it a deep copy (one
+		// contiguous memcpy) so verification calls on the analyzer keep their
+		// own row ordering (contents are identical).
+		me, err := md.NewEngineMatrix(a.ds, a.roi, e.pool.Clone(), md.SamplePartition)
+		if err != nil {
+			return err
+		}
+		e.mdE = me
+	}
+	e.keeping = true
+	if m != nil {
+		// The full slice expression makes the first append copy, so two
+		// cursors starting from one memo never append into the same array.
+		e.kept, e.keptBytes = m.stables[:len(m.stables):len(m.stables)], m.bytes
+	}
+	return nil
+}
+
+// step returns the live engine's next ranking.
+func (e *Enumerator) step(ctx context.Context) (Stable, error) {
 	if e.twoD != nil {
 		if err := ctx.Err(); err != nil {
 			return Stable{}, err
@@ -650,7 +795,7 @@ func (e *Enumerator) Next(ctx context.Context) (Stable, error) {
 		Ranking:         r.Ranking,
 		Stability:       r.Stability,
 		Weights:         r.Weights,
-		ConfidenceError: e.conf(r.Stability),
+		ConfidenceError: confidenceOf(r.Stability, e.pool.Rows(), e.a.alpha),
 	}, nil
 }
 

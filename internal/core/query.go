@@ -55,7 +55,8 @@ type Result struct {
 	// Verification answers a VerifyQuery.
 	Verification *Verification
 	// Stables answers a TopHQuery, AboveQuery or EnumerateQuery in batch
-	// mode. Mixed batches share one backing enumeration; treat as read-only.
+	// mode. The rankings are the call's own deep copies, but the queries of
+	// one Do call share them.
 	Stables []Stable
 	// Stable is one enumerated ranking in Stream mode (nil in batch mode).
 	Stable *Stable
@@ -71,10 +72,11 @@ type Result struct {
 // Do answers any mix of queries in one shared plan: all verify and
 // (pool-sized) item-rank queries are folded into a single fused sweep of the
 // Monte-Carlo sample pool, and all enumeration-shaped queries share a single
-// cursor driven to the deepest demand. The sample pool is built at most once
-// (and not at all for batches that need none, e.g. boundary-only or exact-2D
-// ones). Per-query failures land in the matching Result.Err; Do itself only
-// fails on context cancellation or an unusable region.
+// cursor driven to the deepest demand, which replays the analyzer's
+// enumeration memo first (see Enumerator). The sample pool is built at most
+// once (and not at all for batches that need none, e.g. boundary-only or
+// exact-2D ones). Per-query failures land in the matching Result.Err; Do
+// itself only fails on context cancellation or an unusable region.
 //
 // Results are identical, bit for bit, whether a query is asked alone or in
 // a batch at the same seed.

@@ -70,6 +70,12 @@ type Engine struct {
 	computer *rank.Computer
 	mode     IntersectionMode
 	returned map[string]bool
+	// cur is the region Next was refining when it last returned early, on
+	// cancellation or an LP error. The next call resumes it before popping:
+	// container/heap is not stable, so pushing it back could let another
+	// region of equal stability pop first, and a resumed enumeration would
+	// then emit tied rankings in a different order than an uncancelled one.
+	cur *Region
 	// splits and lpCalls instrument the ablation benchmarks.
 	splits  int
 	lpCalls int
@@ -144,23 +150,28 @@ func (e *Engine) LPCalls() int { return e.lpCalls }
 
 // Next returns the next most stable ranking region (Algorithm 6). The search
 // refines only the currently most stable region, so early calls avoid
-// constructing the full arrangement. Cancelling ctx stops the refinement at
-// the next region boundary and returns the context's error; the engine stays
-// consistent and a later call with a live context resumes where it left off.
+// constructing the full arrangement. Cancelling ctx stops the refinement
+// within the current region and returns the context's error; the engine
+// stays consistent and a later call with a live context resumes where it
+// left off, emitting exactly the sequence an uncancelled engine would.
 func (e *Engine) Next(ctx context.Context) (Result, error) {
-	for e.regions.Len() > 0 {
+	for e.cur != nil || e.regions.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		r := heap.Pop(&e.regions).(*Region)
+		r := e.cur
+		if r == nil {
+			r = heap.Pop(&e.regions).(*Region)
+		}
+		e.cur = nil
 		split := false
 		for scanned := 0; r.pending < len(e.hps); scanned++ {
 			// A single region can scan O(n^2) pending hyperplanes, each with a
 			// partition pass over its samples; poll cancellation periodically
-			// and re-push the popped region so the engine stays resumable.
+			// and keep the region in progress so the engine stays resumable.
 			if scanned%64 == 0 {
 				if err := ctx.Err(); err != nil {
-					heap.Push(&e.regions, r)
+					e.cur = r
 					return Result{}, err
 				}
 			}
@@ -174,12 +185,13 @@ func (e *Engine) Next(ctx context.Context) (Result, error) {
 				e.lpCalls++
 				ok, err := lp.HyperplaneIntersects(e.ds.D(), h, orientedNormals(r.Constraints))
 				if err != nil {
-					// Keep the popped region so a retry does not silently
-					// lose it (and its stability mass) from the enumeration,
-					// and rewind pending so the retry re-tests this
-					// hyperplane instead of skipping its split.
+					// Keep the region in progress so a retry does not
+					// silently lose it (and its stability mass) from the
+					// enumeration, and rewind pending so the retry re-tests
+					// this hyperplane instead of skipping its split (the
+					// partition is idempotent on its range).
 					r.pending--
-					heap.Push(&e.regions, r)
+					e.cur = r
 					return Result{}, err
 				}
 				if !ok {

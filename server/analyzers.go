@@ -325,8 +325,9 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 }
 
 // analyzerStat is one resident analyzer's /statsz row. PoolBytes is the full
-// retained footprint: the sample matrix, the interned snapshot key and, once
-// built, the pool's kd-tree counting index.
+// retained footprint: the sample matrix, the interned snapshot key, once
+// built the pool's kd-tree counting index, and the memoized enumeration
+// prefix (at most the matrix's size; in 2D it is all there is).
 type analyzerStat struct {
 	Key          string  `json:"key"`
 	SampleCount  int     `json:"sample_count"`

@@ -183,8 +183,11 @@ func RegionOption(weights []float64, theta, cosine float64) (Option, error) {
 //
 // An Analyzer is safe for concurrent use by multiple goroutines; its shared
 // Monte-Carlo sample pool is drawn once, on first need, and is immutable
-// afterwards. The Enumerator and Randomized cursors it hands out are
-// single-consumer: create one per goroutine.
+// afterwards. It also keeps the longest prefix of its enumeration any
+// request has produced, up to the pool's size, so a repeated top-h, above,
+// enumerate or stream request replays rankings instead of recomputing them,
+// with the same answers. The Enumerator and Randomized cursors it hands out
+// are single-consumer: create one per goroutine.
 //
 // Every potentially long-running method takes a context.Context and returns
 // the context's error promptly after cancellation, leaving the Analyzer
@@ -230,8 +233,10 @@ func (a *Analyzer) PoolBuilt() bool { return a.core.PoolBuilt() }
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
 // sample pool — the contiguous backing array (SampleCount x dimension
 // float64s), the interned snapshot-key string retained with it and, once
-// built, the pool's kd-tree counting index — or 0 while no pool is built.
-// This is the per-analyzer memory figure stablerankd reports in /statsz.
+// built, the pool's kd-tree counting index — plus the memoized enumeration
+// prefix, which holds at most SampleCount x dimension x 8 bytes (in two
+// dimensions too, where no pool is drawn); 0 while neither exists. This is
+// the per-analyzer memory figure stablerankd reports in /statsz.
 func (a *Analyzer) PoolMemoryBytes() int64 { return a.core.PoolMemoryBytes() }
 
 // PoolRestores returns how many times the pool was installed from an
@@ -304,9 +309,11 @@ func (a *Analyzer) TopHMerged(ctx context.Context, h, tau, maxScan int) ([]Merge
 }
 
 // Enumerator prepares iterative stable-ranking enumeration (the GET-NEXT
-// operator of Problem 3). The returned cursor is not safe for concurrent
-// use; obtain one per goroutine (concurrent Enumerator calls on a shared
-// Analyzer are safe).
+// operator of Problem 3). Above two dimensions it obtains the sample pool
+// now; the cursor replays the Analyzer's memoized prefix before it refines
+// anything. The returned cursor is not safe for concurrent use; obtain one
+// per goroutine (concurrent Enumerator calls on a shared Analyzer are
+// safe).
 func (a *Analyzer) Enumerator(ctx context.Context) (*Enumerator, error) {
 	e, err := a.core.Enumerator(orBackground(ctx))
 	if err != nil {
