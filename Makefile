@@ -20,7 +20,7 @@ GATETHRESHOLD ?= 1.25
 # stable at -benchtime 1x while skipping microsecond-scale noise.
 GATEMIN ?= 2ms
 
-.PHONY: all build test race vet fmt analyze srbench-check srbench-smoke bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
+.PHONY: all build test race vet fmt analyze srbench-check srbench-smoke bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data loc ci
 
 all: build
 
@@ -134,6 +134,13 @@ apisnapshot:
 clean-data:
 	rm -rf ./data ./*.data
 	rm -f coverage.out coverage.html .api.current.txt
+
+## loc: print the non-test Go line count that ROADMAP's size target tracks:
+## every non-test .go file outside the linter (internal/lint, cmd/srlint) and
+## the benchmark module (srbench/ and its .srbench/ build directory)
+loc:
+	@find . \( -path ./.git -o -path ./internal/lint -o -path ./cmd/srlint -o -path ./srbench -o -path ./.srbench \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 ## ci: everything the CI workflow's core job runs
 ci: build fmt vet analyze test race apicheck srbench-check srbench-smoke

@@ -46,28 +46,18 @@ func benchEqual(d int) []float64 {
 	return w
 }
 
-func benchPool(roi geom.Region, n int, seed int64) []geom.Vector {
+func benchPool(roi geom.Region, n int, seed int64) vecmat.Matrix {
 	s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
-	pool := make([]geom.Vector, n)
-	for i := range pool {
-		w, err := s.Sample()
-		if err != nil {
+	pool := vecmat.New(n, roi.Dim())
+	for i := 0; i < n; i++ {
+		if err := sampling.Into(s, pool.Row(i)); err != nil {
 			panic(err)
 		}
-		pool[i] = w
 	}
 	return pool
-}
-
-func clonePool(pool []geom.Vector) []geom.Vector {
-	out := make([]geom.Vector, len(pool))
-	for i, w := range pool {
-		out[i] = w.Clone()
-	}
-	return out
 }
 
 // BenchmarkFig07CSMetricsEnumerateAll: full exact enumeration of every
@@ -118,9 +108,9 @@ func BenchmarkFig09FIFAGetNextMD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		own := clonePool(pool)
+		own := pool.Clone()
 		b.StartTimer()
-		engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+		engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +196,7 @@ func BenchmarkFig12SVMD(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := md.Verify(ctx, ds, r, pool); err != nil {
+				if _, err := md.VerifyMatrix(ctx, ds, r, pool); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -216,15 +206,15 @@ func BenchmarkFig12SVMD(b *testing.B) {
 
 // mdTopTen runs engine construction plus ten GET-NEXT calls, the unit of
 // Figures 13-15.
-func mdTopTen(b *testing.B, ds *dataset.Dataset, cone geom.Cone, pool []geom.Vector) {
+func mdTopTen(b *testing.B, ds *dataset.Dataset, cone geom.Cone, pool vecmat.Matrix) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		own := clonePool(pool)
+		own := pool.Clone()
 		b.StartTimer()
-		engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+		engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -449,9 +439,9 @@ func BenchmarkAblationPassThrough(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				own := clonePool(pool)
+				own := pool.Clone()
 				b.StartTimer()
-				engine, err := md.NewEngine(ds, cone, own, m.mode)
+				engine, err := md.NewEngineMatrix(ds, cone, own, m.mode)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -522,9 +512,9 @@ func BenchmarkAblationDelayedVsFull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			own := clonePool(pool)
+			own := pool.Clone()
 			b.StartTimer()
-			engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+			engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -538,7 +528,7 @@ func BenchmarkAblationDelayedVsFull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			own := clonePool(pool)
+			own := pool.Clone()
 			b.StartTimer()
 			if _, err := md.FullArrangement(ctx, ds, cone, own, 0); err != nil {
 				b.Fatal(err)
@@ -587,7 +577,7 @@ func BenchmarkPoolBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.BuildPool(ctx, mc.ConeSamplers(cone, benchSeed), 100000, workers); err != nil {
+				if _, err := mc.BuildPoolMatrix(ctx, mc.ConeSamplers(cone, benchSeed), 100000, 4, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

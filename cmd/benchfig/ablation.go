@@ -117,7 +117,7 @@ func ablationPassThrough(r run) {
 		m    md.IntersectionMode
 	}{{"sample-partition", md.SamplePartition}, {"lp-exact", md.LPExact}} {
 		pool := drawPool(cone, samples, r.seed+12)
-		engine, err := md.NewEngine(ds, cone, pool, mode.m)
+		engine, err := md.NewEngineMatrix(ds, cone, pool, mode.m)
 		if err != nil {
 			fatal(err)
 		}
@@ -200,7 +200,7 @@ func ablationDelayed(r run) {
 	fmt.Printf("(c) delayed vs full arrangement, n=%d d=%d samples=%d:\n", n, d, samples)
 
 	pool := drawPool(cone, samples, r.seed+15)
-	engine, err := md.NewEngine(ds, cone, pool, md.SamplePartition)
+	engine, err := md.NewEngineMatrix(ds, cone, pool, md.SamplePartition)
 	if err != nil {
 		fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"stablerank/internal/geom"
 	"stablerank/internal/md"
 	"stablerank/internal/sampling"
+	"stablerank/internal/vecmat"
 )
 
 // diamondsD returns the simulated Blue Nile catalog projected to d
@@ -35,18 +36,18 @@ func equalWeights(d int) []float64 {
 	return w
 }
 
-func drawPool(roi geom.Region, n int, seed int64) []geom.Vector {
+// drawPool draws n samples of the region into a contiguous matrix, the
+// form every md entry point takes.
+func drawPool(roi geom.Region, n int, seed int64) vecmat.Matrix {
 	s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		fatal(err)
 	}
-	pool := make([]geom.Vector, n)
-	for i := range pool {
-		w, err := s.Sample()
-		if err != nil {
+	pool := vecmat.New(n, roi.Dim())
+	for i := 0; i < n; i++ {
+		if err := sampling.Into(s, pool.Row(i)); err != nil {
 			fatal(err)
 		}
-		pool[i] = w
 	}
 	return pool
 }
@@ -68,7 +69,7 @@ func fig9(r run) {
 		fatal(err)
 	}
 	pool := drawPool(cone, samples, r.seed+1)
-	engine, err := md.NewEngine(ds, cone, pool, md.SamplePartition)
+	engine, err := md.NewEngineMatrix(ds, cone, pool, md.SamplePartition)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,7 +120,7 @@ func fig12(r run) {
 		ranking := stablerank.RankingOf(ds, equalWeights(3))
 		var res md.VerifyResult
 		var err error
-		dur := timed(func() { res, err = md.Verify(ctx, ds, ranking, pool) })
+		dur := timed(func() { res, err = md.VerifyMatrix(ctx, ds, ranking, pool) })
 		if err != nil {
 			fatal(err)
 		}
@@ -134,7 +135,7 @@ func getNextSweep(label string, ds *dataset.Dataset, roi geom.Region, samples in
 	var engine *md.Engine
 	var err error
 	setup := timed(func() {
-		engine, err = md.NewEngine(ds, roi, pool, md.SamplePartition)
+		engine, err = md.NewEngineMatrix(ds, roi, pool, md.SamplePartition)
 	})
 	if err != nil {
 		fatal(err)

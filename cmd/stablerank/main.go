@@ -14,8 +14,9 @@
 // space is used.
 //
 // Every invocation analyzes one immutable CSV snapshot. For a long-lived
-// service over datasets that change in place — incremental deltas spliced
-// into warm analyzers, drift streaming — run cmd/stablerankd instead.
+// service over datasets that change in place — deltas applied to warm
+// analyzers that keep their sample pools, drift streaming — run
+// cmd/stablerankd instead.
 package main
 
 import (

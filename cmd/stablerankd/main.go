@@ -1,12 +1,13 @@
 // Command stablerankd serves the stable-ranking operators over HTTP: a
 // named-dataset registry (loaded from CSV at startup, extendable via POST,
-// editable in place via PATCH /v1/datasets/{name} deltas that splice
-// resident analyzers instead of rebuilding them, with per-delta rank drift
-// streamed from GET /v1/{dataset}/drift), the unified /v1/query surface
-// (heterogeneous query lists sharing one analyzer plan), NDJSON streaming
-// enumeration, an async job worker pool, shared per-query-key analyzers so
-// concurrent identical queries share one Monte-Carlo sample pool, an LRU
-// result cache, per-request timeouts, and a graceful SIGTERM drain.
+// editable in place via PATCH /v1/datasets/{name} deltas that migrate
+// resident analyzers and their sample pools instead of rebuilding them, with
+// per-delta rank drift streamed from GET /v1/{dataset}/drift), the unified
+// /v1/query surface (heterogeneous query lists sharing one analyzer plan),
+// NDJSON streaming enumeration, an async job worker pool, shared
+// per-query-key analyzers so concurrent identical queries share one
+// Monte-Carlo sample pool, an LRU result cache, per-request timeouts, and a
+// graceful SIGTERM drain.
 //
 //	stablerankd -addr :8080 -dataset fifa=players.csv -dataset unis=unis.csv
 //

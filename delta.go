@@ -41,8 +41,7 @@ func ApplyDeltas(ds *Dataset, deltas ...Delta) (*Dataset, error) {
 // ApplyDelta returns a new Analyzer over the mutated dataset without
 // rebuilding anything expensive: the Monte-Carlo sample pool carries over
 // verbatim (pool samples are weight-space points, independent of dataset
-// content) and the baseline ranking state is spliced per delta instead of
-// re-sorted. Every query result from the returned analyzer is bit-identical
+// content). Every query result from the returned analyzer is bit-identical
 // to a from-scratch analyzer over the same dataset and configuration. The
 // receiver stays valid; both may be used concurrently. With no deltas the
 // receiver itself is returned.
@@ -66,21 +65,6 @@ func (a *Analyzer) Warm(ctx context.Context) error {
 // DeltasApplied returns how many deltas produced this analyzer, accumulated
 // along the ApplyDelta chain.
 func (a *Analyzer) DeltasApplied() int64 { return a.core.DeltasApplied() }
-
-// DeltaSplices returns how many delta operations were resolved by splicing
-// the maintained ranking state in place.
-func (a *Analyzer) DeltaSplices() int64 { return a.core.DeltaSplices() }
-
-// DeltaResorts returns how many delta operations fell back to a full re-sort
-// because the spliced ranking key tied an existing one.
-func (a *Analyzer) DeltaResorts() int64 { return a.core.DeltaResorts() }
-
-// Baseline returns the incrementally maintained equal-weights ranking,
-// bit-identical to what a fresh analyzer over the same dataset computes.
-func (a *Analyzer) Baseline() Ranking { return a.core.Baseline() }
-
-// BaselineKey returns an order-sensitive digest of the baseline ranking.
-func (a *Analyzer) BaselineKey() uint64 { return a.core.BaselineKey() }
 
 // LastDrift reports the stability drift of the ApplyDelta call that produced
 // this analyzer: per touched item, the score displacement across the whole

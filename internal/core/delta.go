@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 
 	"stablerank/internal/dataset"
-	"stablerank/internal/geom"
 	"stablerank/internal/mc"
-	"stablerank/internal/rank"
 	"stablerank/internal/vecmat"
 )
 
@@ -49,13 +47,11 @@ type scoreStat struct {
 }
 
 // deltaRecord retains what LastDrift needs about the most recent ApplyDelta:
-// the resolution trace, the endpoint datasets' attrs matrices, and the lazily
+// the resolution trace, the dataset it was applied to, and the lazily
 // computed score pass over the pool.
 type deltaRecord struct {
-	trace    []dataset.Applied
-	oldDS    *dataset.Dataset
-	oldAttrs vecmat.Matrix
-	newAttrs vecmat.Matrix
+	trace []dataset.Applied
+	oldDS *dataset.Dataset
 
 	passMu   sync.Mutex
 	passDone bool
@@ -63,63 +59,9 @@ type deltaRecord struct {
 	stats    []scoreStat
 }
 
-// equalWeights is the canonical baseline scoring function: all attributes
-// weighted 1, the paper's default example weighting.
-func equalWeights(d int) geom.Vector {
-	w := make(geom.Vector, d)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// baselineState lazily builds the incrementally maintained baseline ranking
-// (equal weights) and the contiguous attrs matrix. Both are immutable once
-// built: ApplyDelta clones them and splices the clones, so concurrent readers
-// never observe a mutation.
-func (a *Analyzer) baselineState() (*rank.Spliced, vecmat.Matrix) {
-	a.baselineMu.Lock()
-	defer a.baselineMu.Unlock()
-	if a.baseline == nil {
-		n := a.ds.N()
-		attrs := vecmat.New(n, a.ds.D())
-		for i := 0; i < n; i++ {
-			attrs.SetRow(i, a.ds.Attrs(i))
-		}
-		scores := make([]float64, n)
-		attrs.MulVec(equalWeights(a.ds.D()), scores)
-		a.baseline = rank.NewSpliced(scores)
-		a.baselineAttrs = attrs
-	}
-	return a.baseline, a.baselineAttrs
-}
-
-// Baseline returns the incrementally maintained equal-weights ranking. After
-// any chain of ApplyDelta calls it is bit-identical to the ranking a fresh
-// analyzer over the same dataset would compute.
-func (a *Analyzer) Baseline() rank.Ranking {
-	sp, _ := a.baselineState()
-	return sp.Ranking().Clone()
-}
-
-// BaselineKey returns an order-sensitive digest of the baseline ranking,
-// cheap to compare against a rebuild.
-func (a *Analyzer) BaselineKey() uint64 {
-	sp, _ := a.baselineState()
-	return sp.Hash()
-}
-
 // DeltasApplied returns how many deltas produced this analyzer (accumulated
 // along the ApplyDelta chain).
 func (a *Analyzer) DeltasApplied() int64 { return a.deltasApplied.Load() }
-
-// DeltaSplices returns how many delta operations were resolved by splicing
-// the ranking state in place.
-func (a *Analyzer) DeltaSplices() int64 { return a.deltaSpliced.Load() }
-
-// DeltaResorts returns how many delta operations fell back to a full re-sort
-// because the spliced key tied an existing one.
-func (a *Analyzer) DeltaResorts() int64 { return a.deltaResorted.Load() }
 
 // Warm draws (or restores) the shared Monte-Carlo sample pool now instead of
 // on first query, so callers can separate pool cost from query cost.
@@ -129,16 +71,11 @@ func (a *Analyzer) Warm(ctx context.Context) error {
 }
 
 // ApplyDelta returns a new Analyzer over the dataset with the deltas applied,
-// reusing everything expensive from the receiver instead of rebuilding:
-//
-//   - The Monte-Carlo sample pool is carried over as-is. Pool samples are
-//     weight-space points drawn from (region, seed, n) only — they never
-//     depend on dataset content — so the new analyzer answers queries
-//     without drawing a single sample.
-//   - The baseline ranking state is spliced, not re-sorted: each delta
-//     recomputes one item's score and moves one interned 64-bit key, falling
-//     back to a canonical full sort only when the new key ties an existing
-//     one. The spliced state is bit-identical to a from-scratch rebuild.
+// reusing the expensive part of the receiver instead of rebuilding: the
+// Monte-Carlo sample pool is carried over as-is. Pool samples are
+// weight-space points drawn from (region, seed, n) only — they never depend
+// on dataset content — so the new analyzer answers queries without drawing a
+// single sample.
 //
 // The receiver is unchanged and remains fully usable; both analyzers may be
 // queried concurrently. Configuration (region, seed, sample count, workers,
@@ -158,23 +95,6 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 	if nds.N() == 0 {
 		return nil, dataset.ErrEmptyDataset
 	}
-	sp, attrs := a.baselineState()
-	nsp := sp.Clone()
-	nattrs := attrs.Clone()
-	w := equalWeights(a.ds.D())
-	for _, ap := range trace {
-		switch ap.Delta.Op {
-		case dataset.AttrUpdate:
-			nattrs.SetRow(ap.Index, ap.Delta.Attrs)
-			nsp.Update(ap.Index, vecmat.Dot(w, nattrs.Row(ap.Index)))
-		case dataset.ItemAdd:
-			nattrs = appendRow(nattrs, ap.Delta.Attrs)
-			nsp.Add(vecmat.Dot(w, nattrs.Row(ap.Index)))
-		case dataset.ItemRemove:
-			nattrs = removeRow(nattrs, ap.Index)
-			nsp.Remove(ap.Index)
-		}
-	}
 
 	n := &Analyzer{
 		ds:          nds,
@@ -186,9 +106,8 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 		adaptiveErr: a.adaptiveErr,
 		poolCache:   a.poolCache,
 		poolFiller:  a.poolFiller,
+		last:        &deltaRecord{trace: trace, oldDS: a.ds},
 	}
-	n.baseline = nsp         //srlint:lockscope n is freshly constructed and unshared; no other goroutine can see it yet
-	n.baselineAttrs = nattrs //srlint:lockscope n is freshly constructed and unshared; no other goroutine can see it yet
 	carry(&n.poolBuilds, &a.poolBuilds)
 	carry(&n.poolBuildNanos, &a.poolBuildNanos)
 	carry(&n.poolRestores, &a.poolRestores)
@@ -196,51 +115,23 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 	carry(&n.adaptiveStops, &a.adaptiveStops)
 	carry(&n.adaptiveRowsSaved, &a.adaptiveRowsSaved)
 	n.deltasApplied.Store(a.deltasApplied.Load() + int64(len(trace)))
-	spl, rs := nsp.Counters()
-	n.deltaSpliced.Store(spl)
-	n.deltaResorted.Store(rs)
 
-	rec := &deltaRecord{trace: trace, oldDS: a.ds, oldAttrs: attrs, newAttrs: nattrs}
 	if st := a.pool.Load(); st != nil && st.built.Load() {
 		// Share the built pool verbatim: a built poolState cell holds only
 		// immutable or atomic state, so both analyzers sweep the same
 		// backing matrix and share its index and pass count. The blocked
 		// row-pass pricing the delta against every sample is deferred to
 		// LastDrift, so callers that never read drift pay only for the
-		// splice.
+		// dataset copy.
 		n.pool.Store(st)
 	} else {
 		n.pool.Store(&poolState{})
 	}
-	n.last = rec
 	return n, nil
 }
 
 // carry copies a counter from src to dst.
 func carry(dst, src *atomic.Int64) { dst.Store(src.Load()) }
-
-// appendRow returns a copy of m with one extra row appended.
-func appendRow(m vecmat.Matrix, row []float64) vecmat.Matrix {
-	out := vecmat.New(m.Rows()+1, m.Stride())
-	for i := 0; i < m.Rows(); i++ {
-		out.SetRow(i, m.Row(i))
-	}
-	out.SetRow(m.Rows(), row)
-	return out
-}
-
-// removeRow returns a copy of m with row idx removed (later rows shift up).
-func removeRow(m vecmat.Matrix, idx int) vecmat.Matrix {
-	out := vecmat.New(m.Rows()-1, m.Stride())
-	for i, o := 0, 0; i < m.Rows(); i++ {
-		if i == idx {
-			continue
-		}
-		out.SetRow(o, m.Row(i))
-		o++
-	}
-	return out
-}
 
 // pass runs the per-delta score pass over the pool at most once: one
 // EvalRowsBlocked sweep evaluating every touched item's before/after
@@ -396,8 +287,8 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 // rankPass measures every touched item's rank displacement over the first
 // rows pool samples (rows <= 0 or beyond the pool means all) — the
 // mc.RankShift of each trace entry between rec.oldDS and newDS, computed in
-// one sharded pass: each sample scores the old and the new attrs matrix once
-// with the d-specialized MulVec kernel, and every entry is ranked on both
+// one sharded pass: each sample scores both datasets' attribute matrices
+// once with the d-specialized MulVec kernel, and every entry is ranked on both
 // sides from those two score vectors with mc.RankAmong. An entry absent from
 // one side ranks n+1 there; one absent from both is not ranked at all.
 func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS *dataset.Dataset, rows, workers int) ([]mc.Shift, error) {
@@ -410,7 +301,8 @@ func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS 
 		oldIdx[i] = indexOf(rec.oldDS, ap.Delta.ID)
 		newIdx[i] = indexOf(newDS, ap.Delta.ID)
 	}
-	nOld, nNew := rec.oldAttrs.Rows(), rec.newAttrs.Rows()
+	oldAttrs, newAttrs := rec.oldDS.Matrix(), newDS.Matrix()
+	nOld, nNew := oldAttrs.Rows(), newAttrs.Rows()
 	tallies := make([][]mc.ShiftTally, (rows+rankChunkRows-1)/rankChunkRows)
 	err := shardRows(ctx, rows, rankChunkRows, workers, func() func(c, lo, hi int) {
 		oldScores := make([]float64, nOld)
@@ -419,8 +311,8 @@ func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS 
 			t := make([]mc.ShiftTally, k)
 			for r := lo; r < hi; r++ {
 				w := pool.Row(r)
-				rec.oldAttrs.MulVec(w, oldScores)
-				rec.newAttrs.MulVec(w, newScores)
+				oldAttrs.MulVec(w, oldScores)
+				newAttrs.MulVec(w, newScores)
 				for i := range t {
 					if oldIdx[i] < 0 && newIdx[i] < 0 {
 						continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -25,8 +26,8 @@ func deltaDS(t *testing.T, n, d int, seed int64) *dataset.Dataset {
 	for i := 0; i < n; i++ {
 		attrs := make(geom.Vector, d)
 		for j := range attrs {
-			// A coarse grid makes score ties common, exercising the re-sort
-			// fallback.
+			// A coarse grid makes score ties common, exercising the
+			// index tie-break.
 			attrs[j] = float64(rng.Intn(5))
 		}
 		if err := ds.Add(fmt.Sprintf("i%d", i), attrs); err != nil {
@@ -37,8 +38,8 @@ func deltaDS(t *testing.T, n, d int, seed int64) *dataset.Dataset {
 }
 
 // TestApplyDeltaSharesPool pins the headline property: the mutated analyzer
-// inherits the built pool (zero new builds) and its spliced baseline matches
-// a from-scratch rebuild bit for bit.
+// inherits the built pool (zero new builds) and answers exactly as a
+// from-scratch rebuild does.
 func TestApplyDeltaSharesPool(t *testing.T) {
 	ctx := context.Background()
 	ds := deltaDS(t, 40, 3, 1)
@@ -66,9 +67,6 @@ func TestApplyDeltaSharesPool(t *testing.T) {
 	if na.DeltasApplied() != 3 {
 		t.Fatalf("DeltasApplied = %d", na.DeltasApplied())
 	}
-	if na.DeltaSplices()+na.DeltaResorts() != 3 {
-		t.Fatalf("splices %d + resorts %d != 3", na.DeltaSplices(), na.DeltaResorts())
-	}
 
 	nds, err := dataset.ApplyDeltas(ds, deltas...)
 	if err != nil {
@@ -78,11 +76,12 @@ func TestApplyDeltaSharesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !na.Baseline().Equal(fresh.Baseline()) || na.BaselineKey() != fresh.BaselineKey() {
-		t.Fatal("spliced baseline differs from rebuild")
+	// The equal-weights ranking of the derived dataset is the rebuild's.
+	r := RankingOf(nds, []float64{1, 1, 1})
+	if !RankingOf(na.Dataset(), []float64{1, 1, 1}).Equal(r) {
+		t.Fatal("equal-weights ranking differs from rebuild")
 	}
 	// Query results must match the rebuild bitwise: same pool, same dataset.
-	r := RankingOf(nds, equalWeights(3))
 	v1, err := verify(ctx, na, r)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +367,57 @@ func attrsMatrix(ds *dataset.Dataset) vecmat.Matrix {
 		m.SetRow(i, ds.Attrs(i))
 	}
 	return m
+}
+
+// TestLastDriftScoresDisplacedVectors checks the score pass against a plain
+// loop over the pool, for a batch that updates one item twice and updates an
+// item before removing an earlier one: each entry is priced from the vector
+// it displaced, not from the row's final or shifted content.
+func TestLastDriftScoresDisplacedVectors(t *testing.T) {
+	ctx := context.Background()
+	ds := deltaDS(t, 12, 3, 6)
+	a, err := New(ds, WithSampleCount(5000), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Warm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	deltas := []Delta{
+		{Op: AttrUpdate, ID: "i4", Attrs: geom.NewVector(9, 0, 1)},
+		{Op: AttrUpdate, ID: "i4", Attrs: geom.NewVector(0, 8, 2)},
+		{Op: AttrUpdate, ID: "i7", Attrs: geom.NewVector(3, 3, 7)},
+		{Op: ItemRemove, ID: "i2"},
+	}
+	before := []geom.Vector{ds.Attrs(4), deltas[0].Attrs, ds.Attrs(7), ds.Attrs(2)}
+	na, err := a.ApplyDelta(ctx, deltas...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift, err := na.LastDrift(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := na.samplePool(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dl := range deltas {
+		var sum, maxAbs float64
+		for r := 0; r < pool.Rows(); r++ {
+			var after float64
+			if dl.Op != ItemRemove {
+				after = vecmat.Dot(dl.Attrs, pool.Row(r))
+			}
+			delta := after - vecmat.Dot(before[i], pool.Row(r))
+			sum += delta
+			maxAbs = max(maxAbs, math.Abs(delta))
+		}
+		mean := sum / float64(pool.Rows())
+		if got := drift[i]; math.Abs(got.MeanScoreDelta-mean) > 1e-9 || got.MaxAbsScoreDelta != maxAbs {
+			t.Fatalf("entry %d (%v %s): mean %v max %v, want %v %v", i, dl.Op, dl.ID, got.MeanScoreDelta, got.MaxAbsScoreDelta, mean, maxAbs)
+		}
+	}
 }
 
 // TestLastDriftMatchesRankShift is the rank pass's differential test: on

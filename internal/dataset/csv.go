@@ -33,15 +33,12 @@ func ReadCSV(r io.Reader, hasHeader bool) (*Dataset, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("dataset: csv rows need an id and at least one attribute, got %d columns", len(rows[0]))
 	}
-	ds, err := New(d)
-	if err != nil {
-		return nil, err
-	}
+	ds := &Dataset{d: d, ids: make([]string, 0, len(rows)), data: make([]float64, 0, len(rows)*d)}
+	attrs := make(geom.Vector, d)
 	for ri, row := range rows {
 		if len(row) != d+1 {
 			return nil, fmt.Errorf("dataset: csv row %d has %d columns, want %d", ri+1, len(row), d+1)
 		}
-		attrs := make(geom.Vector, d)
 		for j := 0; j < d; j++ {
 			v, err := strconv.ParseFloat(row[j+1], 64)
 			if err != nil {
@@ -71,9 +68,9 @@ func (ds *Dataset) WriteCSV(w io.Writer, withHeader bool) error {
 		}
 	}
 	row := make([]string, ds.d+1)
-	for _, it := range ds.items {
-		row[0] = it.ID
-		for j, v := range it.Attrs {
+	for i, id := range ds.ids {
+		row[0] = id
+		for j, v := range ds.Attrs(i) {
 			row[j+1] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"stablerank/internal/geom"
+	"stablerank/internal/vecmat"
 )
 
 // Item is a database item: an identifier plus its d scoring attributes.
@@ -22,10 +24,13 @@ type Item struct {
 }
 
 // Dataset is an immutable-after-build collection of items sharing a common
-// attribute dimension.
+// attribute dimension: the n x d attribute table every scoring function
+// w . x reads, stored as one row-major array (row i holds item i's
+// attributes) beside the item identifiers.
 type Dataset struct {
-	d     int
-	items []Item
+	d    int
+	ids  []string
+	data []float64 // len(ids) rows of stride d
 }
 
 // New returns an empty dataset over d scoring attributes. d must be >= 1
@@ -47,19 +52,29 @@ func MustNew(d int) *Dataset {
 	return ds
 }
 
-// Add appends an item. The attribute vector must have the dataset dimension
-// and contain only finite values (NaN or infinite attributes would poison
-// every downstream score comparison silently).
+// Add appends an item, copying its attributes. The attribute vector must
+// have the dataset dimension and contain only finite values (NaN or infinite
+// attributes would poison every downstream score comparison silently).
 func (ds *Dataset) Add(id string, attrs geom.Vector) error {
-	if len(attrs) != ds.d {
-		return fmt.Errorf("dataset: item %q has %d attributes, want %d", id, len(attrs), ds.d)
+	if err := validAttrs(id, attrs, ds.d); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	ds.ids = append(ds.ids, id)
+	ds.data = append(ds.data, attrs...)
+	return nil
+}
+
+// validAttrs is the attribute contract of Add and the delta ops: the dataset
+// dimension and only finite values.
+func validAttrs(id string, attrs geom.Vector, d int) error {
+	if len(attrs) != d {
+		return fmt.Errorf("item %q has %d attributes, want %d", id, len(attrs), d)
 	}
 	for j, v := range attrs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("dataset: item %q attribute %d is not finite (%v)", id, j, v)
+			return fmt.Errorf("item %q attribute %d is not finite (%v)", id, j, v)
 		}
 	}
-	ds.items = append(ds.items, Item{ID: id, Attrs: attrs.Clone()})
 	return nil
 }
 
@@ -71,30 +86,43 @@ func (ds *Dataset) MustAdd(id string, attrs ...float64) {
 }
 
 // N returns the number of items.
-func (ds *Dataset) N() int { return len(ds.items) }
+func (ds *Dataset) N() int { return len(ds.ids) }
 
 // D returns the attribute dimension.
 func (ds *Dataset) D() int { return ds.d }
 
-// Item returns the i-th item (0-indexed insertion order).
-func (ds *Dataset) Item(i int) Item { return ds.items[i] }
+// Item returns the i-th item (0-indexed insertion order); its Attrs is the
+// row view Attrs(i) returns.
+func (ds *Dataset) Item(i int) Item { return Item{ID: ds.ids[i], Attrs: ds.Attrs(i)} }
 
-// Attrs returns the attribute vector of the i-th item without copying;
-// callers must not modify it.
-func (ds *Dataset) Attrs(i int) geom.Vector { return ds.items[i].Attrs }
+// Attrs returns the attribute vector of the i-th item as a view into the
+// attribute table, without copying; callers must not modify it. Its capacity
+// is pinned, so an append to it copies instead of overwriting item i+1.
+func (ds *Dataset) Attrs(i int) geom.Vector {
+	lo := i * ds.d
+	return ds.data[lo : lo+ds.d : lo+ds.d]
+}
+
+// Matrix returns the attribute table as an n x d row-major matrix wrapping
+// the dataset's array without copying: the operand every scoring sweep
+// (rank.Computer, the fused plan sweep, the drift pass) reads. It is
+// read-only; callers must not write through it.
+func (ds *Dataset) Matrix() vecmat.Matrix {
+	m, err := vecmat.FromData(ds.d, ds.data[:len(ds.data):len(ds.data)])
+	if err != nil {
+		panic(err) // unreachable: d >= 1 and every row has d values
+	}
+	return m
+}
 
 // Score returns the linear score w . attrs of item i (Definition 1).
 func (ds *Dataset) Score(w geom.Vector, i int) float64 {
-	return w.Dot(ds.items[i].Attrs)
+	return w.Dot(ds.Attrs(i))
 }
 
 // Clone returns a deep copy.
 func (ds *Dataset) Clone() *Dataset {
-	out := &Dataset{d: ds.d, items: make([]Item, len(ds.items))}
-	for i, it := range ds.items {
-		out.items[i] = Item{ID: it.ID, Attrs: it.Attrs.Clone()}
-	}
-	return out
+	return &Dataset{d: ds.d, ids: slices.Clone(ds.ids), data: slices.Clone(ds.data)}
 }
 
 // Project returns a new dataset keeping only the first k attributes, the
@@ -103,21 +131,19 @@ func (ds *Dataset) Project(k int) (*Dataset, error) {
 	if k < 1 || k > ds.d {
 		return nil, fmt.Errorf("dataset: cannot project %d attributes to %d", ds.d, k)
 	}
-	out := &Dataset{d: k, items: make([]Item, len(ds.items))}
-	for i, it := range ds.items {
-		out.items[i] = Item{ID: it.ID, Attrs: it.Attrs[:k].Clone()}
+	out := &Dataset{d: k, ids: slices.Clone(ds.ids), data: make([]float64, 0, ds.N()*k)}
+	for i := range ds.ids {
+		out.data = append(out.data, ds.Attrs(i)[:k]...)
 	}
 	return out, nil
 }
 
-// Head returns a new dataset containing the first n items.
+// Head returns a new dataset containing (a copy of) the first n items.
 func (ds *Dataset) Head(n int) (*Dataset, error) {
-	if n < 0 || n > len(ds.items) {
-		return nil, fmt.Errorf("dataset: head %d out of range [0, %d]", n, len(ds.items))
+	if n < 0 || n > ds.N() {
+		return nil, fmt.Errorf("dataset: head %d out of range [0, %d]", n, ds.N())
 	}
-	out := &Dataset{d: ds.d, items: make([]Item, n)}
-	copy(out.items, ds.items[:n])
-	return out, nil
+	return &Dataset{d: ds.d, ids: slices.Clone(ds.ids[:n]), data: slices.Clone(ds.data[:n*ds.d])}, nil
 }
 
 // Dominates reports whether item a dominates item b (Section 3): a is at
@@ -138,7 +164,7 @@ func Dominates(a, b Item) bool {
 
 // DominatesIdx reports whether item i dominates item j in the dataset.
 func (ds *Dataset) DominatesIdx(i, j int) bool {
-	return Dominates(ds.items[i], ds.items[j])
+	return Dominates(ds.Item(i), ds.Item(j))
 }
 
 // ErrEmptyDataset is returned by operations requiring at least one item.
@@ -146,15 +172,15 @@ var ErrEmptyDataset = errors.New("dataset: empty dataset")
 
 // AttrRange returns the min and max of attribute j across the dataset.
 func (ds *Dataset) AttrRange(j int) (lo, hi float64, err error) {
-	if len(ds.items) == 0 {
+	if ds.N() == 0 {
 		return 0, 0, ErrEmptyDataset
 	}
 	if j < 0 || j >= ds.d {
 		return 0, 0, fmt.Errorf("dataset: attribute %d out of range", j)
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, it := range ds.items {
-		v := it.Attrs[j]
+	for k := j; k < len(ds.data); k += ds.d {
+		v := ds.data[k]
 		if v < lo {
 			lo = v
 		}
@@ -177,11 +203,17 @@ const (
 	LowerBetter
 )
 
+// derived returns an empty-valued dataset with ds's shape and a copy of its
+// identifiers, for the transforms below to fill.
+func (ds *Dataset) derived() *Dataset {
+	return &Dataset{d: ds.d, ids: slices.Clone(ds.ids), data: make([]float64, len(ds.data))}
+}
+
 // Normalize returns a new dataset with every attribute min-max normalized to
 // [0, 1] respecting the given preference directions (one per attribute, or
 // nil meaning all HigherBetter). Constant attributes map to 0.
 func (ds *Dataset) Normalize(dirs []Direction) (*Dataset, error) {
-	if len(ds.items) == 0 {
+	if ds.N() == 0 {
 		return nil, ErrEmptyDataset
 	}
 	if dirs != nil && len(dirs) != ds.d {
@@ -197,20 +229,14 @@ func (ds *Dataset) Normalize(dirs []Direction) (*Dataset, error) {
 		lows[j] = lo
 		spans[j] = hi - lo
 	}
-	out := &Dataset{d: ds.d, items: make([]Item, len(ds.items))}
-	for i, it := range ds.items {
-		attrs := make(geom.Vector, ds.d)
-		for j := 0; j < ds.d; j++ {
-			var v float64
-			if spans[j] > 0 {
-				v = (it.Attrs[j] - lows[j]) / spans[j]
-				if dirs != nil && dirs[j] == LowerBetter {
-					v = 1 - v
-				}
+	out := ds.derived()
+	for k, v := range ds.data {
+		if j := k % ds.d; spans[j] > 0 {
+			out.data[k] = (v - lows[j]) / spans[j]
+			if dirs != nil && dirs[j] == LowerBetter {
+				out.data[k] = 1 - out.data[k]
 			}
-			attrs[j] = v
 		}
-		out.items[i] = Item{ID: it.ID, Attrs: attrs}
 	}
 	return out, nil
 }
@@ -221,50 +247,41 @@ func (ds *Dataset) Normalize(dirs []Direction) (*Dataset, error) {
 // while keeping all values non-negative as the algorithms assume. Constant
 // attributes map to 0.
 func (ds *Dataset) Standardize() (*Dataset, error) {
-	if len(ds.items) == 0 {
+	if ds.N() == 0 {
 		return nil, ErrEmptyDataset
 	}
-	n := float64(len(ds.items))
+	n := float64(ds.N())
 	means := make([]float64, ds.d)
-	for _, it := range ds.items {
-		for j, v := range it.Attrs {
-			means[j] += v
-		}
+	for k, v := range ds.data {
+		means[k%ds.d] += v
 	}
 	for j := range means {
 		means[j] /= n
 	}
 	sds := make([]float64, ds.d)
-	for _, it := range ds.items {
-		for j, v := range it.Attrs {
-			d := v - means[j]
-			sds[j] += d * d
-		}
+	for k, v := range ds.data {
+		d := v - means[k%ds.d]
+		sds[k%ds.d] += d * d
 	}
 	for j := range sds {
 		sds[j] = math.Sqrt(sds[j] / n)
 	}
-	out := &Dataset{d: ds.d, items: make([]Item, len(ds.items))}
+	out := ds.derived()
 	mins := make([]float64, ds.d)
 	for j := range mins {
 		mins[j] = math.Inf(1)
 	}
-	for i, it := range ds.items {
-		attrs := make(geom.Vector, ds.d)
-		for j, v := range it.Attrs {
-			if sds[j] > 0 {
-				attrs[j] = v / sds[j]
-			}
-			if attrs[j] < mins[j] {
-				mins[j] = attrs[j]
-			}
+	for k, v := range ds.data {
+		j := k % ds.d
+		if sds[j] > 0 {
+			out.data[k] = v / sds[j]
 		}
-		out.items[i] = Item{ID: it.ID, Attrs: attrs}
+		if out.data[k] < mins[j] {
+			mins[j] = out.data[k]
+		}
 	}
-	for i := range out.items {
-		for j := range out.items[i].Attrs {
-			out.items[i].Attrs[j] -= mins[j]
-		}
+	for k := range out.data {
+		out.data[k] -= mins[k%ds.d]
 	}
 	return out, nil
 }

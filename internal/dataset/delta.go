@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"stablerank/internal/geom"
 )
@@ -44,9 +44,9 @@ type Delta struct {
 
 // Applied records how one delta resolved against the evolving dataset: the
 // index the op acted on (the position updated or removed, or the position the
-// new item was appended at) and the attribute vector it displaced (nil for
-// ItemAdd). Incremental maintainers (rank splicing, attrs-matrix upkeep)
-// replay exactly this trace.
+// new item was appended at) and a copy of the attribute vector it displaced
+// (nil for ItemAdd). The drift score pass prices each delta from exactly this
+// trace.
 type Applied struct {
 	Delta Delta
 	Index int
@@ -66,72 +66,62 @@ func ApplyDeltas(ds *Dataset, deltas ...Delta) (*Dataset, error) {
 
 // ApplyDeltasTrace is ApplyDeltas returning the per-delta resolution trace.
 // When the dataset contains duplicate IDs (CSV input does not forbid them),
-// an ID resolves to its first occurrence.
+// an ID resolves to its first remaining occurrence, so a batch gives the same
+// result, or fails at the same delta, as its deltas applied one at a time.
 func ApplyDeltasTrace(ds *Dataset, deltas ...Delta) (*Dataset, []Applied, error) {
 	if ds == nil {
 		return nil, nil, ErrEmptyDataset
 	}
 	out := ds.Clone()
-	index := make(map[string]int, len(out.items))
-	for i := len(out.items) - 1; i >= 0; i-- {
-		index[out.items[i].ID] = i
+	d := out.d
+	index := make(map[string]int, out.N())
+	for i := out.N() - 1; i >= 0; i-- {
+		index[out.ids[i]] = i
 	}
 	trace := make([]Applied, 0, len(deltas))
 	for k, dl := range deltas {
+		idx, ok := index[dl.ID]
 		switch dl.Op {
 		case ItemAdd:
-			if _, ok := index[dl.ID]; ok {
+			if ok {
 				return nil, nil, fmt.Errorf("dataset: delta %d adds duplicate item id %q", k, dl.ID)
 			}
-			if err := validDeltaAttrs(dl, out.d); err != nil {
+			if err := validAttrs(dl.ID, dl.Attrs, d); err != nil {
 				return nil, nil, fmt.Errorf("dataset: delta %d: %w", k, err)
 			}
-			out.items = append(out.items, Item{ID: dl.ID, Attrs: dl.Attrs.Clone()})
-			idx := len(out.items) - 1
-			index[dl.ID] = idx
-			trace = append(trace, Applied{Delta: dl, Index: idx})
+			index[dl.ID] = out.N()
+			trace = append(trace, Applied{Delta: dl, Index: out.N()})
+			out.ids = append(out.ids, dl.ID)
+			out.data = append(out.data, dl.Attrs...)
 		case ItemRemove:
-			idx, ok := index[dl.ID]
 			if !ok {
 				return nil, nil, fmt.Errorf("dataset: delta %d removes unknown item id %q", k, dl.ID)
 			}
-			prev := out.items[idx].Attrs
-			out.items = append(out.items[:idx], out.items[idx+1:]...)
+			trace = append(trace, Applied{Delta: dl, Index: idx, Prev: slices.Clone(out.Attrs(idx))})
+			out.ids = slices.Delete(out.ids, idx, idx+1)
+			out.data = slices.Delete(out.data, idx*d, (idx+1)*d)
 			delete(index, dl.ID)
 			for id, i := range index {
 				if i > idx {
 					index[id] = i - 1
 				}
 			}
-			trace = append(trace, Applied{Delta: dl, Index: idx, Prev: prev})
+			// A later duplicate of the removed ID becomes its first occurrence.
+			if next := slices.Index(out.ids[idx:], dl.ID); next >= 0 {
+				index[dl.ID] = idx + next
+			}
 		case AttrUpdate:
-			idx, ok := index[dl.ID]
 			if !ok {
 				return nil, nil, fmt.Errorf("dataset: delta %d updates unknown item id %q", k, dl.ID)
 			}
-			if err := validDeltaAttrs(dl, out.d); err != nil {
+			if err := validAttrs(dl.ID, dl.Attrs, d); err != nil {
 				return nil, nil, fmt.Errorf("dataset: delta %d: %w", k, err)
 			}
-			prev := out.items[idx].Attrs
-			out.items[idx].Attrs = dl.Attrs.Clone()
-			trace = append(trace, Applied{Delta: dl, Index: idx, Prev: prev})
+			trace = append(trace, Applied{Delta: dl, Index: idx, Prev: slices.Clone(out.Attrs(idx))})
+			copy(out.Attrs(idx), dl.Attrs)
 		default:
 			return nil, nil, fmt.Errorf("dataset: delta %d has unknown op %d", k, dl.Op)
 		}
 	}
 	return out, trace, nil
-}
-
-// validDeltaAttrs enforces the same attribute contract as Add: the dataset
-// dimension and only finite values.
-func validDeltaAttrs(dl Delta, d int) error {
-	if len(dl.Attrs) != d {
-		return fmt.Errorf("item %q has %d attributes, want %d", dl.ID, len(dl.Attrs), d)
-	}
-	for j, v := range dl.Attrs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("item %q attribute %d is not finite (%v)", dl.ID, j, v)
-		}
-	}
-	return nil
 }

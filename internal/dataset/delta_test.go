@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -102,5 +104,63 @@ func TestDeltaOpString(t *testing.T) {
 	}
 	if !strings.Contains(DeltaOp(99).String(), "99") {
 		t.Fatal("unknown op string should include the value")
+	}
+}
+
+// TestApplyDeltasTracePrev pins Applied.Prev to the vector each delta
+// displaced, also when a later delta of the same batch overwrites that row
+// or shifts it by removing an earlier item.
+func TestApplyDeltasTracePrev(t *testing.T) {
+	ds := deltaTestDS(t, 4) // i0 (0,4), i1 (1,3), i2 (2,2), i3 (3,1)
+	_, trace, err := ApplyDeltasTrace(ds,
+		Delta{Op: AttrUpdate, ID: "i2", Attrs: geom.NewVector(7, 7)},
+		Delta{Op: AttrUpdate, ID: "i2", Attrs: geom.NewVector(8, 8)},
+		Delta{Op: AttrUpdate, ID: "i3", Attrs: geom.NewVector(5, 5)},
+		Delta{Op: ItemRemove, ID: "i1"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []geom.Vector{{2, 2}, {7, 7}, {3, 1}, {1, 3}} {
+		if !trace[k].Prev.Equal(want, 0) {
+			t.Errorf("trace[%d].Prev = %v, want %v", k, trace[k].Prev, want)
+		}
+	}
+}
+
+// TestDuplicateIDBatchMatchesSteps checks, on datasets with duplicate IDs,
+// that a batch of deltas gives the same dataset as applying them one at a
+// time, or fails at the same delta with the same error.
+func TestDuplicateIDBatchMatchesSteps(t *testing.T) {
+	ids := []string{"x", "y", "z"}
+	ops := []DeltaOp{ItemAdd, ItemRemove, AttrUpdate}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		ds := MustNew(2)
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			ds.MustAdd(ids[rng.Intn(len(ids))], float64(i), float64(trial))
+		}
+		deltas := make([]Delta, 1+rng.Intn(4))
+		for k := range deltas {
+			deltas[k] = Delta{Op: ops[rng.Intn(len(ops))], ID: ids[rng.Intn(len(ids))], Attrs: geom.NewVector(float64(k), -1)}
+		}
+		batch, berr := ApplyDeltas(ds, deltas...)
+		step, serr := ds, error(nil)
+		for k, dl := range deltas {
+			next, err := ApplyDeltas(step, dl)
+			if err != nil {
+				serr = errors.New(strings.Replace(err.Error(), "delta 0", fmt.Sprintf("delta %d", k), 1))
+				break
+			}
+			step = next
+		}
+		switch {
+		case (berr == nil) != (serr == nil):
+			t.Fatalf("trial %d %v: batch err %v, one at a time err %v", trial, deltas, berr, serr)
+		case berr != nil && berr.Error() != serr.Error():
+			t.Fatalf("trial %d %v: batch err %q, one at a time err %q", trial, deltas, berr, serr)
+		case berr == nil && batch.Hash() != step.Hash():
+			t.Fatalf("trial %d %v: batch and one at a time differ", trial, deltas)
+		}
 	}
 }

@@ -18,13 +18,13 @@ func (ds *Dataset) Hash() uint64 {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(ds.d))
 	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(ds.items)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(ds.N()))
 	h.Write(buf[:])
-	for _, it := range ds.items {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(it.ID)))
+	for i, id := range ds.ids {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(id)))
 		h.Write(buf[:])
-		h.Write([]byte(it.ID))
-		for _, v := range it.Attrs {
+		h.Write([]byte(id))
+		for _, v := range ds.Attrs(i) {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}

@@ -12,7 +12,7 @@ import "sort"
 // a strictly larger or equal sum), then filtered against the running skyline.
 // Worst case O(n^2 d), typically far less on real data.
 func (ds *Dataset) Skyline() []int {
-	n := len(ds.items)
+	n := ds.N()
 	if n == 0 {
 		return nil
 	}
@@ -21,12 +21,10 @@ func (ds *Dataset) Skyline() []int {
 		order[i] = i
 	}
 	sums := make([]float64, n)
-	for i, it := range ds.items {
-		var s float64
-		for _, v := range it.Attrs {
-			s += v
+	for i := range sums {
+		for _, v := range ds.Attrs(i) {
+			sums[i] += v
 		}
-		sums[i] = s
 	}
 	sort.SliceStable(order, func(a, b int) bool { return sums[order[a]] > sums[order[b]] })
 
@@ -34,7 +32,7 @@ func (ds *Dataset) Skyline() []int {
 	for _, i := range order {
 		dominated := false
 		for _, s := range skyIdx {
-			if Dominates(ds.items[s], ds.items[i]) {
+			if ds.DominatesIdx(s, i) {
 				dominated = true
 				break
 			}
@@ -49,8 +47,8 @@ func (ds *Dataset) Skyline() []int {
 
 // IsSkylineMember reports whether item i is dominated by no other item.
 func (ds *Dataset) IsSkylineMember(i int) bool {
-	for j := range ds.items {
-		if j != i && Dominates(ds.items[j], ds.items[i]) {
+	for j := range ds.ids {
+		if j != i && ds.DominatesIdx(j, i) {
 			return false
 		}
 	}

@@ -118,13 +118,10 @@ func ItemRankDistribution(ctx context.Context, ds *dataset.Dataset, sampler samp
 		return RankDistribution{}, fmt.Errorf("mc: need >= 1 sample, got %d", n)
 	}
 	dist := RankDistribution{Item: item, Counts: make(map[int]int), Best: ds.N() + 1}
-	// Copy the item attributes into one contiguous row-major matrix so the
-	// per-sample scoring walks sequential memory, and reuse one sample and
-	// one score buffer across draws: the loop body is allocation-free.
-	attrs := vecmat.New(ds.N(), ds.D())
-	for i := 0; i < ds.N(); i++ {
-		attrs.SetRow(i, ds.Attrs(i))
-	}
+	// Score against the dataset's own contiguous attribute matrix, reusing
+	// one sample and one score buffer across draws: the loop body is
+	// allocation-free.
+	attrs := ds.Matrix()
 	into, _ := sampler.(sampling.IntoSampler)
 	wbuf := make(geom.Vector, ds.D())
 	scores := make([]float64, ds.N())

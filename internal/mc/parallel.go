@@ -146,38 +146,6 @@ func BuildPoolMatrix(ctx context.Context, factory SamplerFactory, total, d, work
 	return pool, nil
 }
 
-// BuildPool is BuildPoolMatrix returning the pool as per-sample vectors:
-// the returned slice's elements are row views into one contiguous backing
-// array, so the layout (and allocation count) matches the matrix form while
-// the API stays slice-of-vectors. Contents are bit-identical to
-// BuildPoolMatrix for every worker count.
-func BuildPool(ctx context.Context, factory SamplerFactory, total, workers int) ([]geom.Vector, error) {
-	if factory == nil {
-		return nil, errors.New("mc: nil sampler factory")
-	}
-	if total < 0 {
-		return nil, fmt.Errorf("mc: negative total %d", total)
-	}
-	if total == 0 {
-		return make([]geom.Vector, 0), nil
-	}
-	// Probe one sampler for the dimension; chunk 0's sweep constructs its
-	// own fresh sampler, so the probe perturbs nothing.
-	probe, err := factory(0)
-	if err != nil {
-		return nil, err
-	}
-	m, err := BuildPoolMatrix(ctx, factory, total, probe.Dim(), workers)
-	if err != nil {
-		return nil, err
-	}
-	pool := make([]geom.Vector, total)
-	for i := range pool {
-		pool[i] = geom.Vector(m.Row(i))
-	}
-	return pool, nil
-}
-
 // Estimate is the merged outcome of a parallel sweep.
 type Estimate struct {
 	// Counts maps ranking keys to observation counts.

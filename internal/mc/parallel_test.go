@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"stablerank/internal/geom"
 	"stablerank/internal/sampling"
 	"stablerank/internal/twod"
+	"stablerank/internal/vecmat"
 )
 
 func TestParallelEstimateMatchesExact(t *testing.T) {
@@ -130,59 +132,51 @@ func TestParallelEstimateCancelled(t *testing.T) {
 func TestBuildPoolWorkerInvariance(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 3}, 42)
 	total := 2*PoolChunk + 777
-	var base []geom.Vector
+	var base vecmat.Matrix
 	for i, workers := range []int{1, 2, 8} {
-		pool, err := BuildPool(ctx, factory, total, workers)
+		pool, err := BuildPoolMatrix(ctx, factory, total, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pool) != total {
-			t.Fatalf("workers=%d: len = %d, want %d", workers, len(pool), total)
+		if pool.Rows() != total || pool.Stride() != 3 {
+			t.Fatalf("workers=%d: shape %dx%d, want %dx3", workers, pool.Rows(), pool.Stride(), total)
 		}
 		if i == 0 {
 			base = pool
 			continue
 		}
-		for j := range pool {
-			for c := range pool[j] {
-				if pool[j][c] != base[j][c] {
-					t.Fatalf("workers=%d: sample %d component %d differs: %v vs %v",
-						workers, j, c, pool[j][c], base[j][c])
-				}
-			}
-		}
+		assertMatrixEqual(t, fmt.Sprintf("workers=%d", workers), base, pool)
 	}
 }
 
-// TestBuildPoolMatrixMatchesBuildPool: the matrix pool and the
-// slice-of-vectors wrapper hold bit-identical samples (they share the
-// chunked seeding), and the matrix build is worker-invariant too — the
-// determinism contract survives the contiguous storage.
-func TestBuildPoolMatrixMatchesBuildPool(t *testing.T) {
+// TestBuildPoolMatrixMatchesChunkDraws: each chunk of the matrix pool holds
+// exactly the samples its chunk's sampler draws one by one through Sample,
+// whatever the worker count — the chunked seeding survives the contiguous
+// storage and the in-place SampleInto fast path.
+func TestBuildPoolMatrixMatchesChunkDraws(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 3}, 42)
 	total := PoolChunk + 123
-	pool, err := BuildPool(ctx, factory, total, 3)
-	if err != nil {
-		t.Fatal(err)
+	want := vecmat.New(total, 3)
+	for chunk := 0; chunk < Chunks(total); chunk++ {
+		s, err := factory(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := ChunkRange(chunk, total)
+		for i := lo; i < hi; i++ {
+			w, err := s.Sample()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.SetRow(i, w)
+		}
 	}
-	// Comparing every worker count's matrix against the one BuildPool
-	// result proves both matrix-vs-wrapper equality and worker invariance.
 	for _, workers := range []int{1, 4} {
 		m, err := BuildPoolMatrix(ctx, factory, total, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Rows() != total || m.Stride() != 3 {
-			t.Fatalf("matrix shape %dx%d", m.Rows(), m.Stride())
-		}
-		for i := 0; i < total; i++ {
-			row := m.Row(i)
-			for c := range row {
-				if row[c] != pool[i][c] {
-					t.Fatalf("workers=%d: row %d component %d: %v vs %v", workers, i, c, row[c], pool[i][c])
-				}
-			}
-		}
+		assertMatrixEqual(t, fmt.Sprintf("workers=%d", workers), want, m)
 	}
 	// Dimension mismatch between factory and pool is rejected.
 	if _, err := BuildPoolMatrix(ctx, factory, 10, 4, 1); err == nil {
@@ -210,24 +204,27 @@ func TestBuildPoolAllocationBudget(t *testing.T) {
 
 func TestBuildPoolValidationAndCancel(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 2}, 1)
-	if _, err := BuildPool(ctx, nil, 10, 1); err == nil {
+	if _, err := BuildPoolMatrix(ctx, nil, 10, 2, 1); err == nil {
 		t.Error("nil factory accepted")
 	}
-	if _, err := BuildPool(ctx, factory, -1, 1); err == nil {
+	if _, err := BuildPoolMatrix(ctx, factory, -1, 2, 1); err == nil {
 		t.Error("negative total accepted")
 	}
-	pool, err := BuildPool(ctx, factory, 0, 4)
-	if err != nil || len(pool) != 0 {
-		t.Errorf("zero total: len=%d err=%v", len(pool), err)
+	if _, err := BuildPoolMatrix(ctx, factory, 10, 0, 1); err == nil {
+		t.Error("dimension 0 accepted")
+	}
+	pool, err := BuildPoolMatrix(ctx, factory, 0, 2, 4)
+	if err != nil || pool.Rows() != 0 {
+		t.Errorf("zero total: rows=%d err=%v", pool.Rows(), err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildPool(cancelled, factory, 100000, 4); !errors.Is(err, context.Canceled) {
+	if _, err := BuildPoolMatrix(cancelled, factory, 100000, 2, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// A failing factory surfaces its error.
 	boom := errors.New("boom")
-	_, err = BuildPool(ctx, func(int) (sampling.Sampler, error) { return nil, boom }, 10, 2)
+	_, err = BuildPoolMatrix(ctx, func(int) (sampling.Sampler, error) { return nil, boom }, 10, 2, 2)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
 	}

@@ -81,33 +81,12 @@ type Engine struct {
 	lpCalls int
 }
 
-// NewEngine prepares GET-NEXTmd over the dataset within the region of
-// interest, with samples drawn (by the caller) uniformly from that region.
-// The samples are copied into the engine's contiguous matrix, so the input
-// slice is left untouched; callers already holding a matrix pool should use
-// NewEngineMatrix and skip the copy.
-func NewEngine(ds *dataset.Dataset, roi geom.Region, samples []geom.Vector, mode IntersectionMode) (*Engine, error) {
-	if ds.N() == 0 {
-		return nil, dataset.ErrEmptyDataset
-	}
-	if len(samples) == 0 {
-		return nil, ErrNoSamples
-	}
-	d := ds.D()
-	m := vecmat.New(len(samples), d)
-	for i, s := range samples {
-		if len(s) != d {
-			return nil, fmt.Errorf("md: sample dimension %d != dataset dimension %d", len(s), d)
-		}
-		m.SetRow(i, s)
-	}
-	return NewEngineMatrix(ds, roi, m, mode)
-}
-
-// NewEngineMatrix is NewEngine over a contiguous row-major sample matrix
-// (stride = the dataset dimension). The matrix is owned by the engine
-// afterwards and its rows are reordered in place by the Section 5.4
-// partition sweeps.
+// NewEngineMatrix prepares GET-NEXTmd over the dataset within the region of
+// interest, with samples drawn (by the caller) uniformly from that region
+// into a contiguous row-major matrix (stride = the dataset dimension). The
+// matrix is owned by the engine afterwards and its rows are reordered in
+// place by the Section 5.4 partition sweeps; callers sharing a pool pass a
+// Clone.
 func NewEngineMatrix(ds *dataset.Dataset, roi geom.Region, samples vecmat.Matrix, mode IntersectionMode) (*Engine, error) {
 	if ds.N() == 0 {
 		return nil, dataset.ErrEmptyDataset
@@ -300,9 +279,10 @@ func TopH(ctx context.Context, e *Engine, h int) ([]Result, error) {
 // construction avoids: it refines every region against every hyperplane
 // first and only then reports rankings in decreasing stability. maxRegions
 // caps the construction (the arrangement can have O(n^{2d}) cells); 0 means
-// no cap. Kept for the ablation benchmarks.
-func FullArrangement(ctx context.Context, ds *dataset.Dataset, roi geom.Region, samples []geom.Vector, maxRegions int) ([]Result, error) {
-	e, err := NewEngine(ds, roi, samples, SamplePartition)
+// no cap. Kept for the ablation benchmarks. Like NewEngineMatrix, it
+// reorders the sample matrix's rows in place.
+func FullArrangement(ctx context.Context, ds *dataset.Dataset, roi geom.Region, samples vecmat.Matrix, maxRegions int) ([]Result, error) {
+	e, err := NewEngineMatrix(ds, roi, samples, SamplePartition)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 	"stablerank/internal/vecmat"
 )
 
-// ErrInfeasibleRanking is returned by Verify when the ranking cannot be
+// ErrInfeasibleRanking is returned by VerifyMatrix when the ranking cannot be
 // generated by any scoring function (a lower-ranked item dominates a
 // higher-ranked one).
 var ErrInfeasibleRanking = errors.New("md: ranking is not achievable by any scoring function")
@@ -33,19 +33,15 @@ var ErrNoSamples = errors.New("md: empty sample set")
 
 // StabilityOracle estimates the stability of a region given as oriented
 // halfspaces (Algorithm 12): the fraction of the region-of-interest samples
-// satisfying every constraint. Cost O(|constraints| * |samples|); the sweep
-// runs over flat contiguous copies of both operands.
-func StabilityOracle(constraints []geom.Halfspace, samples []geom.Vector) float64 {
-	if len(samples) == 0 {
+// (the rows of pool) satisfying every constraint. Cost
+// O(|constraints| * |samples|); the sweep runs over a flat contiguous copy
+// of the constraints.
+func StabilityOracle(constraints []geom.Halfspace, pool vecmat.Matrix) float64 {
+	if pool.Rows() == 0 {
 		return 0
 	}
-	d := len(samples[0])
-	pool, err := matrixOfSamples(d, samples)
-	if err != nil {
-		panic(err) // mixed-dimension samples; the historical code panicked too
-	}
-	count, _ := countInside(context.Background(), orientedConstraints(constraints, d), pool) //srlint:ctxflow synchronous one-pass sweep over caller-provided samples; nothing to cancel
-	return float64(count) / float64(len(samples))
+	count, _ := countInside(context.Background(), orientedConstraints(constraints, pool.Stride()), pool) //srlint:ctxflow synchronous one-pass sweep over a caller-provided pool; nothing to cancel
+	return float64(count) / float64(pool.Rows())
 }
 
 // orientedConstraints flattens a halfspace set into one contiguous matrix
@@ -70,19 +66,7 @@ func orientedConstraints(cs []geom.Halfspace, d int) vecmat.Matrix {
 	return m
 }
 
-// matrixOfSamples copies samples into one contiguous row-major matrix.
-func matrixOfSamples(d int, samples []geom.Vector) (vecmat.Matrix, error) {
-	m := vecmat.New(len(samples), d)
-	for i, w := range samples {
-		if len(w) != d {
-			return vecmat.Matrix{}, fmt.Errorf("md: sample %d has dimension %d, want %d", i, len(w), d)
-		}
-		copy(m.Row(i), w)
-	}
-	return m, nil
-}
-
-// countInside is the oracle's counting loop, shared with Verify; it polls
+// countInside is the oracle's counting loop, shared with VerifyMatrix; it polls
 // ctx every 4096 rows so long sweeps stay cancellable.
 func countInside(ctx context.Context, constraints, pool vecmat.Matrix) (int, error) {
 	count := 0
@@ -109,30 +93,12 @@ type VerifyResult struct {
 	SampleCount int
 }
 
-// Verify computes the region of ranking r as ordering-exchange halfspaces
-// and estimates its stability against the provided region-of-interest
-// samples (SV, Algorithm 4). Runs in O(n + n|samples|); cancelling ctx
-// aborts the oracle sweep with the context's error. The samples are copied
-// into a contiguous matrix first; callers holding a resident pool should
-// use VerifyMatrix and skip the copy.
-func Verify(ctx context.Context, ds *dataset.Dataset, r rank.Ranking, samples []geom.Vector) (VerifyResult, error) {
-	if len(samples) == 0 {
-		if _, err := RankingRegion(ds, r); err != nil {
-			return VerifyResult{}, err
-		}
-		return VerifyResult{}, ErrNoSamples
-	}
-	pool, err := matrixOfSamples(ds.D(), samples)
-	if err != nil {
-		return VerifyResult{}, err
-	}
-	return VerifyMatrix(ctx, ds, r, pool)
-}
-
-// VerifyMatrix is Verify over a contiguous row-major sample matrix (stride
-// = the dataset dimension): the hot path used by the analyzer's resident
-// Monte-Carlo pool. The oracle sweep is a flat batched kernel with zero
-// allocations per sample.
+// VerifyMatrix computes the region of ranking r as ordering-exchange
+// halfspaces and estimates its stability against the region-of-interest
+// samples in a contiguous row-major matrix (stride = the dataset dimension):
+// SV, Algorithm 4, in O(n + n|samples|). The oracle sweep is a flat batched
+// kernel with zero allocations per sample; cancelling ctx aborts it with
+// the context's error.
 func VerifyMatrix(ctx context.Context, ds *dataset.Dataset, r rank.Ranking, pool vecmat.Matrix) (VerifyResult, error) {
 	cons, constraints, err := rankingRegionMatrix(ds, r)
 	if err != nil {

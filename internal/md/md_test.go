@@ -12,25 +12,24 @@ import (
 	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
 	"stablerank/internal/twod"
+	"stablerank/internal/vecmat"
 )
 
 // ctx is the default context threaded through the cancellable API in
 // tests that do not exercise cancellation.
 var ctx = context.Background()
 
-func drawSamples(t *testing.T, roi geom.Region, n int, seed int64) []geom.Vector {
+func drawSamples(t *testing.T, roi geom.Region, n int, seed int64) vecmat.Matrix {
 	t.Helper()
 	s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]geom.Vector, n)
-	for i := range out {
-		w, err := s.Sample()
-		if err != nil {
+	out := vecmat.New(n, roi.Dim())
+	for i := 0; i < n; i++ {
+		if err := sampling.Into(s, out.Row(i)); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = w
 	}
 	return out
 }
@@ -60,7 +59,7 @@ func TestStabilityOracle(t *testing.T) {
 		t.Errorf("no constraints = %v, want 1", got)
 	}
 	// No samples.
-	if got := StabilityOracle(cs, nil); got != 0 {
+	if got := StabilityOracle(cs, vecmat.Matrix{}); got != 0 {
 		t.Errorf("no samples = %v, want 0", got)
 	}
 	// Negative halfspace is the complement.
@@ -86,9 +85,9 @@ func TestVerifyAgainstExact2D(t *testing.T) {
 			continue // MC error dominates tiny regions
 		}
 		r := rank.Compute(ds, reg.Midpoint())
-		res, err := Verify(ctx, ds, r, samples)
+		res, err := VerifyMatrix(ctx, ds, r, samples)
 		if err != nil {
-			t.Fatalf("Verify: %v", err)
+			t.Fatalf("VerifyMatrix: %v", err)
 		}
 		if math.Abs(res.Stability-reg.Stability) > 0.015 {
 			t.Errorf("MC stability %v vs exact %v", res.Stability, reg.Stability)
@@ -107,7 +106,7 @@ func TestVerifyAgainstExact3D(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rank.Compute(ds, wv)
-		mc, err := Verify(ctx, ds, r, samples)
+		mc, err := VerifyMatrix(ctx, ds, r, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,23 +125,23 @@ func TestVerifyInfeasible(t *testing.T) {
 	ds.MustAdd("hi", 0.9, 0.9, 0.9)
 	ds.MustAdd("lo", 0.1, 0.1, 0.1)
 	samples := drawSamples(t, geom.FullSpace{D: 3}, 100, 106)
-	if _, err := Verify(ctx, ds, rank.Ranking{Order: []int{1, 0}}, samples); !errors.Is(err, ErrInfeasibleRanking) {
+	if _, err := VerifyMatrix(ctx, ds, rank.Ranking{Order: []int{1, 0}}, samples); !errors.Is(err, ErrInfeasibleRanking) {
 		t.Errorf("dominance-violating ranking error = %v", err)
 	}
-	if _, err := Verify(ctx, ds, rank.Ranking{Order: []int{0}}, samples); err == nil {
+	if _, err := VerifyMatrix(ctx, ds, rank.Ranking{Order: []int{0}}, samples); err == nil {
 		t.Error("short ranking accepted")
 	}
-	if _, err := Verify(ctx, ds, rank.Ranking{Order: []int{0, 1}}, nil); !errors.Is(err, ErrNoSamples) {
+	if _, err := VerifyMatrix(ctx, ds, rank.Ranking{Order: []int{0, 1}}, vecmat.Matrix{}); !errors.Is(err, ErrNoSamples) {
 		t.Error("empty samples accepted")
 	}
 	// Tied items.
 	tied := dataset.MustNew(3)
 	tied.MustAdd("a", 0.5, 0.5, 0.5)
 	tied.MustAdd("b", 0.5, 0.5, 0.5)
-	if _, err := Verify(ctx, tied, rank.Ranking{Order: []int{1, 0}}, samples); !errors.Is(err, ErrInfeasibleRanking) {
+	if _, err := VerifyMatrix(ctx, tied, rank.Ranking{Order: []int{1, 0}}, samples); !errors.Is(err, ErrInfeasibleRanking) {
 		t.Errorf("tie-inconsistent ranking error = %v", err)
 	}
-	res, err := Verify(ctx, tied, rank.Ranking{Order: []int{0, 1}}, samples)
+	res, err := VerifyMatrix(ctx, tied, rank.Ranking{Order: []int{0, 1}}, samples)
 	if err != nil || res.Stability != 1 {
 		t.Errorf("tie-consistent ranking: %+v, %v", res, err)
 	}
@@ -187,7 +186,7 @@ func TestEngineMatchesExact2D(t *testing.T) {
 		exactByKey[r.Ranking.Key()] = r.Stability
 	}
 	samples := drawSamples(t, geom.FullSpace{D: 2}, 50000, 108)
-	e, err := NewEngine(ds, geom.FullSpace{D: 2}, samples, SamplePartition)
+	e, err := NewEngineMatrix(ds, geom.FullSpace{D: 2}, samples, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +231,12 @@ func TestEngineLPMatchesSamplePartition(t *testing.T) {
 	ds := randDataset(rr, 8, 3)
 	roi := geom.FullSpace{D: 3}
 	s1 := drawSamples(t, roi, 20000, 110)
-	s2 := make([]geom.Vector, len(s1))
-	for i, s := range s1 {
-		s2[i] = s.Clone()
-	}
-	e1, err := NewEngine(ds, roi, s1, SamplePartition)
+	s2 := s1.Clone()
+	e1, err := NewEngineMatrix(ds, roi, s1, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := NewEngine(ds, roi, s2, LPExact)
+	e2, err := NewEngineMatrix(ds, roi, s2, LPExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func TestEngineTopRankingIsMostStable(t *testing.T) {
 	ds := randDataset(rr, 7, 3)
 	roi := geom.FullSpace{D: 3}
 	samples := drawSamples(t, roi, 30000, 112)
-	e, err := NewEngine(ds, roi, samples, SamplePartition)
+	e, err := NewEngineMatrix(ds, roi, samples, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +305,7 @@ func TestEngineConeROI(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := drawSamples(t, cone, 10000, 114)
-	e, err := NewEngine(ds, cone, samples, SamplePartition)
+	e, err := NewEngineMatrix(ds, cone, samples, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,17 +336,17 @@ func TestEngineConeROI(t *testing.T) {
 func TestEngineValidation(t *testing.T) {
 	ds := dataset.Figure1()
 	samples := drawSamples(t, geom.FullSpace{D: 2}, 100, 115)
-	if _, err := NewEngine(dataset.MustNew(2), geom.FullSpace{D: 2}, samples, SamplePartition); !errors.Is(err, dataset.ErrEmptyDataset) {
+	if _, err := NewEngineMatrix(dataset.MustNew(2), geom.FullSpace{D: 2}, samples, SamplePartition); !errors.Is(err, dataset.ErrEmptyDataset) {
 		t.Errorf("empty dataset error = %v", err)
 	}
-	if _, err := NewEngine(ds, geom.FullSpace{D: 2}, nil, SamplePartition); !errors.Is(err, ErrNoSamples) {
+	if _, err := NewEngineMatrix(ds, geom.FullSpace{D: 2}, vecmat.Matrix{}, SamplePartition); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("no samples error = %v", err)
 	}
-	if _, err := NewEngine(ds, geom.FullSpace{D: 3}, samples, SamplePartition); err == nil {
+	if _, err := NewEngineMatrix(ds, geom.FullSpace{D: 3}, samples, SamplePartition); err == nil {
 		t.Error("ROI dimension mismatch accepted")
 	}
-	bad := []geom.Vector{{1, 2, 3}}
-	if _, err := NewEngine(ds, geom.FullSpace{D: 2}, bad, SamplePartition); err == nil {
+	bad := vecmat.New(1, 3)
+	if _, err := NewEngineMatrix(ds, geom.FullSpace{D: 2}, bad, SamplePartition); err == nil {
 		t.Error("sample dimension mismatch accepted")
 	}
 }
@@ -358,7 +354,7 @@ func TestEngineValidation(t *testing.T) {
 func TestEngineExhaustion(t *testing.T) {
 	ds := dataset.Figure1()
 	samples := drawSamples(t, geom.FullSpace{D: 2}, 30000, 116)
-	e, err := NewEngine(ds, geom.FullSpace{D: 2}, samples, SamplePartition)
+	e, err := NewEngineMatrix(ds, geom.FullSpace{D: 2}, samples, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +383,12 @@ func TestFullArrangementMatchesEngine(t *testing.T) {
 	ds := randDataset(rr, 6, 3)
 	roi := geom.FullSpace{D: 3}
 	s1 := drawSamples(t, roi, 20000, 118)
-	s2 := make([]geom.Vector, len(s1))
-	for i, s := range s1 {
-		s2[i] = s.Clone()
-	}
+	s2 := s1.Clone()
 	all, err := FullArrangement(ctx, ds, roi, s1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(ds, roi, s2, SamplePartition)
+	e, err := NewEngineMatrix(ds, roi, s2, SamplePartition)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
+	"stablerank/internal/vecmat"
 )
 
 // pollCancel is a context whose Err reports cancellation on exactly its
@@ -31,13 +32,9 @@ func (c *pollCancel) Err() error {
 // enumerateResumed returns the first depth results of a fresh engine over
 // a copy of samples, resuming after every cancellation ctx reports, and
 // how many times it was cancelled.
-func enumerateResumed(t *testing.T, ds *dataset.Dataset, samples []geom.Vector, mode IntersectionMode, ctx context.Context, depth int) ([]Result, int) {
+func enumerateResumed(t *testing.T, ds *dataset.Dataset, samples vecmat.Matrix, mode IntersectionMode, ctx context.Context, depth int) ([]Result, int) {
 	t.Helper()
-	own := make([]geom.Vector, len(samples))
-	for i, s := range samples {
-		own[i] = s.Clone()
-	}
-	e, err := NewEngine(ds, geom.FullSpace{D: ds.D()}, own, mode)
+	e, err := NewEngineMatrix(ds, geom.FullSpace{D: ds.D()}, samples.Clone(), mode)
 	if err != nil {
 		t.Fatal(err)
 	}

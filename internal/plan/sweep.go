@@ -97,13 +97,7 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		consMats[si] = live[li].cons
 	}
 	grouped, starts := vecmat.ConcatGroups(env.DS.D(), consMats)
-	var attrs vecmat.Matrix
-	if len(items) > 0 {
-		attrs = vecmat.New(env.DS.N(), env.DS.D())
-		for i := 0; i < env.DS.N(); i++ {
-			attrs.SetRow(i, env.DS.Attrs(i))
-		}
-	}
+	attrs := env.DS.Matrix()
 	itemRows := prefixRows(items) // rows past it score nothing
 	scanRows := itemRows
 	if len(scanned) > 0 {

@@ -35,15 +35,13 @@ func Compute(ds *dataset.Dataset, w geom.Vector) Ranking {
 	return NewComputer(ds).Compute(w).Clone()
 }
 
-// Computer ranks one dataset repeatedly without allocating: the item
-// attributes live in a contiguous row-major matrix (one dot-product sweep
-// scores every item), and the sort is an argsort over precomputed order
-// keys in reused buffers. The Monte-Carlo operators rank the same dataset
-// tens of thousands of times, so Compute performs zero allocations per
-// call.
+// Computer ranks one dataset repeatedly without allocating: one
+// dot-product sweep over the dataset's attribute matrix scores every item,
+// and the sort is an argsort over precomputed order keys in reused buffers.
+// The Monte-Carlo operators rank the same dataset tens of thousands of
+// times, so Compute performs zero allocations per call.
 type Computer struct {
-	ds     *dataset.Dataset
-	attrs  vecmat.Matrix // n x d contiguous copy of the item attributes
+	attrs  vecmat.Matrix // the dataset's own n x d attribute table
 	order  []int
 	scores []float64
 	keys   []scoredIdx
@@ -56,16 +54,23 @@ type scoredIdx struct {
 	idx int32
 }
 
+// cmpScored is the one total order over argsort elements: ascending key
+// (descending score) with the item index as tie-break.
+func cmpScored(a, b scoredIdx) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return int(a.idx) - int(b.idx)
+}
+
 // NewComputer returns a reusable ranking computer over ds.
 func NewComputer(ds *dataset.Dataset) *Computer {
 	n := ds.N()
-	attrs := vecmat.New(n, ds.D())
-	for i := 0; i < n; i++ {
-		attrs.SetRow(i, ds.Attrs(i))
-	}
 	return &Computer{
-		ds:     ds,
-		attrs:  attrs,
+		attrs:  ds.Matrix(),
 		order:  make([]int, n),
 		scores: make([]float64, n),
 		keys:   make([]scoredIdx, n),

@@ -17,7 +17,7 @@ import (
 // The returned slice is owned by the computer and overwritten on the next
 // call.
 func (c *Computer) TopKSelect(w geom.Vector, k int) []int {
-	n := c.ds.N()
+	n := len(c.order)
 	if k >= n {
 		return c.Compute(w).Order
 	}

@@ -1,13 +1,17 @@
 package store
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"stablerank/internal/datagen"
 	"stablerank/internal/dataset"
 	"stablerank/internal/vecmat"
 )
@@ -255,6 +259,28 @@ func TestCatalogRoundTrip(t *testing.T) {
 	} {
 		if _, _, err := DecodeDataset(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeDataset = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestEncodeDatasetPinned pins the catalog record bytes: a persisted
+// catalog must decode to the same dataset, and so the same snapshot keys,
+// whatever the in-memory dataset layout.
+func TestEncodeDatasetPinned(t *testing.T) {
+	for name, c := range map[string]struct {
+		gen  uint64
+		ds   *dataset.Dataset
+		want string
+	}{
+		"Figure1":     {3, dataset.Figure1(), "21d3faedeb02fff238c5aee635f26c75e4e410cb4abb9c5289bfd0abf99c6a6d"},
+		"FIFA(1,300)": {7, datagen.FIFA(rand.New(rand.NewSource(1)), 300), "c4ff04e73c8a82fff2e116677d289e7b3bd99ead9685cdc59189fa13f86582a5"},
+	} {
+		rec, err := EncodeDataset(c.gen, c.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(rec)); got != c.want {
+			t.Errorf("%s: EncodeDataset sha256 %s, want %s", name, got, c.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"stablerank/internal/md"
 	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
+	"stablerank/internal/vecmat"
 )
 
 // Cross-engine agreement properties: on random small 2D datasets the exact
@@ -28,19 +29,17 @@ func mcBound(p float64, n int) float64 {
 }
 
 // drawPool2D samples the full 2D function space n times.
-func drawPool2D(t *testing.T, seed int64, n int) []geom.Vector {
+func drawPool2D(t *testing.T, seed int64, n int) vecmat.Matrix {
 	t.Helper()
 	s, err := sampling.NewUniform(2, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := make([]geom.Vector, n)
-	for i := range pool {
-		w, err := s.Sample()
-		if err != nil {
+	pool := vecmat.New(n, 2)
+	for i := 0; i < n; i++ {
+		if err := s.SampleInto(pool.Row(i)); err != nil {
 			t.Fatal(err)
 		}
-		pool[i] = w
 	}
 	return pool
 }
@@ -69,9 +68,7 @@ func TestCrossEngineTopRankingAgreement(t *testing.T) {
 		pool := drawPool2D(t, int64(9000+trial), n)
 
 		// Engine 2: the MD delayed-arrangement engine over the same space.
-		poolCopy := make([]geom.Vector, len(pool))
-		copy(poolCopy, pool)
-		eng, err := md.NewEngine(ds, geom.FullSpace{D: 2}, poolCopy, md.SamplePartition)
+		eng, err := md.NewEngineMatrix(ds, geom.FullSpace{D: 2}, pool.Clone(), md.SamplePartition)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +91,7 @@ func TestCrossEngineTopRankingAgreement(t *testing.T) {
 
 		// Engine 2b: the MD sampled verification oracle on the exact top
 		// ranking agrees with the exact stability.
-		sv, err := md.Verify(ctx, ds, top.Ranking, pool)
+		sv, err := md.VerifyMatrix(ctx, ds, top.Ranking, pool)
 		if err != nil {
 			t.Fatalf("trial %d: md verify: %v", trial, err)
 		}
@@ -151,7 +148,7 @@ func TestCrossEngineFullDistributionAgreement(t *testing.T) {
 		}
 
 		pool := drawPool2D(t, int64(9100+trial), n)
-		eng, err := md.NewEngine(ds, geom.FullSpace{D: 2}, pool, md.SamplePartition)
+		eng, err := md.NewEngineMatrix(ds, geom.FullSpace{D: 2}, pool, md.SamplePartition)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ type analyzerKey struct {
 	gen     int64
 	// ver is the dataset's delta version within the generation. A PATCH bumps
 	// it, and resident analyzers are migrated to the new key via ApplyDelta
-	// (splicing their state) instead of being rebuilt.
+	// (sharing their sample pools) instead of being rebuilt.
 	ver     int64
 	region  string
 	seed    int64
@@ -252,23 +252,22 @@ func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, spec regionS
 }
 
 // applyDeltas migrates resident analyzers of the named dataset from the
-// exact pre-PATCH (oldGen, oldVer) key to the new (gen, ver) key by splicing
-// the deltas into their derived state — ApplyDelta shares the built
-// Monte-Carlo pool, so the migrated analyzers answer queries against the
-// mutated dataset without drawing a sample. Every other name-matching entry
-// is dropped, not spliced: an analyzer left over from an older generation
-// (or inserted by a racing build against a different version) holds state
-// derived from different dataset content, and splicing the deltas into it
-// would rekey stale results under the current key. In-flight or failed
-// builds are likewise dropped (the next request rebuilds under the new key,
-// exactly as before deltas existed). Returns how many analyzers were
-// migrated and dropped, the total splice/re-sort work, and the drift
-// analyzer: the full-space migrated analyzer with a built pool whose key
-// sorts first (deterministic regardless of map iteration order), or nil when
-// none qualifies — region-restricted analyzers sample a different weight
-// space, so pricing drift on one would publish numbers that depend on which
+// exact pre-PATCH (oldGen, oldVer) key to the new (gen, ver) key by applying
+// the deltas to each — ApplyDelta shares the built Monte-Carlo pool, so the
+// migrated analyzers answer queries against the mutated dataset without
+// drawing a sample. Every other name-matching entry is dropped, not
+// migrated: an analyzer left over from an older generation (or inserted by a
+// racing build against a different version) holds a different dataset, and
+// applying the deltas to it would rekey stale results under the current
+// key. In-flight or failed builds are likewise dropped (the next request
+// rebuilds under the new key, exactly as before deltas existed). Returns how
+// many analyzers were migrated and dropped, and the drift analyzer: the
+// full-space migrated analyzer with a built pool whose key sorts first
+// (deterministic regardless of map iteration order), or nil when none
+// qualifies — region-restricted analyzers sample a different weight space,
+// so pricing drift on one would publish numbers that depend on which
 // analyzers happen to be resident.
-func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, deltas []stablerank.Delta) (migrated, dropped int, spliced, resorted int64, driftA *stablerank.Analyzer) {
+func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, deltas []stablerank.Delta) (migrated, dropped int, driftA *stablerank.Analyzer) {
 	p.mu.Lock()
 	matches := make([]*poolItem, 0, 4)
 	for key, el := range p.entries {
@@ -278,8 +277,8 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 		matches = append(matches, el.Value.(*poolItem))
 	}
 	p.mu.Unlock()
-	// Migrate in sorted-key order so splice/resort counters and eviction
-	// order don't depend on map iteration order.
+	// Migrate in sorted-key order so eviction order doesn't depend on map
+	// iteration order.
 	sort.Slice(matches, func(i, j int) bool { return matches[i].key.String() < matches[j].key.String() })
 
 	var driftKey string
@@ -287,12 +286,9 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 		var na *stablerank.Analyzer
 		if item.key.gen == oldGen && item.key.ver == oldVer &&
 			item.e.done() && item.e.err == nil && item.e.a != nil {
-			beforeSp, beforeRs := item.e.a.DeltaSplices(), item.e.a.DeltaResorts()
-			a, err := item.e.a.ApplyDelta(context.Background(), deltas...) //srlint:ctxflow splice must complete atomically for every resident analyzer, not just the patching request's
+			a, err := item.e.a.ApplyDelta(context.Background(), deltas...) //srlint:ctxflow migration must complete atomically for every resident analyzer, not just the patching request's
 			if err == nil {
 				na = a
-				spliced += na.DeltaSplices() - beforeSp
-				resorted += na.DeltaResorts() - beforeRs
 			}
 		}
 		nkey := item.key
@@ -321,7 +317,7 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 			dropped++
 		}
 	}
-	return migrated, dropped, spliced, resorted, driftA
+	return migrated, dropped, driftA
 }
 
 // analyzerStat is one resident analyzer's /statsz row. PoolBytes is the full

@@ -14,7 +14,8 @@ import (
 )
 
 // PATCH /v1/datasets/{name}: mutate a registered dataset in place with a JSON
-// delta list, splicing every piece of derived state instead of rebuilding it.
+// delta list, carrying resident analyzers' sample pools over instead of
+// rebuilding them.
 //
 //	{"deltas": [
 //	  {"op": "update", "id": "x12", "attrs": [0.3, 0.7]},
@@ -25,10 +26,10 @@ import (
 // The batch is atomic: one invalid op (unknown or duplicate ID, wrong
 // dimension, non-finite attribute) rejects the whole request and nothing
 // changes. On success the dataset's version is bumped, resident analyzers
-// migrate by splicing (their Monte-Carlo pools carry over verbatim — pool
-// samples are weight-space points, independent of dataset content), the
-// response cache drops only this dataset's entries, and the drift of each
-// delta is published to GET /v1/{dataset}/drift subscribers.
+// migrate to the mutated dataset (their Monte-Carlo pools carry over
+// verbatim — pool samples are weight-space points, independent of dataset
+// content), the response cache drops only this dataset's entries, and the
+// drift of each delta is published to GET /v1/{dataset}/drift subscribers.
 
 // maxDeltaOps bounds one PATCH's delta list; batches beyond it are rejected
 // before any dataset work happens.
@@ -104,7 +105,8 @@ func decodeDeltas(data []byte, d, maxOps int) ([]stablerank.Delta, error) {
 }
 
 // deltaResponse is the PATCH response: the dataset's new identity plus an
-// accounting of exactly how much derived state the deltas touched.
+// accounting of the resident analyzers and cached responses the deltas
+// moved or invalidated.
 type deltaResponse struct {
 	Dataset           string `json:"dataset"`
 	N                 int    `json:"n"`
@@ -112,8 +114,6 @@ type deltaResponse struct {
 	Generation        int64  `json:"generation"`
 	Version           int64  `json:"version"`
 	Applied           int    `json:"applied"`
-	Spliced           int64  `json:"spliced"`
-	Resorted          int64  `json:"resorted"`
 	AnalyzersMigrated int    `json:"analyzers_migrated"`
 	AnalyzersDropped  int    `json:"analyzers_dropped"`
 	CacheInvalidated  int    `json:"cache_invalidated"`
@@ -163,10 +163,10 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyDeltas moves the whole server to the post-delta dataset as one unit:
-// registry version bump, resident-analyzer splice migration, per-dataset
-// cache invalidation, and counters. deltaMu serializes concurrent PATCHes so
-// two batches can never interleave their migrations; the pre-PATCH (gen, ver)
-// read under the lock is what gates which resident analyzers may be spliced
+// registry version bump, resident-analyzer migration, per-dataset cache
+// invalidation, and counters. deltaMu serializes concurrent PATCHes so two
+// batches can never interleave their migrations; the pre-PATCH (gen, ver)
+// read under the lock is what gates which resident analyzers may be migrated
 // forward. Drift is priced after the lock is released — LastDrift sweeps the
 // analyzer's whole pool, and holding deltaMu for that would block every
 // PATCH to every dataset for the duration.
@@ -182,12 +182,10 @@ func (s *Server) applyDeltas(name string, deltas []stablerank.Delta) (deltaRespo
 		s.deltaMu.Unlock()
 		return deltaResponse{}, errBadRequest("applying deltas: %v", err)
 	}
-	migrated, dropped, spliced, resorted, driftA := s.analyzers.applyDeltas(name, oldGen, oldVer, gen, ver, deltas)
+	migrated, dropped, driftA := s.analyzers.applyDeltas(name, oldGen, oldVer, gen, ver, deltas)
 	removed, survived := s.cache.invalidateDataset(name)
 
 	s.deltasApplied.Add(int64(len(deltas)))
-	s.deltaSpliced.Add(spliced)
-	s.deltaResorted.Add(resorted)
 	s.deltaMigrated.Add(int64(migrated))
 	s.deltaDropped.Add(int64(dropped))
 	s.cacheInvalidated.Add(int64(removed))
@@ -204,8 +202,6 @@ func (s *Server) applyDeltas(name string, deltas []stablerank.Delta) (deltaRespo
 		Generation:        gen,
 		Version:           ver,
 		Applied:           len(deltas),
-		Spliced:           spliced,
-		Resorted:          resorted,
 		AnalyzersMigrated: migrated,
 		AnalyzersDropped:  dropped,
 		CacheInvalidated:  removed,
@@ -265,8 +261,6 @@ func (s *Server) publishDrift(name string, gen, ver int64, oldDS *stablerank.Dat
 func (s *Server) deltaStats() map[string]any {
 	return map[string]any{
 		"applied":            s.deltasApplied.Load(),
-		"spliced":            s.deltaSpliced.Load(),
-		"resorted":           s.deltaResorted.Load(),
 		"cache_invalidated":  s.cacheInvalidated.Load(),
 		"cache_survivals":    s.cacheSurvivals.Load(),
 		"analyzers_migrated": s.deltaMigrated.Load(),

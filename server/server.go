@@ -47,12 +47,12 @@
 // Datasets are mutable in place: PATCH /v1/datasets/{name} applies a JSON
 // delta list ({"deltas":[{"op":"update","id":"x","attrs":[...]}, ...]})
 // without invalidating derived state wholesale. Pool samples are weight-space
-// points — independent of dataset content — so resident analyzers migrate by
-// splicing the changed items into their maintained ranking state and keep
-// their sample pools; pool snapshots survive deltas entirely; and the
-// response cache is invalidated per dataset, not globally. Each PATCH's
-// stability drift (score and rank displacement of the touched items across
-// the pool) is published to GET /v1/{dataset}/drift subscribers as NDJSON.
+// points — independent of dataset content — so resident analyzers migrate to
+// the mutated dataset and keep their sample pools; pool snapshots survive
+// deltas entirely; and the response cache is invalidated per dataset, not
+// globally. Each PATCH's stability drift (score and rank displacement of the
+// touched items across the pool) is published to GET /v1/{dataset}/drift
+// subscribers as NDJSON.
 //
 // With Config.DataDir set the server is durable: registered datasets, built
 // Monte-Carlo sample pools (as checksummed snapshots keyed by dimension,
@@ -291,8 +291,6 @@ type Server struct {
 	deltaMu          sync.Mutex
 	drift            *driftHub
 	deltasApplied    atomic.Int64
-	deltaSpliced     atomic.Int64
-	deltaResorted    atomic.Int64
 	deltaMigrated    atomic.Int64
 	deltaDropped     atomic.Int64
 	cacheInvalidated atomic.Int64
