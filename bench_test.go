@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (Figures 7-21) at
-// testing.B scale, one benchmark (or family) per figure, plus the ablations
-// DESIGN.md calls out. cmd/benchfig runs the same experiments at full size
+// testing.B scale, one benchmark (or family) per figure, plus cmd/benchfig's
+// three design ablations. cmd/benchfig runs the same experiments at full size
 // with narrative output; these benches keep per-iteration cost low enough
 // for `go test -bench=. -benchmem`.
 package stablerank_test

@@ -91,7 +91,9 @@ func samplers(r run) {
 	report("Riemann-table inverse CDF, d=5", capPIT(5))
 }
 
-// ablation prints the three design ablations DESIGN.md calls out.
+// ablation prints the three design ablations: sample-partition vs exact-LP
+// passThrough, acceptance-rejection vs cap sampling, and delayed vs full
+// arrangement construction.
 func ablation(r run) {
 	ablationPassThrough(r)
 	ablationSamplingMethod(r)

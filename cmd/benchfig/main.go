@@ -1,9 +1,8 @@
 // Command benchfig regenerates every figure of the paper's evaluation
 // (Section 6, Figures 7-21) as aligned text tables, plus the sampler
-// illustrations (Figures 3, 4, 6) and the ablation studies called out in
-// DESIGN.md. Each subcommand prints the same series the corresponding
-// figure plots; EXPERIMENTS.md records a captured run against the paper's
-// reported shapes.
+// illustrations (Figures 3, 4, 6) and three design ablations (see
+// ablation). Each subcommand prints the same series the corresponding
+// figure plots.
 //
 // usage:
 //

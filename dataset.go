@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"strings"
 
-	"stablerank/internal/core"
 	"stablerank/internal/dataset"
+	"stablerank/internal/geom"
 	"stablerank/internal/rank"
 )
 
@@ -44,7 +44,7 @@ type Ranking = rank.Ranking
 // RankingOf returns the ranking the weight vector induces on ds, the
 // nabla_f(D) operator.
 func RankingOf(ds *Dataset, weights []float64) Ranking {
-	return core.RankingOf(ds, weights)
+	return rank.Compute(ds, geom.NewVector(weights...))
 }
 
 // ParseWeights parses a comma-separated weight vector of dimension d — the

@@ -2,9 +2,13 @@ package stablerank
 
 import (
 	"context"
+	"slices"
+	"sync"
+	"sync/atomic"
 
-	"stablerank/internal/core"
 	"stablerank/internal/dataset"
+	"stablerank/internal/mc"
+	"stablerank/internal/vecmat"
 )
 
 // Delta is one first-class dataset mutation, resolved by item ID. Datasets
@@ -28,7 +32,20 @@ const (
 
 // Drift reports how one applied delta shifted stability mass; see
 // Analyzer.LastDrift.
-type Drift = core.Drift
+type Drift struct {
+	ID string
+	Op DeltaOp
+	// PoolRows is the number of pool samples the score pass covered.
+	PoolRows int
+	// MeanScoreDelta / MaxAbsScoreDelta summarize after-before score changes
+	// of the touched item across the pool (a missing side scores 0: the
+	// before side of an ItemAdd, the after side of an ItemRemove).
+	MeanScoreDelta   float64
+	MaxAbsScoreDelta float64
+	// Shift is the rank displacement over the sampled pool rows; an item
+	// absent from one endpoint dataset ranks n+1 there.
+	Shift mc.Shift
+}
 
 // ApplyDeltas returns a new dataset with the deltas applied in order; ds is
 // unchanged. The result is identical — item order included — to a dataset
@@ -36,45 +53,6 @@ type Drift = core.Drift
 // duplicate ID, wrong dimension, non-finite attribute) fails the whole batch.
 func ApplyDeltas(ds *Dataset, deltas ...Delta) (*Dataset, error) {
 	return dataset.ApplyDeltas(ds, deltas...)
-}
-
-// ApplyDelta returns a new Analyzer over the mutated dataset without
-// rebuilding anything expensive: the Monte-Carlo sample pool carries over
-// verbatim (pool samples are weight-space points, independent of dataset
-// content). Every query result from the returned analyzer is bit-identical
-// to a from-scratch analyzer over the same dataset and configuration. The
-// receiver stays valid; both may be used concurrently. With no deltas the
-// receiver itself is returned.
-func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, error) {
-	na, err := a.core.ApplyDelta(orBackground(ctx), deltas...)
-	if err != nil {
-		return nil, err
-	}
-	if na == a.core {
-		return a, nil
-	}
-	return &Analyzer{core: na}, nil
-}
-
-// Warm draws (or restores) the Monte-Carlo sample pool now instead of on
-// first query.
-func (a *Analyzer) Warm(ctx context.Context) error {
-	return a.core.Warm(orBackground(ctx))
-}
-
-// DeltasApplied returns how many deltas produced this analyzer, accumulated
-// along the ApplyDelta chain.
-func (a *Analyzer) DeltasApplied() int64 { return a.core.DeltasApplied() }
-
-// LastDrift reports the stability drift of the ApplyDelta call that produced
-// this analyzer: per touched item, the score displacement across the whole
-// pool and the rank displacement across the first rankRows pool samples
-// (rankRows <= 0 means all). Ranks compare the two endpoint datasets, so an
-// item added and removed within the batch has no rank shift: its Shift is
-// {Rows: rows} with every other field zero. Nil when the analyzer was not
-// produced by ApplyDelta.
-func (a *Analyzer) LastDrift(ctx context.Context, rankRows int) ([]Drift, error) {
-	return a.core.LastDrift(orBackground(ctx), rankRows)
 }
 
 // DriftOf measures the stability drift the deltas would cause on ds using a
@@ -95,4 +73,388 @@ func DriftOf(ctx context.Context, ds *Dataset, deltas []Delta, seed int64, sampl
 		return nil, err
 	}
 	return na.LastDrift(ctx, rankRows)
+}
+
+// scoreStat is one delta's pool-wide score displacement.
+type scoreStat struct {
+	mean   float64
+	maxAbs float64
+	rows   int
+}
+
+// deltaRecord retains what LastDrift needs about the most recent ApplyDelta:
+// the resolution trace, the dataset it was applied to, and the lazily
+// computed score pass over the pool.
+type deltaRecord struct {
+	trace []dataset.Applied
+	oldDS *dataset.Dataset
+
+	passMu   sync.Mutex
+	passDone bool
+	passErr  error
+	stats    []scoreStat
+}
+
+// DeltasApplied returns how many deltas produced this analyzer, accumulated
+// along the ApplyDelta chain.
+func (a *Analyzer) DeltasApplied() int64 { return a.deltasApplied.Load() }
+
+// Warm draws (or restores) the Monte-Carlo sample pool now instead of on
+// first query.
+func (a *Analyzer) Warm(ctx context.Context) error {
+	_, err := a.samplePool(orBackground(ctx))
+	return err
+}
+
+// ApplyDelta returns a new Analyzer over the mutated dataset without
+// rebuilding anything expensive: the Monte-Carlo sample pool carries over
+// verbatim (pool samples are weight-space points, independent of dataset
+// content). Every query result from the returned analyzer is bit-identical
+// to a from-scratch analyzer over the same dataset and configuration. The
+// receiver stays valid; both may be used concurrently. With no deltas the
+// receiver itself is returned.
+func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, error) {
+	if len(deltas) == 0 {
+		return a, nil
+	}
+	if err := orBackground(ctx).Err(); err != nil {
+		return nil, err
+	}
+	nds, trace, err := dataset.ApplyDeltasTrace(a.ds, deltas...)
+	if err != nil {
+		return nil, err
+	}
+	if nds.N() == 0 {
+		return nil, dataset.ErrEmptyDataset
+	}
+
+	n := &Analyzer{
+		ds:          nds,
+		roi:         a.roi,
+		seed:        a.seed,
+		sampleCount: a.sampleCount,
+		alpha:       a.alpha,
+		workers:     a.workers,
+		adaptiveErr: a.adaptiveErr,
+		poolCache:   a.poolCache,
+		poolFiller:  a.poolFiller,
+		last:        &deltaRecord{trace: trace, oldDS: a.ds},
+	}
+	carry(&n.poolBuilds, &a.poolBuilds)
+	carry(&n.poolBuildNanos, &a.poolBuildNanos)
+	carry(&n.poolRestores, &a.poolRestores)
+	carry(&n.sweeps, &a.sweeps)
+	carry(&n.adaptiveStops, &a.adaptiveStops)
+	carry(&n.adaptiveRowsSaved, &a.adaptiveRowsSaved)
+	n.deltasApplied.Store(a.deltasApplied.Load() + int64(len(trace)))
+
+	if st := a.pool.Load(); st != nil && st.built.Load() {
+		// Share the built pool verbatim: a built poolState cell holds only
+		// immutable or atomic state, so both analyzers sweep the same
+		// backing matrix and share its index and pass count. The blocked
+		// row-pass pricing the delta against every sample is deferred to
+		// LastDrift, so callers that never read drift pay only for the
+		// dataset copy.
+		n.pool.Store(st)
+	} else {
+		n.pool.Store(&poolState{})
+	}
+	return n, nil
+}
+
+// carry copies a counter from src to dst.
+func carry(dst, src *atomic.Int64) { dst.Store(src.Load()) }
+
+// pass runs the per-delta score pass over the pool at most once: one
+// EvalRowsBlocked sweep evaluating every touched item's before/after
+// attribute vectors against every pool sample, sharded by shardRows.
+// A completed pass (success or deterministic failure) is latched and shared
+// by every later call; a pass aborted by the caller's context is NOT — the
+// cancellation is returned to that caller only, and the next call with a
+// live context retries the sweep.
+func (rec *deltaRecord) pass(ctx context.Context, pool vecmat.Matrix, workers int) ([]scoreStat, error) {
+	rec.passMu.Lock()
+	defer rec.passMu.Unlock()
+	if rec.passDone {
+		return rec.stats, rec.passErr
+	}
+	stats, err := rec.scorePass(ctx, pool, workers)
+	if err != nil && ctx.Err() != nil {
+		return nil, err
+	}
+	rec.stats, rec.passErr = stats, err
+	rec.passDone = true
+	return stats, err
+}
+
+const (
+	// deltaChunkRows is the score pass's chunk: its per-chunk float sums are
+	// reduced in chunk order, so the chunk size fixes MeanScoreDelta's
+	// summation order.
+	deltaChunkRows = 4096
+	// rankChunkRows is the rank pass's chunk. A rank row scores both
+	// endpoint datasets (about 2n dot products), so at n=1000 a chunk is a
+	// few milliseconds of work and a 2048-row pass still spreads over 8
+	// chunks. Its tallies are integers, so the chunk size cannot change the
+	// answer.
+	rankChunkRows = 256
+)
+
+// shardRows runs a pass over pool rows [0, rows) cut into fixed chunks of
+// chunkRows, claimed in ascending order by up to workers goroutines. Each
+// worker calls newWorker once for its own scratch and the returned body
+// once per chunk c covering rows [lo, hi); bodies write results into
+// per-chunk slots that the caller reduces after shardRows returns, so the
+// answer does not depend on the worker count. A cancelled context stops
+// every worker before its next chunk; shardRows returns only after all
+// workers have exited, with the context's error if it was cancelled.
+func shardRows(ctx context.Context, rows, chunkRows, workers int, newWorker func() func(c, lo, hi int)) error {
+	chunks := (rows + chunkRows - 1) / chunkRows
+	workers = min(max(workers, 1), chunks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := newWorker()
+			for {
+				c := int(next.Add(1)) - 1
+				if c >= chunks || ctx.Err() != nil {
+					return
+				}
+				lo := c * chunkRows
+				body(c, lo, min(lo+chunkRows, rows))
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, workers int) ([]scoreStat, error) {
+	k := len(rec.trace)
+	d := pool.Stride()
+	// One normals row per delta side that exists: before (the displaced
+	// attrs) and after (the new attrs).
+	type pair struct{ before, after int }
+	pairs := make([]pair, k)
+	sides := 0
+	for i, ap := range rec.trace {
+		pairs[i] = pair{before: -1, after: -1}
+		if ap.Delta.Op != dataset.ItemAdd {
+			pairs[i].before = sides
+			sides++
+		}
+		if ap.Delta.Op != dataset.ItemRemove {
+			pairs[i].after = sides
+			sides++
+		}
+	}
+	normals := vecmat.New(sides, d)
+	for i, ap := range rec.trace {
+		if pairs[i].before >= 0 {
+			normals.SetRow(pairs[i].before, ap.Prev)
+		}
+		if pairs[i].after >= 0 {
+			normals.SetRow(pairs[i].after, ap.Delta.Attrs)
+		}
+	}
+
+	rows := pool.Rows()
+	chunks := (rows + deltaChunkRows - 1) / deltaChunkRows
+	sums := make([][]float64, chunks)
+	maxs := make([][]float64, chunks)
+	err := shardRows(ctx, rows, deltaChunkRows, workers, func() func(c, lo, hi int) {
+		out := make([]float64, deltaChunkRows*sides)
+		return func(c, lo, hi int) {
+			pool.EvalRowsBlocked(normals, lo, hi, out)
+			sum := make([]float64, k)
+			mx := make([]float64, k)
+			for r := 0; r < hi-lo; r++ {
+				base := r * sides
+				for i := range pairs {
+					var before, after float64
+					if pairs[i].before >= 0 {
+						before = out[base+pairs[i].before]
+					}
+					if pairs[i].after >= 0 {
+						after = out[base+pairs[i].after]
+					}
+					dlt := after - before
+					sum[i] += dlt
+					if dlt < 0 {
+						dlt = -dlt
+					}
+					if dlt > mx[i] {
+						mx[i] = dlt
+					}
+				}
+			}
+			sums[c] = sum
+			maxs[c] = mx
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]scoreStat, k)
+	for c := 0; c < chunks; c++ {
+		for i := 0; i < k; i++ {
+			stats[i].mean += sums[c][i]
+			if maxs[c][i] > stats[i].maxAbs {
+				stats[i].maxAbs = maxs[c][i]
+			}
+		}
+	}
+	for i := range stats {
+		stats[i].rows = rows
+		if rows > 0 {
+			stats[i].mean /= float64(rows)
+		}
+	}
+	return stats, nil
+}
+
+// rankPass measures every touched item's rank displacement over the first
+// rows pool samples (rows <= 0 or beyond the pool means all) — the
+// mc.RankShift of each trace entry between rec.oldDS and newDS, computed in
+// one sharded pass: each sample scores both datasets' attribute matrices
+// once with the d-specialized MulVec kernel, and every entry is ranked on both
+// sides from those two score vectors with mc.RankAmong. An entry's item
+// absent from one side (see itemEnds) ranks n+1 there; one absent from both
+// is not ranked at all.
+func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS *dataset.Dataset, rows, workers int) ([]mc.Shift, error) {
+	if rows <= 0 || rows > pool.Rows() {
+		rows = pool.Rows()
+	}
+	k := len(rec.trace)
+	oldIdx, newIdx := itemEnds(rec.oldDS.N(), rec.trace)
+	oldAttrs, newAttrs := rec.oldDS.Matrix(), newDS.Matrix()
+	nOld, nNew := oldAttrs.Rows(), newAttrs.Rows()
+	tallies := make([][]mc.ShiftTally, (rows+rankChunkRows-1)/rankChunkRows)
+	err := shardRows(ctx, rows, rankChunkRows, workers, func() func(c, lo, hi int) {
+		oldScores := make([]float64, nOld)
+		newScores := make([]float64, nNew)
+		return func(c, lo, hi int) {
+			t := make([]mc.ShiftTally, k)
+			for r := lo; r < hi; r++ {
+				w := pool.Row(r)
+				oldAttrs.MulVec(w, oldScores)
+				newAttrs.MulVec(w, newScores)
+				for i := range t {
+					if oldIdx[i] < 0 && newIdx[i] < 0 {
+						continue
+					}
+					before, after := nOld+1, nNew+1
+					if oldIdx[i] >= 0 {
+						before = mc.RankAmong(oldScores, oldIdx[i])
+					}
+					if newIdx[i] >= 0 {
+						after = mc.RankAmong(newScores, newIdx[i])
+					}
+					t[i].Add(before, after)
+				}
+			}
+			tallies[c] = t
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]mc.Shift, k)
+	for i := range out {
+		var t mc.ShiftTally
+		for _, ct := range tallies {
+			t.Merge(ct[i])
+		}
+		out[i] = t.Shift(rows)
+	}
+	return out, nil
+}
+
+// LastDrift reports the stability drift of the ApplyDelta call that produced
+// this analyzer: per touched item, the score displacement across the whole
+// pool and the rank displacement across the first rankRows pool samples
+// (rankRows <= 0 means all). Ranks compare the two endpoint datasets, so an
+// item added and removed within the batch has no rank shift: its Shift is
+// {Rows: rows} with every other field zero. Nil when the analyzer was not
+// produced by ApplyDelta.
+func (a *Analyzer) LastDrift(ctx context.Context, rankRows int) ([]Drift, error) {
+	rec := a.last
+	if rec == nil {
+		return nil, nil
+	}
+	ctx = orBackground(ctx)
+	pool, err := a.samplePool(ctx)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := rec.pass(ctx, pool, a.Workers())
+	if err != nil {
+		return nil, err
+	}
+	shifts, err := rec.rankPass(ctx, pool, a.ds, rankRows, a.Workers())
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Drift, len(rec.trace))
+	for i, ap := range rec.trace {
+		out[i] = Drift{
+			ID:               ap.Delta.ID,
+			Op:               ap.Delta.Op,
+			PoolRows:         stats[i].rows,
+			MeanScoreDelta:   stats[i].mean,
+			MaxAbsScoreDelta: stats[i].maxAbs,
+			Shift:            shifts[i],
+		}
+	}
+	return out, nil
+}
+
+// itemEnds locates each trace entry's item in the batch's two endpoint
+// datasets, -1 where it is absent, by replaying the trace's resolved rows
+// over item numbers: the source's rows are items 0..nOld-1, and an ItemAdd
+// numbers a new item unless it re-adds an ID the batch removed, which
+// continues the (first) removed item. So with duplicate IDs each entry keeps
+// the item its delta resolved to, and with unique IDs every entry on one ID
+// has that ID's two endpoint positions.
+func itemEnds(nOld int, trace []dataset.Applied) (from, to []int) {
+	rows := make([]int, nOld, nOld+len(trace)) // the item at each row
+	for i := range rows {
+		rows[i] = i
+	}
+	removed := make(map[string][]int)
+	items := nOld
+	of := make([]int, len(trace))
+	for k, ap := range trace {
+		switch ap.Delta.Op {
+		case dataset.ItemAdd:
+			of[k] = items
+			if r := removed[ap.Delta.ID]; len(r) > 0 {
+				of[k], removed[ap.Delta.ID] = r[0], r[1:]
+			} else {
+				items++
+			}
+			rows = append(rows, of[k])
+		case dataset.ItemRemove:
+			of[k] = rows[ap.Index]
+			removed[ap.Delta.ID] = append(removed[ap.Delta.ID], of[k])
+			rows = slices.Delete(rows, ap.Index, ap.Index+1)
+		default:
+			of[k] = rows[ap.Index]
+		}
+	}
+	pos := slices.Repeat([]int{-1}, items)
+	for r, it := range rows {
+		pos[it] = r
+	}
+	from, to = make([]int, len(trace)), make([]int, len(trace))
+	for k, it := range of {
+		from[k], to[k] = -1, pos[it]
+		if it < nOld {
+			from[k] = it
+		}
+	}
+	return from, to
 }

@@ -1,4 +1,4 @@
-package core
+package stablerank
 
 import (
 	"context"
@@ -420,6 +420,17 @@ func TestLastDriftScoresDisplacedVectors(t *testing.T) {
 	}
 }
 
+// indexOf returns the index of the first item with the given ID, or -1: the
+// reference resolution of a drift entry on a dataset with unique IDs.
+func indexOf(ds *dataset.Dataset, id string) int {
+	for i, n := 0, ds.N(); i < n; i++ {
+		if ds.Item(i).ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestLastDriftMatchesRankShift is the rank pass's differential test: on
 // random datasets (some with tied scores) and random mixed batches, every
 // entry's Shift equals the per-item reference mc.RankShift, for rank rows
@@ -486,6 +497,43 @@ func TestLastDriftMatchesRankShift(t *testing.T) {
 					t.Fatalf("trial %d d=%d rankRows=%d: workers=%d drift\n%+v\ndiffers from workers=1\n%+v", trial, d, rankRows, workers, got, first)
 				}
 			}
+		}
+	}
+}
+
+// TestItemEnds pins where the drift rank pass finds each entry's item: on
+// duplicate IDs the item the delta resolved to, and with unique IDs the ID's
+// two endpoint positions, a re-added ID continuing the removed item.
+func TestItemEnds(t *testing.T) {
+	dup := dataset.MustNew(2)
+	dup.MustAdd("x", 0.9, 0.9)
+	dup.MustAdd("y", 0.5, 0.5)
+	dup.MustAdd("x", 0.1, 0.1)
+	for _, tc := range []struct {
+		ds       *dataset.Dataset
+		deltas   []Delta
+		from, to []int
+	}{
+		{dup, []Delta{
+			{Op: ItemRemove, ID: "x"},
+			{Op: AttrUpdate, ID: "x", Attrs: geom.NewVector(0.95, 0.95)},
+		}, []int{0, 2}, []int{-1, 1}},
+		{deltaDS(t, 4, 2, 1), []Delta{
+			{Op: ItemRemove, ID: "i1"},
+			{Op: ItemAdd, ID: "i1", Attrs: geom.NewVector(1, 1)},
+			{Op: AttrUpdate, ID: "i1", Attrs: geom.NewVector(2, 2)},
+			{Op: ItemAdd, ID: "new", Attrs: geom.NewVector(3, 3)},
+			{Op: ItemRemove, ID: "new"},
+			{Op: ItemRemove, ID: "i0"},
+		}, []int{1, 1, 1, -1, -1, 0}, []int{2, 2, 2, -1, -1, -1}},
+	} {
+		_, trace, err := dataset.ApplyDeltasTrace(tc.ds, tc.deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to := itemEnds(tc.ds.N(), trace)
+		if !slices.Equal(from, tc.from) || !slices.Equal(to, tc.to) {
+			t.Errorf("%v: from %v to %v, want %v %v", tc.deltas, from, to, tc.from, tc.to)
 		}
 	}
 }

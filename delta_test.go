@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"stablerank"
+	"stablerank/internal/mc"
 )
 
 // tieDataset builds an n-item d-dimensional dataset on a small integer grid,
@@ -239,4 +240,48 @@ func TestDeltaConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameAnalyzer(t, ctx, a, rebuilt)
+}
+
+// TestLastDriftDuplicateIDs prices each entry of a batch on a dataset with
+// duplicate IDs against the item the entry touched, not against the first
+// item carrying its ID in each endpoint dataset. x(0.9,0.9) dominates
+// y(0.5,0.5), which dominates x(0.1,0.1), so every rank is fixed.
+func TestLastDriftDuplicateIDs(t *testing.T) {
+	ds := stablerank.MustDataset(2)
+	ds.MustAdd("x", 0.9, 0.9)
+	ds.MustAdd("y", 0.5, 0.5)
+	ds.MustAdd("x", 0.1, 0.1)
+	a, err := stablerank.New(ds, stablerank.WithSampleCount(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The removed first x ranks n+1 = 3 of the 2-item result.
+	removed := mc.Shift{Rows: 1000, Changed: 1000, MeanBefore: 1, MeanAfter: 3, MeanAbsShift: 2, MaxAbsShift: 2, Worsened: 1000}
+	// After the removal, x resolves to the second x: it rose from 3rd of 3
+	// to 1st of 2.
+	updated := mc.Shift{Rows: 1000, Changed: 1000, MeanBefore: 3, MeanAfter: 1, MeanAbsShift: 2, MaxAbsShift: 2, Improved: 1000}
+	for _, tc := range []struct {
+		deltas []stablerank.Delta
+		want   []mc.Shift
+	}{
+		{[]stablerank.Delta{{Op: stablerank.ItemRemove, ID: "x"}}, []mc.Shift{removed}},
+		{[]stablerank.Delta{
+			{Op: stablerank.ItemRemove, ID: "x"},
+			{Op: stablerank.AttrUpdate, ID: "x", Attrs: stablerank.NewVector(0.95, 0.95)},
+		}, []mc.Shift{removed, updated}},
+	} {
+		na, err := a.ApplyDelta(ctx, tc.deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drift, err := na.LastDrift(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			if drift[i].Shift != want {
+				t.Errorf("%v: entry %d (%v %s) shift %+v, want %+v", tc.deltas, i, drift[i].Op, drift[i].ID, drift[i].Shift, want)
+			}
+		}
+	}
 }

@@ -142,9 +142,9 @@
 // results are identical for any value).
 //
 // Everything under internal/ is implementation detail and may change without
-// notice; import this package, not internal/core.
+// notice; import this package.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for measured-vs-paper results. The root-level benchmarks in
-// bench_test.go mirror cmd/benchfig at testing.B scale.
+// See README.md for a tour. cmd/benchfig reprints every evaluation figure,
+// and the root-level benchmarks in bench_test.go mirror it at testing.B
+// scale.
 package stablerank

@@ -1,6 +1,6 @@
 // CSMetrics scenario: the paper's Example 1 and the first half of
-// Section 6.2, on a simulated CSMetrics crawl (see DESIGN.md for the
-// substitution rationale).
+// Section 6.2, on a simulated CSMetrics crawl (internal/datagen describes
+// the simulation).
 //
 // CSMetrics scores research institutions by (M^alpha)(P^(1-alpha)) over
 // measured and predicted citations, linearized to alpha*log(M) +

@@ -1,6 +1,6 @@
 // Diamonds scenario: top-k shopping over a Blue Nile-style catalog
-// (Section 6.3's workhorse dataset; see DESIGN.md for the substitution
-// rationale).
+// (Section 6.3's workhorse dataset; internal/datagen describes the
+// simulation).
 //
 // With 100k+ items and five attributes, complete rankings are both
 // intractable (the arrangement has up to O(n^{2d}) cells) and uninteresting

@@ -1,5 +1,5 @@
 // FIFA scenario: the second half of Section 6.2, on a simulated FIFA men's
-// ranking table (see DESIGN.md for the substitution rationale).
+// ranking table (internal/datagen describes the simulation).
 //
 // FIFA scores team t as t1 + 0.5 t2 + 0.3 t3 + 0.2 t4 over four years of
 // performance and uses the result to seed World Cup draws. With d = 4 the

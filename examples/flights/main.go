@@ -1,6 +1,6 @@
 // Flights scenario: the Department of Transportation scalability test of
-// Figure 18, on simulated on-time records (see DESIGN.md for the
-// substitution rationale).
+// Figure 18, on simulated on-time records (internal/datagen describes the
+// simulation).
 //
 // The paper scales the randomized top-k operator to 1M flights over
 // air-time, taxi-in and taxi-out. This program sweeps the catalog size,

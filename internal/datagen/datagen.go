@@ -3,8 +3,8 @@
 // anti-correlated generators follow Börzsönyi et al. (the paper uses that
 // code for Figure 21); the domain generators simulate the statistical shape
 // of the four real datasets the paper crawls (CSMetrics, FIFA, Blue Nile,
-// US DoT on-time flights), which are not redistributable. DESIGN.md explains
-// why each substitution preserves the behaviour the experiments measure.
+// US DoT on-time flights), which are not redistributable. Each generator's
+// doc comment names the statistical shape it keeps from the real data.
 //
 // All generators take an explicit *rand.Rand so every experiment is
 // reproducible from a seed, and return datasets already normalized to

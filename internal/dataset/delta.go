@@ -45,7 +45,7 @@ type Delta struct {
 // Applied records how one delta resolved against the evolving dataset: the
 // index the op acted on (the position updated or removed, or the position the
 // new item was appended at) and a copy of the attribute vector it displaced
-// (nil for ItemAdd). The drift score pass prices each delta from exactly this
+// (nil for ItemAdd). The drift passes price each delta from exactly this
 // trace.
 type Applied struct {
 	Delta Delta

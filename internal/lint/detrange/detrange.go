@@ -30,7 +30,6 @@ var DefaultPackages = []string{
 	"stablerank/internal/md",
 	"stablerank/internal/rank",
 	"stablerank/internal/plan",
-	"stablerank/internal/core",
 	"stablerank/internal/vecmat",
 	"stablerank/internal/twod",
 	"stablerank/internal/cluster",

@@ -14,8 +14,8 @@
 //     taking a prefix of that single pass.
 //
 // The package is deliberately mechanism-free: it owns grouping and the fused
-// sweep, while the Env callbacks supplied by internal/core own pool
-// construction, cursor creation and confidence arithmetic. Results are
+// sweep, while the Env callbacks supplied by the stablerank Analyzer own
+// pool construction, cursor creation and confidence arithmetic. Results are
 // deterministic for a fixed seed regardless of worker count — the sweep
 // accumulates exact integer counts, so shard order cannot change them.
 package plan
@@ -93,8 +93,7 @@ func (BoundaryQuery) isQuery()  {}
 func (EnumerateQuery) isQuery() {}
 
 // Stable is one enumerated ranking with its stability, as produced by the
-// Env's cursor. It is re-exported by internal/core and the root stablerank
-// package.
+// Env's cursor. It is re-exported by the root stablerank package.
 type Stable struct {
 	// Ranking is the full ranking of the dataset.
 	Ranking rank.Ranking
@@ -111,8 +110,10 @@ type Stable struct {
 }
 
 // Verification is the answer to one VerifyQuery — the consumer's stability
-// question (Problem 1). It is re-exported by internal/core and the root
-// stablerank package.
+// question (Problem 1). It is re-exported by the root stablerank package. A
+// ranking feasible by dominance but matched by no pool sample reports
+// stability 0 rather than an infeasibility error: the Monte-Carlo evidence
+// cannot tell the two apart.
 type Verification struct {
 	// Stability is the fraction of the region of interest generating the
 	// ranking: exact in 2D, a Monte-Carlo estimate otherwise.

@@ -1,4 +1,4 @@
-package core
+package stablerank
 
 import (
 	"context"
@@ -15,7 +15,8 @@ import (
 // within a Kendall-tau distance threshold of a group's representative are
 // treated as the same outcome and their stabilities are summed.
 
-// MergedStable is a group of near-identical rankings.
+// MergedStable is a group of near-identical rankings whose stabilities are
+// summed. See Analyzer.TopHMerged.
 type MergedStable struct {
 	// Representative is the most stable member of the group (the first one
 	// enumerated, since enumeration is in decreasing stability).
@@ -26,13 +27,13 @@ type MergedStable struct {
 	Members int
 }
 
-// TopHMerged enumerates ranking regions in decreasing stability, greedily
-// merging each new ranking into the first existing group whose
-// representative is within Kendall-tau distance tau (tau = 0 reproduces the
-// paper's strict semantics). At most maxScan regions are examined
-// (maxScan <= 0 scans until exhaustion — use with care in high dimensions).
-// Groups are returned in decreasing summed stability, at most h of them.
+// TopHMerged enumerates ranking regions in decreasing stability, merging
+// rankings within Kendall-tau distance tau of a group representative and
+// summing their stabilities (the Section 8 "allow minor changes" extension).
+// At most maxScan regions are examined (<= 0 scans until exhaustion). At
+// most h groups are returned (<= 0 returns all).
 func (a *Analyzer) TopHMerged(ctx context.Context, h, tau, maxScan int) ([]MergedStable, error) {
+	ctx = orBackground(ctx)
 	e, err := a.Enumerator(ctx)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,8 @@ package stablerank
 
 import (
 	"context"
+	"errors"
 
-	"stablerank/internal/core"
 	"stablerank/internal/mc"
 )
 
@@ -39,14 +39,34 @@ type RankDistribution = mc.RankDistribution
 // across calls; like Enumerator it is a stateful cursor and is not safe for
 // concurrent use.
 type Randomized struct {
-	core *core.Randomized
+	op *mc.Operator
+}
+
+// Randomized builds the randomized GET-NEXTr operator (Section 4.3) with the
+// given ranking semantics; k is ignored for Complete. The returned cursor is
+// not safe for concurrent use; obtain one per goroutine.
+func (a *Analyzer) Randomized(mode Mode, k int) (*Randomized, error) {
+	s, err := a.sampler(1)
+	if err != nil {
+		return nil, err
+	}
+	op, err := mc.NewOperator(a.ds, s,
+		mc.WithMode(mode, k), mc.WithConfidenceLevel(a.alpha))
+	if err != nil {
+		return nil, err
+	}
+	return &Randomized{op: op}, nil
 }
 
 // NextFixedBudget draws n fresh samples and returns the most frequent
 // undiscovered ranking (Algorithm 7), or ErrExhausted when every observed
 // ranking has been returned.
 func (r *Randomized) NextFixedBudget(ctx context.Context, n int) (RandomizedResult, error) {
-	return r.core.NextFixedBudget(orBackground(ctx), n)
+	res, err := r.op.NextFixedBudget(orBackground(ctx), n)
+	if errors.Is(err, mc.ErrExhausted) {
+		return RandomizedResult{}, ErrExhausted
+	}
+	return res, err
 }
 
 // NextFixedError samples until the next ranking's stability estimate reaches
@@ -54,15 +74,19 @@ func (r *Randomized) NextFixedBudget(ctx context.Context, n int) (RandomizedResu
 // (<= 0 uses the package default cap); it returns ErrBudget when the cap is
 // reached first.
 func (r *Randomized) NextFixedError(ctx context.Context, e float64, maxSamples int) (RandomizedResult, error) {
-	return r.core.NextFixedError(orBackground(ctx), e, maxSamples)
+	res, err := r.op.NextFixedError(orBackground(ctx), e, maxSamples)
+	if errors.Is(err, mc.ErrExhausted) {
+		return RandomizedResult{}, ErrExhausted
+	}
+	return res, err
 }
 
 // TopH returns the h most stable rankings with the paper's budget schedule:
 // firstBudget samples for the first call, stepBudget for each subsequent one
 // (Section 6.3 uses 5,000 then 1,000).
 func (r *Randomized) TopH(ctx context.Context, h, firstBudget, stepBudget int) ([]RandomizedResult, error) {
-	return r.core.TopH(orBackground(ctx), h, firstBudget, stepBudget)
+	return r.op.TopH(orBackground(ctx), h, firstBudget, stepBudget)
 }
 
 // TotalSamples reports the cumulative number of samples drawn.
-func (r *Randomized) TotalSamples() int { return r.core.TotalSamples() }
+func (r *Randomized) TotalSamples() int { return r.op.TotalSamples() }

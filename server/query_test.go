@@ -119,6 +119,63 @@ func TestQueryPerOpError(t *testing.T) {
 	}
 }
 
+// TestQueryInfeasibleErrorText pins the text /v1/query renders into
+// results[i].error for an infeasible verify, on the exact 2D path and the
+// Monte-Carlo d = 3 path: the message is wire format, so it must not drift.
+func TestQueryInfeasibleErrorText(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	// In ind3, rank an item first even though another item dominates it: no
+	// non-negative weights induce that order.
+	ds, _, _, _ := s.registry.Get("ind3")
+	var ranking string
+	for i := 0; i < ds.N() && ranking == ""; i++ {
+		for j := 0; j < ds.N(); j++ {
+			if i == j || !dominates(ds.Attrs(j), ds.Attrs(i)) {
+				continue
+			}
+			ids := []string{ds.Item(i).ID}
+			for k := 0; k < ds.N(); k++ {
+				if k != i {
+					ids = append(ids, ds.Item(k).ID)
+				}
+			}
+			ranking = strings.Join(ids, ",")
+			break
+		}
+	}
+	if ranking == "" {
+		t.Fatal("ind3 has no dominated item")
+	}
+	const want = "core: ranking is not achievable in the region of interest"
+	for _, tc := range []struct{ dataset, ranking string }{
+		{"fig1", "t1,t5,t3,t4,t2"},
+		{"ind3", ranking},
+	} {
+		body := fmt.Sprintf(`{"dataset": %q, "samples": 2000, "queries": [{"op": "verify", "ranking": %q}]}`, tc.dataset, tc.ranking)
+		var got queryResponse
+		code, _ := postJSON(t, ts.URL, "/v1/query", body, &got)
+		if code != http.StatusOK || len(got.Results) != 1 {
+			t.Fatalf("%s: query = %d %+v", tc.dataset, code, got)
+		}
+		if got.Results[0].Error != want {
+			t.Errorf("%s: results[0].error = %q, want %q", tc.dataset, got.Results[0].Error, want)
+		}
+	}
+}
+
+// dominates reports whether a is at least b on every attribute and above it
+// on one.
+func dominates(a, b []float64) bool {
+	above := false
+	for k := range a {
+		if a[k] < b[k] {
+			return false
+		}
+		above = above || a[k] > b[k]
+	}
+	return above
+}
+
 // The TestBatch* tests pin multi-operation batches on POST /v1/query, the
 // surface that replaced the removed POST /batch.
 

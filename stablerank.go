@@ -3,23 +3,31 @@ package stablerank
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
-	"stablerank/internal/core"
 	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
 	"stablerank/internal/md"
+	"stablerank/internal/plan"
 	"stablerank/internal/store"
+	"stablerank/internal/vecmat"
 )
+
+// Analyzer errors keep their "core:" prefix: /v1/query renders a result's
+// error text verbatim and construction errors reach 400 bodies, so the text
+// is wire format.
 
 // Sentinel errors. They compare with errors.Is across every entry point of
 // the package.
 var (
 	// ErrInfeasibleRanking reports that no scoring function in the region of
 	// interest induces the given ranking.
-	ErrInfeasibleRanking = core.ErrInfeasibleRanking
+	ErrInfeasibleRanking = errors.New("core: ranking is not achievable in the region of interest")
 	// ErrExhausted reports that enumeration has produced every ranking.
-	ErrExhausted = core.ErrExhausted
+	ErrExhausted = errors.New("core: no further rankings")
 	// ErrEmptyDataset reports an operation on a dataset without items.
 	ErrEmptyDataset = dataset.ErrEmptyDataset
 )
@@ -45,55 +53,103 @@ func NewVector(xs ...float64) Vector { return geom.NewVector(xs...) }
 
 // Verification is the answer to the consumer's stability question
 // (Problem 1). See Analyzer.VerifyStability.
-type Verification = core.Verification
+type Verification = plan.Verification
 
 // Stable is one enumerated ranking with its stability. See
 // Analyzer.Enumerator, Analyzer.TopH and Analyzer.AboveThreshold.
-type Stable = core.Stable
-
-// MergedStable is a group of near-identical rankings whose stabilities are
-// summed. See Analyzer.TopHMerged.
-type MergedStable = core.MergedStable
+type Stable = plan.Stable
 
 // BoundaryFacet is one facet of a ranking region: crossing it swaps exactly
 // the named item pair. See Analyzer.Boundary.
 type BoundaryFacet = md.BoundaryFacet
 
 // Option configures an Analyzer.
-type Option = core.Option
+type Option func(*Analyzer) error
 
 // WithRegion sets the acceptable region U* directly.
-func WithRegion(r Region) Option { return core.WithRegion(r) }
+func WithRegion(r Region) Option {
+	return func(a *Analyzer) error {
+		if r == nil {
+			return errors.New("core: nil region")
+		}
+		a.roi = r
+		return nil
+	}
+}
 
 // WithCone restricts scoring functions to a hypercone of half-angle theta
 // around the reference weight vector.
-func WithCone(weights []float64, theta float64) Option { return core.WithCone(weights, theta) }
+func WithCone(weights []float64, theta float64) Option {
+	return func(a *Analyzer) error {
+		c, err := geom.NewCone(geom.NewVector(weights...), theta)
+		if err != nil {
+			return err
+		}
+		a.roi = c
+		return nil
+	}
+}
 
 // WithCosineSimilarity restricts scoring functions to those within the given
 // minimum cosine similarity of the reference weight vector, as in the
 // paper's "0.998 cosine similarity around the CSMetrics weights".
 func WithCosineSimilarity(weights []float64, minCosine float64) Option {
-	return core.WithCosineSimilarity(weights, minCosine)
+	return func(a *Analyzer) error {
+		c, err := geom.NewConeFromCosine(geom.NewVector(weights...), minCosine)
+		if err != nil {
+			return err
+		}
+		a.roi = c
+		return nil
+	}
 }
 
 // WithConstraints restricts scoring functions to a convex cone of linear
 // weight constraints, e.g. "w2 at most w1".
 func WithConstraints(d int, constraints ...Halfspace) Option {
-	return core.WithConstraints(d, constraints...)
+	return func(a *Analyzer) error {
+		r, err := geom.NewConstraintRegion(d, constraints...)
+		if err != nil {
+			return err
+		}
+		a.roi = r
+		return nil
+	}
 }
 
 // WithSeed fixes the random seed of every sampler the analyzer creates
 // (default 1). Identical seeds give identical results.
-func WithSeed(seed int64) Option { return core.WithSeed(seed) }
+func WithSeed(seed int64) Option {
+	return func(a *Analyzer) error {
+		a.seed = seed
+		return nil
+	}
+}
 
 // WithSampleCount sets the Monte-Carlo sample pool used by verification and
 // the multi-dimensional enumerator (default 100,000, the paper's Section 6.3
 // choice for GET-NEXTmd).
-func WithSampleCount(n int) Option { return core.WithSampleCount(n) }
+func WithSampleCount(n int) Option {
+	return func(a *Analyzer) error {
+		if n < 1 {
+			return fmt.Errorf("core: sample count %d < 1", n)
+		}
+		a.sampleCount = n
+		return nil
+	}
+}
 
 // WithConfidenceLevel sets 1-alpha for reported confidence errors (default
 // alpha = 0.05).
-func WithConfidenceLevel(alpha float64) Option { return core.WithConfidenceLevel(alpha) }
+func WithConfidenceLevel(alpha float64) Option {
+	return func(a *Analyzer) error {
+		if alpha <= 0 || alpha >= 1 {
+			return fmt.Errorf("core: alpha %v out of (0,1)", alpha)
+		}
+		a.alpha = alpha
+		return nil
+	}
+}
 
 // WithWorkers sets how many goroutines shard the Monte-Carlo sample-pool
 // build and the fused verification sweep of Do (default 0 = GOMAXPROCS).
@@ -101,7 +157,15 @@ func WithConfidenceLevel(alpha float64) Option { return core.WithConfidenceLevel
 // chunks whose RNG streams are seeded from (seed, chunk index), so worker
 // counts 1, 2 and 64 all produce bit-identical pools — and therefore
 // identical stability results — for the same seed.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
+func WithWorkers(n int) Option {
+	return func(a *Analyzer) error {
+		if n < 0 {
+			return fmt.Errorf("core: worker count %d < 0", n)
+		}
+		a.workers = n
+		return nil
+	}
+}
 
 // WithAdaptive enables adaptive verification at the given target confidence
 // error (0 < e < 1): verify queries sweep the Monte-Carlo pool in growing
@@ -114,7 +178,15 @@ func WithWorkers(n int) Option { return core.WithWorkers(n) }
 // non-adaptive answer. Stopping points depend only on seed and pool size —
 // never on WithWorkers — so adaptive results are deterministic. Exact 2D
 // verification, item-rank queries and enumeration are unaffected.
-func WithAdaptive(targetError float64) Option { return core.WithAdaptive(targetError) }
+func WithAdaptive(targetError float64) Option {
+	return func(a *Analyzer) error {
+		if targetError <= 0 || targetError >= 1 {
+			return fmt.Errorf("core: adaptive target error %v out of (0,1)", targetError)
+		}
+		a.adaptiveErr = targetError
+		return nil
+	}
+}
 
 // PoolCache is an external snapshot store for the Monte-Carlo sample pool —
 // the hook stablerankd's persistent store plugs in so a restarted server can
@@ -124,7 +196,12 @@ func WithAdaptive(targetError float64) Option { return core.WithAdaptive(targetE
 // identity (dataset hash, region, seed, sample count, PoolLayoutVersion).
 // Corrupt or shape-mismatched snapshots degrade to a miss plus a rebuild:
 // the draw is deterministic, so rebuilding is always safe.
-type PoolCache = core.PoolCache
+type PoolCache interface {
+	// Implementations must be safe for concurrent use.
+	Key() string
+	Load() ([]byte, bool)
+	Save(snapshot []byte)
+}
 
 // PoolLayoutVersion identifies the pool snapshot byte layout. It belongs in
 // every PoolCache key: bumping either the matrix codec or the snapshot frame
@@ -135,7 +212,12 @@ const PoolLayoutVersion = store.SnapshotLayoutVersion
 // warm hit installs the decoded matrix verbatim — PoolBuilds stays 0,
 // PoolRestores becomes 1, and results are bit-identical to a cold build
 // because the codec round-trips float bits exactly.
-func WithPoolCache(c PoolCache) Option { return core.WithPoolCache(c) }
+func WithPoolCache(c PoolCache) Option {
+	return func(a *Analyzer) error {
+		a.poolCache = c
+		return nil
+	}
+}
 
 // PoolFiller is an alternative construction strategy for the sample pool —
 // the hook stablerankd's cluster coordinator plugs in so a pool can be
@@ -145,12 +227,20 @@ func WithPoolCache(c PoolCache) Option { return core.WithPoolCache(c) }
 // Filler failures (other than context cancellation) and wrong-shape results
 // silently fall back to the local draw — degrading costs latency, never
 // correctness.
-type PoolFiller = core.PoolFiller
+type PoolFiller interface {
+	// Implementations must be safe for concurrent use.
+	FillPool(ctx context.Context, total, d int) (vecmat.Matrix, error)
+}
 
 // WithPoolFiller delegates pool construction to an external filler. When a
 // PoolCache is also attached the cache still wins: the filler only runs on
 // a miss, and its output is offered back to the cache like any built pool.
-func WithPoolFiller(f PoolFiller) Option { return core.WithPoolFiller(f) }
+func WithPoolFiller(f PoolFiller) Option {
+	return func(a *Analyzer) error {
+		a.poolFiller = f
+		return nil
+	}
+}
 
 // RegionOption translates the textual region parameterization that the CLI
 // flags and the HTTP query parameters share — reference weights plus either
@@ -193,42 +283,115 @@ func RegionOption(weights []float64, theta, cosine float64) (Option, error) {
 // the context's error promptly after cancellation, leaving the Analyzer
 // usable.
 type Analyzer struct {
-	core *core.Analyzer
+	// The configuration is immutable after New; everything mutable below
+	// is atomic or published by compare-and-swap, which is what makes the
+	// Analyzer safe to share.
+	ds          *Dataset
+	roi         Region
+	seed        int64
+	sampleCount int
+	alpha       float64
+	workers     int
+	adaptiveErr float64
+	poolCache   PoolCache
+	poolFiller  PoolFiller
+
+	// pool holds the lazily drawn shared sample pool. The indirection via an
+	// atomic pointer to a once-guarded cell (instead of a bare sync.Once on
+	// the Analyzer) lets a build aborted by context cancellation be retried:
+	// on failure the cell is swapped for a fresh one, while a successful pool
+	// is published exactly once and is immutable afterwards.
+	pool atomic.Pointer[poolState]
+
+	// poolBuilds counts entries into drawPool, so callers sharing an
+	// Analyzer can observe that concurrent first uses coalesced into a
+	// single pool construction.
+	poolBuilds atomic.Int64
+
+	// poolBuildNanos records the wall time of the last successful pool build,
+	// for operational visibility (/statsz reports it per analyzer).
+	poolBuildNanos atomic.Int64
+
+	// poolRestores counts pools installed from a snapshot cache instead of
+	// drawn: a warm restart answers its first query with poolBuilds == 0 and
+	// poolRestores == 1.
+	poolRestores atomic.Int64
+
+	// sweeps counts fused sample-pool sweeps (see Sweeps); together with
+	// poolBuilds it makes the sharing behaviour of Do observable.
+	sweeps atomic.Int64
+
+	// adaptiveStops counts verify queries that adaptive verification stopped
+	// before the pool was exhausted; adaptiveRowsSaved accumulates the pool
+	// rows those early stops skipped. Both are 0 without WithAdaptive.
+	adaptiveStops     atomic.Int64
+	adaptiveRowsSaved atomic.Int64
+
+	// deltasApplied and the last delta record feed /statsz and the drift
+	// stream (see delta.go).
+	deltasApplied atomic.Int64
+	last          *deltaRecord
+
+	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
+	// cursor has produced, nil before the first; see Enumerator. ApplyDelta
+	// does not carry it over: rankings depend on the data.
+	memo atomic.Pointer[enumMemo]
 }
 
 // New builds an Analyzer over the dataset. Without options the region of
 // interest is the whole function space U.
 func New(ds *Dataset, opts ...Option) (*Analyzer, error) {
-	a, err := core.New(ds, opts...)
-	if err != nil {
-		return nil, err
+	if ds == nil || ds.N() == 0 {
+		return nil, dataset.ErrEmptyDataset
 	}
-	return &Analyzer{core: a}, nil
+	if ds.D() < 2 {
+		return nil, fmt.Errorf("core: dataset needs >= 2 scoring attributes, has %d", ds.D())
+	}
+	a := &Analyzer{
+		ds:          ds,
+		roi:         geom.FullSpace{D: ds.D()},
+		seed:        1,
+		sampleCount: 100_000,
+		alpha:       0.05,
+	}
+	for _, opt := range opts {
+		if err := opt(a); err != nil {
+			return nil, err
+		}
+	}
+	if a.roi.Dim() != ds.D() {
+		return nil, fmt.Errorf("core: region dimension %d != dataset dimension %d", a.roi.Dim(), ds.D())
+	}
+	a.pool.Store(&poolState{})
+	return a, nil
 }
 
 // Dataset returns the analyzed dataset.
-func (a *Analyzer) Dataset() *Dataset { return a.core.Dataset() }
+func (a *Analyzer) Dataset() *Dataset { return a.ds }
 
 // Region returns the region of interest.
-func (a *Analyzer) Region() Region { return a.core.Region() }
+func (a *Analyzer) Region() Region { return a.roi }
 
 // Seed returns the configured random seed; together with SampleCount and the
 // region it identifies the analyzer's Monte-Carlo behaviour, which makes the
 // pair usable as cache-key material for services sharing Analyzers across
 // requests.
-func (a *Analyzer) Seed() int64 { return a.core.Seed() }
+func (a *Analyzer) Seed() int64 { return a.seed }
 
 // SampleCount returns the configured Monte-Carlo sample pool size.
-func (a *Analyzer) SampleCount() int { return a.core.SampleCount() }
+func (a *Analyzer) SampleCount() int { return a.sampleCount }
 
 // PoolBuilds returns how many times the shared sample pool has been
 // (re)built. Concurrent first uses coalesce into one build, so after any
 // number of successful calls it reports 1; only builds aborted by
 // cancellation and later retried raise it.
-func (a *Analyzer) PoolBuilds() int64 { return a.core.PoolBuilds() }
+func (a *Analyzer) PoolBuilds() int64 { return a.poolBuilds.Load() }
 
 // PoolBuilt reports whether the shared sample pool is resident.
-func (a *Analyzer) PoolBuilt() bool { return a.core.PoolBuilt() }
+func (a *Analyzer) PoolBuilt() bool {
+	st := a.pool.Load()
+	return st != nil && st.built.Load()
+}
 
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
 // sample pool — the contiguous backing array (SampleCount x dimension
@@ -237,38 +400,60 @@ func (a *Analyzer) PoolBuilt() bool { return a.core.PoolBuilt() }
 // prefix, which holds at most SampleCount x dimension x 8 bytes (in two
 // dimensions too, where no pool is drawn); 0 while neither exists. This is
 // the per-analyzer memory figure stablerankd reports in /statsz.
-func (a *Analyzer) PoolMemoryBytes() int64 { return a.core.PoolMemoryBytes() }
+func (a *Analyzer) PoolMemoryBytes() int64 {
+	var n int64
+	if m := a.memo.Load(); m != nil {
+		n = m.bytes
+	}
+	if st := a.pool.Load(); st != nil && st.built.Load() {
+		n += st.samples.Bytes() + int64(len(st.key)) + st.index.Load().Bytes()
+	}
+	return n
+}
 
 // PoolRestores returns how many times the pool was installed from an
 // attached PoolCache instead of drawn; a warm restart answers its first
 // query with PoolBuilds() == 0 and PoolRestores() == 1.
-func (a *Analyzer) PoolRestores() int64 { return a.core.PoolRestores() }
+func (a *Analyzer) PoolRestores() int64 { return a.poolRestores.Load() }
 
 // PoolSnapshotKey returns the interned PoolCache key of the resident pool,
 // or "" while no pool is built or no cache is attached.
-func (a *Analyzer) PoolSnapshotKey() string { return a.core.PoolSnapshotKey() }
+func (a *Analyzer) PoolSnapshotKey() string {
+	st := a.pool.Load()
+	if st == nil || !st.built.Load() {
+		return ""
+	}
+	return st.key
+}
 
 // Workers returns the effective worker count of the pool build and batch
 // sweeps: the WithWorkers value, or GOMAXPROCS when unset.
-func (a *Analyzer) Workers() int { return a.core.Workers() }
+func (a *Analyzer) Workers() int {
+	if a.workers > 0 {
+		return a.workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // PoolBuildDuration returns the wall time of the most recent successful
 // sample-pool build, or 0 if none has completed yet — the number /statsz
 // exposes per resident analyzer.
-func (a *Analyzer) PoolBuildDuration() time.Duration { return a.core.PoolBuildDuration() }
+func (a *Analyzer) PoolBuildDuration() time.Duration {
+	return time.Duration(a.poolBuildNanos.Load())
+}
 
 // AdaptiveTargetError returns the WithAdaptive target confidence error, or 0
 // when adaptive verification is disabled.
-func (a *Analyzer) AdaptiveTargetError() float64 { return a.core.AdaptiveTargetError() }
+func (a *Analyzer) AdaptiveTargetError() float64 { return a.adaptiveErr }
 
 // AdaptiveStops returns how many verify queries adaptive verification has
 // stopped before exhausting the sample pool.
-func (a *Analyzer) AdaptiveStops() int64 { return a.core.AdaptiveStops() }
+func (a *Analyzer) AdaptiveStops() int64 { return a.adaptiveStops.Load() }
 
 // AdaptiveRowsSaved returns the total number of pool rows that early-stopped
 // verify queries skipped — the sweep work adaptive verification avoided,
 // reported per analyzer in stablerankd's /statsz.
-func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.core.AdaptiveRowsSaved() }
+func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.adaptiveRowsSaved.Load() }
 
 // VerifyStability computes the stability of ranking r in the region of
 // interest — the fraction of acceptable scoring functions that induce it:
@@ -299,40 +484,6 @@ func (a *Analyzer) AboveThreshold(ctx context.Context, s float64) ([]Stable, err
 	return res.Stables, err
 }
 
-// TopHMerged enumerates ranking regions in decreasing stability, merging
-// rankings within Kendall-tau distance tau of a group representative and
-// summing their stabilities (the Section 8 "allow minor changes" extension).
-// At most maxScan regions are examined (<= 0 scans until exhaustion). At
-// most h groups are returned (<= 0 returns all).
-func (a *Analyzer) TopHMerged(ctx context.Context, h, tau, maxScan int) ([]MergedStable, error) {
-	return a.core.TopHMerged(orBackground(ctx), h, tau, maxScan)
-}
-
-// Enumerator prepares iterative stable-ranking enumeration (the GET-NEXT
-// operator of Problem 3). Above two dimensions it obtains the sample pool
-// now; the cursor replays the Analyzer's memoized prefix before it refines
-// anything. The returned cursor is not safe for concurrent use; obtain one
-// per goroutine (concurrent Enumerator calls on a shared Analyzer are
-// safe).
-func (a *Analyzer) Enumerator(ctx context.Context) (*Enumerator, error) {
-	e, err := a.core.Enumerator(orBackground(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return &Enumerator{core: e}, nil
-}
-
-// Randomized builds the randomized GET-NEXTr operator (Section 4.3) with the
-// given ranking semantics; k is ignored for Complete. The returned cursor is
-// not safe for concurrent use; obtain one per goroutine.
-func (a *Analyzer) Randomized(mode Mode, k int) (*Randomized, error) {
-	r, err := a.core.Randomized(mode, k)
-	if err != nil {
-		return nil, err
-	}
-	return &Randomized{core: r}, nil
-}
-
 // ItemRankDistribution samples the region of interest n times and returns
 // the distribution of the given item's rank — the distributional form of
 // Example 1's consumer question ("does Cornell make the top-10 under
@@ -356,19 +507,19 @@ func (a *Analyzer) Boundary(r Ranking) ([]BoundaryFacet, error) {
 // one answers a single query through Do, returning the query's own error
 // (for example ErrInfeasibleRanking) as the call's error.
 func (a *Analyzer) one(ctx context.Context, q Query) (Result, error) {
-	res, err := a.core.Do(orBackground(ctx), q)
+	res, err := a.Do(ctx, q)
 	if err != nil {
 		return Result{}, err
 	}
 	return res[0], res[0].Err
 }
 
-// orBackground tolerates a nil context at the public boundary so facade
-// callers migrating from the pre-context API cannot panic deep inside a
-// sampling loop.
+// orBackground tolerates a nil context at the public boundary so callers
+// migrating from the pre-context API cannot panic deep inside a sampling
+// loop. Every exported context-taking entry point calls it first.
 func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
-		return context.Background() //srlint:ctxflow nil-tolerance shim for pre-context facade callers; live callers' contexts pass through
+		return context.Background() //srlint:ctxflow nil-tolerance shim for pre-context callers; live callers' contexts pass through
 	}
 	return ctx
 }

@@ -6,6 +6,7 @@ package stablerank_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -350,15 +351,103 @@ func TestRankingsIteratorBreakAndResume(t *testing.T) {
 	}
 }
 
-// TestNilContextTolerated documents that the facade maps a nil context to
-// context.Background instead of panicking deep inside a sampling loop.
+// TestNilContextTolerated documents that every exported context-taking
+// entry point maps a nil context to context.Background instead of panicking
+// deep inside a sampling loop, on an exact 2D analyzer and a Monte-Carlo
+// d = 4 one.
 func TestNilContextTolerated(t *testing.T) {
-	a, err := stablerank.New(stablerank.Figure1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1012 deliberate: the facade's documented nil-tolerance.
-	if _, err := a.TopH(nil, 1); err != nil { //nolint:staticcheck
-		t.Fatalf("TopH with nil context: %v", err)
+	var nilCtx context.Context // deliberately nil: the documented tolerance
+	for _, ds := range []*stablerank.Dataset{
+		stablerank.Figure1(),
+		stablerank.FIFA(rand.New(rand.NewSource(1)), 8),
+	} {
+		weights := make([]float64, ds.D())
+		for i := range weights {
+			weights[i] = 1
+		}
+		published := stablerank.RankingOf(ds, weights)
+		update := stablerank.Delta{Op: stablerank.AttrUpdate, ID: ds.Item(0).ID, Attrs: ds.Attrs(1)}
+		a, err := stablerank.New(ds, stablerank.WithSampleCount(2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		randomized := func() *stablerank.Randomized {
+			r, err := a.Randomized(stablerank.TopKSet, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"Do", func() error {
+				_, err := a.Do(nilCtx, stablerank.VerifyQuery{Ranking: published}, stablerank.TopHQuery{H: 2})
+				return err
+			}},
+			{"Stream", func() error {
+				for _, err := range a.Stream(nilCtx, stablerank.TopHQuery{H: 2}) {
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"Enumerator", func() error { _, err := a.Enumerator(nilCtx); return err }},
+			{"Enumerator.Next", func() error {
+				e, err := a.Enumerator(ctx)
+				if err != nil {
+					return err
+				}
+				_, err = e.Next(nilCtx)
+				return err
+			}},
+			{"Enumerator.Rankings", func() error {
+				e, err := a.Enumerator(ctx)
+				if err != nil {
+					return err
+				}
+				for _, err := range e.Rankings(nilCtx) {
+					return err
+				}
+				return nil
+			}},
+			{"TopHMerged", func() error { _, err := a.TopHMerged(nilCtx, 2, 1, 4); return err }},
+			{"ApplyDelta", func() error { _, err := a.ApplyDelta(nilCtx, update); return err }},
+			{"Warm", func() error { return a.Warm(nilCtx) }},
+			{"LastDrift", func() error {
+				na, err := a.ApplyDelta(ctx, update)
+				if err != nil {
+					return err
+				}
+				_, err = na.LastDrift(nilCtx, 100)
+				return err
+			}},
+			{"DriftOf", func() error {
+				_, err := stablerank.DriftOf(nilCtx, ds, []stablerank.Delta{update}, 1, 500, 100)
+				return err
+			}},
+			{"VerifyStability", func() error { _, err := a.VerifyStability(nilCtx, published); return err }},
+			{"TopH", func() error { _, err := a.TopH(nilCtx, 1); return err }},
+			{"AboveThreshold", func() error { _, err := a.AboveThreshold(nilCtx, 0.2); return err }},
+			{"ItemRankDistribution", func() error { _, err := a.ItemRankDistribution(nilCtx, 0, 500); return err }},
+			{"Randomized.NextFixedBudget", func() error { _, err := randomized().NextFixedBudget(nilCtx, 500); return err }},
+			{"Randomized.NextFixedError", func() error {
+				_, err := randomized().NextFixedError(nilCtx, 0.1, 2000)
+				if errors.Is(err, stablerank.ErrBudget) {
+					return nil
+				}
+				return err
+			}},
+			{"Randomized.TopH", func() error { _, err := randomized().TopH(nilCtx, 1, 500, 100); return err }},
+		}
+		for _, c := range calls {
+			t.Run(fmt.Sprintf("d=%d/%s", ds.D(), c.name), func(t *testing.T) {
+				if err := c.call(); err != nil {
+					t.Fatalf("%s with a nil context: %v", c.name, err)
+				}
+			})
+		}
 	}
 }
