@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		jobTTL      = fs.Duration("job-ttl", 10*time.Minute, "how long finished job results stay retrievable")
 		jobTimeout  = fs.Duration("job-timeout", 5*time.Minute, "per-job computation bound (0 disables)")
 		streamRows  = fs.Int("max-stream-rows", 100000, "largest NDJSON stream / async enumeration depth")
-		dataDir     = fs.String("data", "", "persistence directory: datasets, pool snapshots and job checkpoints survive restarts (empty = in-memory only)")
+		dataDir     = fs.String("data", "", "persistence directory: datasets, pool snapshots and job records survive restarts, and unfinished jobs re-run (empty = in-memory only)")
 		snapCache   = fs.Bool("snapshot-cache", true, "persist Monte-Carlo pool snapshots under -data so warm restarts skip pool builds")
 		maxStore    = fs.Int64("max-store-bytes", 0, "on-disk store size cap; oldest pool snapshots are evicted first (0 = unlimited)")
 		peers       = fs.String("peers", "", "comma-separated replica base URLs; enables consistent-hash routing of query keys across the listed nodes (must include -self)")
@@ -167,7 +167,8 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		return 1
 	}
 	// Close after the drain: in-flight requests finish, then running jobs
-	// checkpoint and the store flushes.
+	// stop (their records stay running, to re-run at the next boot) and the
+	// store flushes.
 	defer srv.Close()
 	if *dataDir != "" {
 		logger.Printf("persisting to %s (snapshot cache %v)", *dataDir, *snapCache)

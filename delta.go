@@ -44,8 +44,17 @@ type Drift struct {
 	MaxAbsScoreDelta float64
 	// Shift is the rank displacement over the sampled pool rows; an item
 	// absent from one endpoint dataset ranks n+1 there.
-	Shift mc.Shift
+	Shift Shift
 }
+
+// Shift summarizes one item's rank displacement between the two endpoint
+// datasets of a delta batch across Rows sampled scoring functions (rank 1
+// is best). Its fields are Rows; Changed, the samples where the rank
+// differs; MeanBefore and MeanAfter, the mean ranks, where a missing side
+// ranks n+1 of its dataset; MeanAbsShift and MaxAbsShift, the mean and
+// largest |after-before|; and Improved and Worsened, the samples where the
+// rank got strictly smaller or larger. See Drift.
+type Shift = mc.Shift
 
 // ApplyDeltas returns a new dataset with the deltas applied in order; ds is
 // unchanged. The result is identical — item order included — to a dataset
@@ -167,7 +176,7 @@ func carry(dst, src *atomic.Int64) { dst.Store(src.Load()) }
 
 // pass runs the per-delta score pass over the pool at most once: one
 // EvalRowsBlocked sweep evaluating every touched item's before/after
-// attribute vectors against every pool sample, sharded by shardRows.
+// attribute vectors against every pool sample, sharded by mc.Shard.
 // A completed pass (success or deterministic failure) is latched and shared
 // by every later call; a pass aborted by the caller's context is NOT — the
 // cancellation is returned to that caller only, and the next call with a
@@ -199,38 +208,6 @@ const (
 	// answer.
 	rankChunkRows = 256
 )
-
-// shardRows runs a pass over pool rows [0, rows) cut into fixed chunks of
-// chunkRows, claimed in ascending order by up to workers goroutines. Each
-// worker calls newWorker once for its own scratch and the returned body
-// once per chunk c covering rows [lo, hi); bodies write results into
-// per-chunk slots that the caller reduces after shardRows returns, so the
-// answer does not depend on the worker count. A cancelled context stops
-// every worker before its next chunk; shardRows returns only after all
-// workers have exited, with the context's error if it was cancelled.
-func shardRows(ctx context.Context, rows, chunkRows, workers int, newWorker func() func(c, lo, hi int)) error {
-	chunks := (rows + chunkRows - 1) / chunkRows
-	workers = min(max(workers, 1), chunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body := newWorker()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks || ctx.Err() != nil {
-					return
-				}
-				lo := c * chunkRows
-				body(c, lo, min(lo+chunkRows, rows))
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
 
 func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, workers int) ([]scoreStat, error) {
 	k := len(rec.trace)
@@ -265,9 +242,11 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 	chunks := (rows + deltaChunkRows - 1) / deltaChunkRows
 	sums := make([][]float64, chunks)
 	maxs := make([][]float64, chunks)
-	err := shardRows(ctx, rows, deltaChunkRows, workers, func() func(c, lo, hi int) {
+	err := mc.Shard(ctx, chunks, workers, func(int) func(int) error {
 		out := make([]float64, deltaChunkRows*sides)
-		return func(c, lo, hi int) {
+		return func(c int) error {
+			lo := c * deltaChunkRows
+			hi := min(lo+deltaChunkRows, rows)
 			pool.EvalRowsBlocked(normals, lo, hi, out)
 			sum := make([]float64, k)
 			mx := make([]float64, k)
@@ -293,6 +272,7 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 			}
 			sums[c] = sum
 			maxs[c] = mx
+			return nil
 		}
 	})
 	if err != nil {
@@ -333,11 +313,13 @@ func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS 
 	oldAttrs, newAttrs := rec.oldDS.Matrix(), newDS.Matrix()
 	nOld, nNew := oldAttrs.Rows(), newAttrs.Rows()
 	tallies := make([][]mc.ShiftTally, (rows+rankChunkRows-1)/rankChunkRows)
-	err := shardRows(ctx, rows, rankChunkRows, workers, func() func(c, lo, hi int) {
+	err := mc.Shard(ctx, len(tallies), workers, func(int) func(int) error {
 		oldScores := make([]float64, nOld)
 		newScores := make([]float64, nNew)
-		return func(c, lo, hi int) {
+		return func(c int) error {
 			t := make([]mc.ShiftTally, k)
+			lo := c * rankChunkRows
+			hi := min(lo+rankChunkRows, rows)
 			for r := lo; r < hi; r++ {
 				w := pool.Row(r)
 				oldAttrs.MulVec(w, oldScores)
@@ -357,6 +339,7 @@ func (rec *deltaRecord) rankPass(ctx context.Context, pool vecmat.Matrix, newDS 
 				}
 			}
 			tallies[c] = t
+			return nil
 		}
 	})
 	if err != nil {

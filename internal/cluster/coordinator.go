@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,45 +323,18 @@ func (c *Coordinator) splice(chunk Chunk, total int, pool vecmat.Matrix, st *fil
 
 // fillLocal computes the remaining chunks in-process, sharded across the
 // configured local workers — the path that guarantees FillPool completes
-// with a bit-identical pool no matter what the remote workers did.
+// with a bit-identical pool no matter what the remote workers did. A chunk
+// that fails to fill stops every local worker before its next chunk.
 func (c *Coordinator) fillLocal(ctx context.Context, factory mc.SamplerFactory, total int, pool vecmat.Matrix, st *fillState, missing []int) error {
-	workers := c.localWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	fill := func(i int) error {
+		if err := mc.FillChunkInto(ctx, factory, missing[i], total, pool); err != nil {
+			return err
+		}
+		st.claim(missing[i])
+		c.localChunks.Add(1)
+		return nil
 	}
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		fillErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(missing) || ctx.Err() != nil {
-					return
-				}
-				idx := missing[i]
-				if err := mc.FillChunkInto(ctx, factory, idx, total, pool); err != nil {
-					errOnce.Do(func() { fillErr = err })
-					return
-				}
-				st.claim(idx)
-				c.localChunks.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if fillErr != nil {
-		return fillErr
-	}
-	return ctx.Err()
+	return mc.Shard(ctx, len(missing), c.localWorkers, func(int) func(int) error { return fill })
 }
 
 func (c *Coordinator) logfSafe(format string, args ...any) {

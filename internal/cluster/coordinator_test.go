@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stablerank/internal/mc"
+	"stablerank/internal/sampling"
 	"stablerank/internal/vecmat"
 )
 
@@ -311,6 +313,50 @@ func TestClusterWorkerRejectsBadRequests(t *testing.T) {
 // BenchmarkRemoteChunkFill compares a purely local pool build against the
 // full remote round trip (serialize, HTTP over loopback, CRC, splice) so the
 // perf gate can watch the protocol's overhead.
+// TestFillLocalStopsOnChunkError: when one chunk's sampler fails, the local
+// fill returns that error and every other worker claims at most one more
+// chunk instead of filling the rest of the pool.
+func TestFillLocalStopsOnChunkError(t *testing.T) {
+	const workers, chunks = 4, 64
+	total := chunks * mc.PoolChunk
+	region, err := RegionSpec{D: 2}.Region()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone := mc.ConeSamplers(region, testPoolSeed)
+	boom := errors.New("sampler failed")
+	var failed atomic.Bool
+	var late atomic.Int64 // chunks claimed once the failure was visible
+	factory := func(chunk int) (sampling.Sampler, error) {
+		if chunk == 0 {
+			failed.Store(true)
+			return nil, boom
+		}
+		if failed.Load() {
+			late.Add(1)
+			// Give the failing worker time to publish the stop.
+			time.Sleep(2 * time.Millisecond)
+		}
+		return cone(chunk)
+	}
+	missing := make([]int, chunks)
+	for i := range missing {
+		missing[i] = i
+	}
+	c := NewCoordinator(CoordinatorConfig{LocalWorkers: workers})
+	st := &fillState{filled: make([]bool, chunks), remaining: chunks}
+	err = c.fillLocal(context.Background(), factory, total, vecmat.New(total, 2), st, missing)
+	if !errors.Is(err, boom) {
+		t.Fatalf("fillLocal err = %v, want the sampler's error", err)
+	}
+	if n := late.Load(); n > workers-1 {
+		t.Fatalf("%d chunks claimed after the failing chunk, want at most one per other worker (%d)", n, workers-1)
+	}
+	if got := c.Stats().LocalChunks; got >= chunks-1 {
+		t.Fatalf("%d local chunks filled after a failure, want the fill stopped early", got)
+	}
+}
+
 func BenchmarkRemoteChunkFill(b *testing.B) {
 	spec := testSpec()
 	const total = 4 * mc.PoolChunk

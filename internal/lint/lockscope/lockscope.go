@@ -31,12 +31,13 @@ import (
 
 // DefaultExpensive lists substrings matched against a callee's full
 // type-qualified name; a hit while any mutex is held is flagged. The
-// defaults cover the repo's pool-scale sweeps and outbound HTTP.
+// defaults cover the repo's pool-scale sweeps (mc.Shard runs every one of
+// them) and outbound HTTP.
 var DefaultExpensive = []string{
 	"LastDrift",
 	"BuildIndex",
 	"BuildPool",
-	"ParallelEstimate",
+	"mc.Shard",
 	"net/http.Client",
 }
 

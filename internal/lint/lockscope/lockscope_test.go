@@ -16,3 +16,9 @@ func TestLockscope(t *testing.T) {
 func TestDeltaMuRegression(t *testing.T) {
 	linttest.Run(t, "testdata/src/deltamu", New())
 }
+
+// TestShardPass: a pool pass started through mc.Shard while a mutex is held
+// is flagged, and the sweep-then-lock shape passes clean.
+func TestShardPass(t *testing.T) {
+	linttest.Run(t, "testdata/src/shard", New())
+}

@@ -15,7 +15,7 @@ import (
 // identifies rankings by a 64-bit hash of the induced index sequence
 // instead, collision-checked against the stored canonical order; the rare
 // colliding identities fall back to exact string keys. String keys only
-// materialize at API edges (Result.Key, Estimate.Counts).
+// materialize at API edges (Result.Key).
 
 // internEntry is one distinct observed ranking identity.
 type internEntry struct {
@@ -23,8 +23,7 @@ type internEntry struct {
 	order []int
 	// count is the number of observations.
 	count int
-	// firstW is the first weight vector observed for the identity (set by
-	// the Operator; unused by ParallelEstimate).
+	// firstW is the first weight vector observed for the identity.
 	firstW geom.Vector
 	// returned marks identities already emitted by GET-NEXTr.
 	returned bool

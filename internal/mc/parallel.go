@@ -6,23 +6,21 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
-	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
 	"stablerank/internal/vecmat"
 )
 
-// Parallel estimation, an engineering extension beyond the paper: the
-// Monte-Carlo sweeps of Algorithms 7 and 12 are embarrassingly parallel, so
-// both the shared sample pool and the distribution of ranking (or top-k)
-// frequencies can be gathered on all cores and merged.
+// Parallel pool passes, an engineering extension beyond the paper: the
+// Monte-Carlo operators of Algorithms 7 and 12 are sums over a pool of
+// sampled weight vectors, so the pool's draw and every later pass over it
+// (the fused verify and item-rank sweep, the adaptive sweep, the drift
+// passes) cut the pool into fixed chunks that Shard spreads over the cores.
 //
-// Determinism contract: the work is sharded into fixed-size chunks of
+// Determinism contract: the pool draw is sharded into fixed-size chunks of
 // PoolChunk samples, every chunk owns an independent RNG stream derived from
 // the base seed and the CHUNK index (never the worker index), and chunk
 // boundaries depend only on the total sample count. Workers merely pick up
@@ -59,63 +57,81 @@ func ConeSamplers(region geom.Region, baseSeed int64) SamplerFactory {
 	}
 }
 
-// sweep runs fn over every chunk of total on the given worker count, stopping
-// early on the first error or context cancellation. fn receives the chunk
-// index and the [lo, hi) sample range it covers; it is called from multiple
-// goroutines but never twice for the same chunk.
-func sweep(ctx context.Context, total, workers int, fn func(chunk, lo, hi int) error) error {
-	if total <= 0 {
-		return nil
-	}
-	chunks := (total + PoolChunk - 1) / PoolChunk
+// Workers returns how many goroutines Shard runs for n tasks when asked for
+// workers: GOMAXPROCS when workers <= 0, never more than n. A caller that
+// keeps per-worker result slots sizes them with it.
+func Workers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > chunks {
-		workers = chunks
+	return min(workers, n)
+}
+
+// Shard is the one worker loop of every CPU-parallel pool pass. It runs
+// tasks 0..n-1, claimed in ascending order by Workers(workers, n) workers:
+// the calling goroutine and one new goroutine per further worker. Worker w
+// calls newWorker(w) once for its own scratch and then the returned body
+// once per task it claims, so no task runs twice. ctx is polled before
+// every task, and the first error (a body's or the context's) stops every
+// worker before its next task. Shard returns that error only after all
+// workers have exited; with one worker or one task it starts no goroutine.
+//
+// Determinism is the caller's half of the contract: a body writes its
+// result into a per-task slot, or into a per-worker slot whose reduction
+// cannot depend on which worker ran which task (integer sums), and the
+// caller reduces the slots in a fixed order after Shard returns. Then the
+// answer is the same for every worker count.
+func Shard(ctx context.Context, n, workers int, newWorker func(w int) func(task int) error) error {
+	if n <= 0 {
+		return nil
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		sweepErr error
-	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			sweepErr = err
-			close(stop)
-		})
+	if workers = Workers(workers, n); workers == 1 {
+		s := shard{n: n, newWorker: newWorker}
+		s.work(ctx, 0)
+		return s.err
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	s := &shard{n: n, newWorker: newWorker}
+	s.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				lo := c * PoolChunk
-				hi := min(lo+PoolChunk, total)
-				if err := fn(c, lo, hi); err != nil {
-					fail(err)
-					return
-				}
-			}
+			defer s.wg.Done()
+			s.work(ctx, w)
 		}()
 	}
-	wg.Wait()
-	return sweepErr
+	s.work(ctx, 0)
+	s.wg.Wait()
+	return s.err
+}
+
+// shard is the state one Shard call shares among its workers.
+type shard struct {
+	n         int
+	newWorker func(w int) func(task int) error
+	next      atomic.Int64 // the next unclaimed task
+	stop      atomic.Bool  // set by the first error
+	err       error        // the first error; written once, by the worker that set stop
+	wg        sync.WaitGroup
+}
+
+// work runs worker w until the tasks run out or a task fails.
+func (s *shard) work(ctx context.Context, w int) {
+	body := s.newWorker(w)
+	for !s.stop.Load() {
+		t := int(s.next.Add(1)) - 1
+		if t >= s.n {
+			return
+		}
+		err := ctx.Err()
+		if err == nil {
+			err = body(t)
+		}
+		if err != nil {
+			if s.stop.CompareAndSwap(false, true) {
+				s.err = err
+			}
+			return
+		}
+	}
 }
 
 // BuildPoolMatrix draws `total` d-dimensional samples through the factory
@@ -137,138 +153,13 @@ func BuildPoolMatrix(ctx context.Context, factory SamplerFactory, total, d, work
 		return vecmat.Matrix{}, fmt.Errorf("mc: dimension %d < 1", d)
 	}
 	pool := vecmat.New(total, d)
-	err := sweep(ctx, total, workers, func(chunk, lo, hi int) error {
+	fill := func(chunk int) error {
+		lo, hi := ChunkRange(chunk, total)
 		return fillChunkRows(ctx, factory, chunk, lo, hi, pool, lo)
-	})
+	}
+	err := Shard(ctx, Chunks(total), workers, func(int) func(int) error { return fill })
 	if err != nil {
 		return vecmat.Matrix{}, err
 	}
 	return pool, nil
-}
-
-// Estimate is the merged outcome of a parallel sweep.
-type Estimate struct {
-	// Counts maps ranking keys to observation counts.
-	Counts map[string]int
-	// Total is the number of samples drawn across all workers.
-	Total int
-}
-
-// Stability returns the estimated stability of key.
-func (e Estimate) Stability(key string) float64 {
-	if e.Total == 0 {
-		return 0
-	}
-	return float64(e.Counts[key]) / float64(e.Total)
-}
-
-// Top returns the h most frequent keys in decreasing count (ties broken by
-// key for determinism).
-func (e Estimate) Top(h int) []string {
-	keys := make([]string, 0, len(e.Counts))
-	for k := range e.Counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ci, cj := e.Counts[keys[i]], e.Counts[keys[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return keys[i] < keys[j]
-	})
-	if h > 0 && len(keys) > h {
-		keys = keys[:h]
-	}
-	return keys
-}
-
-// ParallelEstimate draws `total` samples split into PoolChunk shards across
-// `workers` goroutines (workers <= 0 uses GOMAXPROCS) and returns the merged
-// ranking-frequency distribution under the given mode/k. Per the determinism
-// contract, the outcome is bit-identical for a fixed factory and total
-// regardless of the worker count. Cancelling ctx aborts the sweep with the
-// context's error.
-func ParallelEstimate(ctx context.Context, ds *dataset.Dataset, factory SamplerFactory, mode Mode, k, total, workers int) (Estimate, error) {
-	if ds == nil || ds.N() == 0 {
-		return Estimate{}, dataset.ErrEmptyDataset
-	}
-	if factory == nil {
-		return Estimate{}, errors.New("mc: nil sampler factory")
-	}
-	if total < 0 {
-		return Estimate{}, fmt.Errorf("mc: negative total %d", total)
-	}
-	switch mode {
-	case Complete:
-	case TopKSet, TopKRanked:
-		if k < 1 {
-			return Estimate{}, fmt.Errorf("mc: top-k mode requires k >= 1, got %d", k)
-		}
-	default:
-		return Estimate{}, fmt.Errorf("mc: unknown mode %d", int(mode))
-	}
-	if total == 0 {
-		return Estimate{Counts: map[string]int{}}, nil
-	}
-
-	// One ranking computer and one partial intern table per worker slot
-	// would race on chunk pickup, so allocate them per chunk instead: a
-	// computer is cheap next to the PoolChunk rankings it then produces, and
-	// merging per-chunk tables keeps the final counts independent of
-	// scheduling. Within a chunk, rankings are counted under interned
-	// 64-bit hashes (collision-checked) with the sample buffer reused, so
-	// the per-sample loop allocates only for first-seen rankings; string
-	// keys materialize once per distinct ranking during the merge.
-	chunks := (total + PoolChunk - 1) / PoolChunk
-	parts := make([]*internTable, chunks)
-	err := sweep(ctx, total, workers, func(chunk, lo, hi int) error {
-		s, err := factory(chunk)
-		if err != nil {
-			return err
-		}
-		if s.Dim() != ds.D() {
-			return fmt.Errorf("mc: sampler dimension %d != dataset dimension %d", s.Dim(), ds.D())
-		}
-		into, _ := s.(sampling.IntoSampler)
-		comp := rank.NewComputer(ds)
-		table := newInternTable()
-		wbuf := make(geom.Vector, ds.D())
-		var setbuf []int
-		for i := lo; i < hi; i++ {
-			if into != nil {
-				err = into.SampleInto(wbuf)
-			} else {
-				err = sampling.Into(s, wbuf)
-			}
-			if err != nil {
-				return err
-			}
-			var sel []int
-			switch mode {
-			case TopKSet:
-				setbuf = append(setbuf[:0], comp.TopKSelect(wbuf, k)...)
-				sort.Ints(setbuf)
-				sel = setbuf
-			case TopKRanked:
-				sel = comp.TopKSelect(wbuf, k)
-			default:
-				sel = comp.Compute(wbuf).Order
-			}
-			table.observe(sel)
-		}
-		parts[chunk] = table
-		return nil
-	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	merged := make(map[string]int)
-	n := 0
-	for _, p := range parts {
-		p.forEach(func(e *internEntry) {
-			merged[e.key()] += e.count
-			n += e.count
-		})
-	}
-	return Estimate{Counts: merged, Total: n}, nil
 }

@@ -4,125 +4,150 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
 	"stablerank/internal/sampling"
-	"stablerank/internal/twod"
 	"stablerank/internal/vecmat"
 )
 
-func TestParallelEstimateMatchesExact(t *testing.T) {
-	ds := dataset.Figure1()
-	full := geom.Interval2D{Lo: 0, Hi: math.Pi / 2}
-	exact, err := twod.EnumerateAll(ds, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := ParallelEstimate(ctx, ds, ConeSamplers(geom.FullSpace{D: 2}, 201),
-		Complete, 0, 80000, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Total != 80000 {
-		t.Errorf("total = %d", est.Total)
-	}
-	for _, s := range exact[:4] {
-		key := s.Ranking.Key()
-		if got := est.Stability(key); math.Abs(got-s.Stability) > 0.01 {
-			t.Errorf("key %s: parallel %v vs exact %v", key, got, s.Stability)
-		}
-	}
-	top := est.Top(3)
-	if len(top) != 3 || top[0] != exact[0].Ranking.Key() {
-		t.Errorf("Top(3) = %v, want leader %s", top, exact[0].Ranking.Key())
-	}
-}
-
-// TestParallelEstimateWorkerInvariance is the determinism contract: the
-// merged counts must be bit-identical for every worker count, because shards
-// are seeded by chunk index, never by worker index.
-func TestParallelEstimateWorkerInvariance(t *testing.T) {
-	ds := dataset.Figure1()
-	var base Estimate
-	for i, workers := range []int{1, 2, 8} {
-		est, err := ParallelEstimate(ctx, ds, ConeSamplers(geom.FullSpace{D: 2}, 7), Complete, 0, 9000, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = est
-			continue
-		}
-		if len(est.Counts) != len(base.Counts) {
-			t.Fatalf("workers=%d: key set differs (%d vs %d keys)", workers, len(est.Counts), len(base.Counts))
-		}
-		for k, c := range base.Counts {
-			if est.Counts[k] != c {
-				t.Fatalf("workers=%d key %s: %d vs %d", workers, k, est.Counts[k], c)
+// TestShard pins the worker loop's contract over a table of task and worker
+// counts: every task runs exactly once, on a worker index below the worker
+// count, and workers <= 0 means GOMAXPROCS.
+func TestShard(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 1000} {
+		for _, workers := range []int{0, 1, 2, 8} {
+			limit := workers
+			if limit <= 0 {
+				limit = runtime.GOMAXPROCS(0)
+			}
+			if limit = min(limit, n); Workers(workers, n) != limit {
+				t.Fatalf("Workers(%d, %d) = %d, want %d", workers, n, Workers(workers, n), limit)
+			}
+			runs := make([]atomic.Int32, n)
+			var badWorker atomic.Int32
+			err := Shard(ctx, n, workers, func(w int) func(int) error {
+				if w < 0 || w >= limit {
+					badWorker.Store(int32(w) + 1)
+				}
+				return func(task int) error {
+					runs[task].Add(1)
+					return nil
+				}
+			})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if w := badWorker.Load(); w != 0 {
+				t.Fatalf("n=%d workers=%d: worker index %d, want below %d", n, workers, w-1, limit)
+			}
+			for task := range runs {
+				if c := runs[task].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: task %d ran %d times", n, workers, task, c)
+				}
 			}
 		}
 	}
 }
 
-func TestParallelEstimateTopKModes(t *testing.T) {
-	ds := dataset.Toy225()
-	est, err := ParallelEstimate(ctx, ds, ConeSamplers(geom.FullSpace{D: 2}, 8), TopKSet, 3, 20000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Section 2.2.5: the dominant top-3 set is {t2, t3, t4} = indices 1,2,3.
-	if top := est.Top(1); len(top) != 1 || top[0] != "1,2,3" {
-		t.Errorf("dominant set = %v, want [1,2,3]", top)
-	}
-}
-
-func TestParallelEstimateValidation(t *testing.T) {
-	ds := dataset.Figure1()
-	f := ConeSamplers(geom.FullSpace{D: 2}, 1)
-	if _, err := ParallelEstimate(ctx, nil, f, Complete, 0, 10, 1); err == nil {
-		t.Error("nil dataset accepted")
-	}
-	if _, err := ParallelEstimate(ctx, ds, nil, Complete, 0, 10, 1); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if _, err := ParallelEstimate(ctx, ds, f, TopKSet, 0, 10, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := ParallelEstimate(ctx, ds, f, Mode(9), 0, 10, 1); err == nil {
-		t.Error("bad mode accepted")
-	}
-	if _, err := ParallelEstimate(ctx, ds, f, Complete, 0, -1, 1); err == nil {
-		t.Error("negative total accepted")
-	}
-	// Dimension mismatch surfaces from the worker.
-	bad := ConeSamplers(geom.FullSpace{D: 3}, 1)
-	if _, err := ParallelEstimate(ctx, ds, bad, Complete, 0, 10, 2); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	// Zero samples: empty estimate.
-	est, err := ParallelEstimate(ctx, ds, f, Complete, 0, 0, 4)
-	if err != nil || est.Total != 0 || len(est.Counts) != 0 {
-		t.Errorf("zero-total estimate: %+v, %v", est, err)
-	}
-	if est.Stability("anything") != 0 {
-		t.Error("stability of empty estimate should be 0")
-	}
-	// More workers than samples.
-	est, err = ParallelEstimate(ctx, ds, f, Complete, 0, 3, 16)
-	if err != nil || est.Total != 3 {
-		t.Errorf("workers>total: %+v, %v", est, err)
+// TestShardStopsOnError: a body's error is returned, every other worker
+// starts at most one more task after it, and Shard returns only after every
+// body has finished.
+func TestShardStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2, 8} {
+		var failed atomic.Bool
+		var active, tooMany atomic.Int32
+		err := Shard(ctx, 1000, workers, func(int) func(int) error {
+			after := 0 // tasks this worker started once the failure was visible
+			return func(task int) error {
+				active.Add(1)
+				defer active.Add(-1)
+				if task == 10 {
+					failed.Store(true)
+					return boom
+				}
+				if failed.Load() {
+					if after++; after > 1 {
+						tooMany.Store(1)
+					}
+					// Give the failing worker time to publish the stop.
+					time.Sleep(2 * time.Millisecond)
+				}
+				return nil
+			}
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if tooMany.Load() != 0 {
+			t.Fatalf("workers=%d: a worker kept claiming tasks after the error", workers)
+		}
+		if a := active.Load(); a != 0 {
+			t.Fatalf("workers=%d: Shard returned with %d bodies still running", workers, a)
+		}
 	}
 }
 
-func TestParallelEstimateCancelled(t *testing.T) {
-	ds := dataset.Figure1()
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ParallelEstimate(cancelled, ds, ConeSamplers(geom.FullSpace{D: 2}, 1), Complete, 0, 50000, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+// pollCancel is a context cancelled by its k-th Err poll; polls goes
+// negative by one for every poll after that. Polls are serialized, so no
+// poll slips between the k-th one and the cancellation taking effect.
+type pollCancel struct {
+	context.Context
+	cancel context.CancelFunc
+	mu     sync.Mutex
+	polls  int64
+}
+
+func (c *pollCancel) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.polls--; c.polls == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestShardCancel: a context cancelled on its k-th poll makes Shard return
+// context.Canceled after at most one more poll and one more task per worker,
+// and leaves no goroutine behind.
+func TestShardCancel(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		for _, k := range []int64{1, 5, 100} {
+			cctx, cancel := context.WithCancel(context.Background())
+			pc := &pollCancel{Context: cctx, cancel: cancel, polls: k}
+			var late atomic.Int32 // tasks started after the cancelling poll
+			err := Shard(pc, 1000, workers, func(int) func(int) error {
+				return func(int) error {
+					if cctx.Err() != nil {
+						late.Add(1)
+					}
+					return nil
+				}
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d k=%d: err = %v, want context.Canceled", workers, k, err)
+			}
+			if extra := -pc.polls; extra > int64(workers-1) {
+				t.Fatalf("workers=%d k=%d: %d polls after cancellation", workers, k, extra)
+			}
+			if l := late.Load(); l > int32(workers-1) {
+				t.Fatalf("workers=%d k=%d: %d tasks started after cancellation", workers, k, l)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after the cancelled runs, baseline %d", n, baseline)
 	}
 }
 

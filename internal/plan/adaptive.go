@@ -2,9 +2,8 @@ package plan
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
+	"stablerank/internal/mc"
 	"stablerank/internal/md"
 	"stablerank/internal/vecmat"
 )
@@ -59,24 +58,22 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 	if env.OnSweep != nil {
 		env.OnSweep()
 	}
-	workers := env.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	rows := pool.Rows()
 	grouped, starts := concatLive(env, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
 	counts := make([]int, len(live))
 	pos, chunk := 0, adaptiveChunkMin
 	for pos < rows && len(live) > 0 {
-		if err := ctx.Err(); err != nil {
+		hi := min(pos+chunk, rows)
+		err := ctx.Err()
+		if err == nil {
+			err = countChunkGrouped(ctx, grouped, starts, pool, pos, hi, env.Workers, counts)
+		}
+		if err != nil {
 			for _, i := range verifyIdx {
 				out[i].Verify = nil
 			}
 			return err
 		}
-		hi := min(pos+chunk, rows)
-		countChunkGrouped(grouped, starts, pool, pos, hi, workers, counts)
 		pos = hi
 		if chunk < adaptiveChunkMax {
 			chunk *= 2
@@ -140,35 +137,33 @@ func concatLive[T any](env *Env, live []T, cons func(*T) vecmat.Matrix) (vecmat.
 }
 
 // countChunkGrouped accumulates grouped membership counts for pool rows
-// [lo, hi) into counts, sharding large chunks across workers. The shards are
-// contiguous sub-ranges whose integer counts are summed, so the result is
-// identical for every worker count.
-func countChunkGrouped(grouped vecmat.Matrix, starts []int, pool vecmat.Matrix, lo, hi, workers int, counts []int) {
-	n := hi - lo
-	if w := n / sweepBlock; workers > w {
-		workers = w
-	}
-	if workers <= 1 {
+// [lo, hi) into counts, sharding a chunk of several sweepBlock blocks across
+// workers. Every worker sums whole blocks into its own slot (worker 0 into
+// counts itself), and integer sums do not depend on which worker counted
+// which block, so the result is identical for every worker count.
+func countChunkGrouped(ctx context.Context, grouped vecmat.Matrix, starts []int, pool vecmat.Matrix, lo, hi, workers int, counts []int) error {
+	blocks := (hi - lo + sweepBlock - 1) / sweepBlock
+	if blocks <= 1 {
 		vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, counts)
-		return
+		return nil
 	}
-	part := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo := lo + w*n/workers
-		whi := lo + (w+1)*n/workers
-		local := make([]int, len(counts))
+	part := make([][]int, mc.Workers(workers, blocks))
+	err := mc.Shard(ctx, blocks, len(part), func(w int) func(int) error {
+		local := counts
+		if w > 0 {
+			local = make([]int, len(counts))
+		}
 		part[w] = local
-		wg.Add(1)
-		go func(wlo, whi int, local []int) {
-			defer wg.Done()
-			vecmat.CountInsideGrouped(grouped, starts, pool, wlo, whi, local)
-		}(wlo, whi, local)
-	}
-	wg.Wait()
-	for _, local := range part {
+		return func(b int) error {
+			blo := lo + b*sweepBlock
+			vecmat.CountInsideGrouped(grouped, starts, pool, blo, min(blo+sweepBlock, hi), local)
+			return nil
+		}
+	})
+	for _, local := range part[1:] {
 		for i, c := range local {
 			counts[i] += c
 		}
 	}
+	return err
 }

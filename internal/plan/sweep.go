@@ -2,9 +2,6 @@ package plan
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"stablerank/internal/mc"
 	"stablerank/internal/md"
@@ -111,92 +108,56 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 	// count one indexed ranking each.
 	blocks := (scanRows + sweepBlock - 1) / sweepBlock
 	tasks := blocks + len(indexed)
-	workers := env.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
+	workers := mc.Workers(env.Workers, tasks)
 	// Per-worker accumulators, merged after the sweep: one membership count
 	// per scanned verify, one dense rank histogram (1..N) per item query.
 	// Each indexed ranking's count is written by the one task that owns it.
 	verifyCounts := make([][]int, workers)
 	rankCounts := make([][][]int, workers)
 	indexCounts := make([]int, len(indexed))
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		sweepErr error
-	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			sweepErr = err
-			close(stop)
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vc := make([]int, len(scanned))
-			verifyCounts[w] = vc
-			rc := make([][]int, len(items))
-			for k := range items {
-				rc[k] = make([]int, env.DS.N()+1)
+	err := mc.Shard(ctx, tasks, workers, func(w int) func(int) error {
+		vc := make([]int, len(scanned))
+		verifyCounts[w] = vc
+		rc := make([][]int, len(items))
+		for k := range items {
+			rc[k] = make([]int, env.DS.N()+1)
+		}
+		rankCounts[w] = rc
+		var scores []float64
+		if len(items) > 0 {
+			scores = make([]float64, env.DS.N())
+		}
+		var scratch vecmat.IndexScratch
+		return func(t int) error {
+			if t >= blocks {
+				j := t - blocks
+				indexCounts[j] = ix.Count(live[indexed[j]].cons, &scratch)
+				return nil
 			}
-			rankCounts[w] = rc
-			var scores []float64
-			if len(items) > 0 {
-				scores = make([]float64, env.DS.N())
-			}
-			var scratch vecmat.IndexScratch
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if t >= blocks {
-					j := t - blocks
-					indexCounts[j] = ix.Count(live[indexed[j]].cons, &scratch)
-					continue
-				}
-				lo := t * sweepBlock
-				hi := min(lo+sweepBlock, scanRows)
-				// Sample-major within the block: each sample row is hoisted
-				// into registers once and streamed against the concatenated
-				// constraint matrix of every scanned ranking.
-				vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, vc)
-				for row, rows := lo, min(hi, itemRows); row < rows; row++ {
-					attrs.MulVec(pool.Row(row), scores)
-					for k, it := range items {
-						if row < it.n {
-							rc[k][mc.RankAmong(scores, it.item)]++
-						}
+			lo := t * sweepBlock
+			hi := min(lo+sweepBlock, scanRows)
+			// Sample-major within the block: each sample row is hoisted
+			// into registers once and streamed against the concatenated
+			// constraint matrix of every scanned ranking.
+			vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, vc)
+			for row, rows := lo, min(hi, itemRows); row < rows; row++ {
+				attrs.MulVec(pool.Row(row), scores)
+				for k, it := range items {
+					if row < it.n {
+						rc[k][mc.RankAmong(scores, it.item)]++
 					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if sweepErr != nil {
+			return nil
+		}
+	})
+	if err != nil {
 		// Clear the partially filled verify outcomes so a failed call leaves
 		// no half-answered queries behind.
 		for _, v := range live {
 			out[v.qi].Verify = nil
 		}
-		return sweepErr
+		return err
 	}
 
 	totals := make([]int, len(live))

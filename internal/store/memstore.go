@@ -9,7 +9,7 @@ import (
 
 // MemStore is the in-memory Store: the backend for tests and for servers
 // that want the durable layers' code paths (snapshot reuse within a process,
-// checkpoint bookkeeping) without touching disk. Values are copied on the
+// job records) without touching disk. Values are copied on the
 // way in and out, so callers cannot alias the stored bytes.
 type MemStore struct {
 	mu   sync.Mutex

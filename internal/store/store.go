@@ -1,6 +1,6 @@
 // Package store is the persistence subsystem behind stablerankd's durable
 // state: the dataset catalog, the Monte-Carlo pool-snapshot cache, and the
-// async-job checkpoint log. It deliberately exposes a tiny namespaced
+// async-job records. It deliberately exposes a tiny namespaced
 // key-value contract — Put/Get/Delete/Entries over (namespace, key) pairs —
 // so the durable layers above it stay backend-agnostic: the default
 // FileStore keeps one checksummed file per entry on the local filesystem
@@ -27,10 +27,9 @@ import (
 // must be non-empty lowercase [a-z0-9_-] so every backend can map them to a
 // directory or bucket verbatim.
 const (
-	NSDatasets    = "datasets"
-	NSPools       = "pools"
-	NSJobs        = "jobs"
-	NSCheckpoints = "checkpoints"
+	NSDatasets = "datasets"
+	NSPools    = "pools"
+	NSJobs     = "jobs"
 )
 
 // Sentinel errors of the Store contract.

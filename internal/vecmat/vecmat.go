@@ -91,6 +91,10 @@ func (m Matrix) Clone() Matrix {
 	return out
 }
 
+// Data returns the backing row-major array without copying; mutations are
+// visible both ways.
+func (m Matrix) Data() []float64 { return m.data }
+
 // Bytes returns the memory footprint of the backing array.
 func (m Matrix) Bytes() int64 { return int64(len(m.data)) * 8 }
 

@@ -163,9 +163,9 @@ func (a *Analyzer) drawPool(ctx context.Context) (vecmat.Matrix, error) {
 // propagates — retrying locally after the caller gave up helps nobody.
 func (a *Analyzer) buildPool(ctx context.Context) (vecmat.Matrix, error) {
 	if a.poolFiller != nil {
-		pool, err := a.poolFiller.FillPool(ctx, a.sampleCount, a.ds.D())
-		if err == nil && pool.Rows() == a.sampleCount && pool.Stride() == a.ds.D() {
-			return pool, nil
+		data, err := a.poolFiller.FillPool(ctx, a.sampleCount, a.ds.D())
+		if err == nil && len(data) == a.sampleCount*a.ds.D() {
+			return vecmat.FromData(a.ds.D(), data)
 		}
 		if ctx.Err() != nil {
 			return vecmat.Matrix{}, ctx.Err()

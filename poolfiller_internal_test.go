@@ -11,17 +11,16 @@ import (
 	"stablerank/internal/mc"
 	"stablerank/internal/rank"
 	"stablerank/internal/store"
-	"stablerank/internal/vecmat"
 )
 
 // fakeFiller implements PoolFiller with a scripted behaviour so the tests
 // can observe exactly how the analyzer consumes the hook.
 type fakeFiller struct {
 	calls atomic.Int64
-	fill  func(ctx context.Context, total, d int) (vecmat.Matrix, error)
+	fill  func(ctx context.Context, total, d int) ([]float64, error)
 }
 
-func (f *fakeFiller) FillPool(ctx context.Context, total, d int) (vecmat.Matrix, error) {
+func (f *fakeFiller) FillPool(ctx context.Context, total, d int) ([]float64, error) {
 	f.calls.Add(1)
 	return f.fill(ctx, total, d)
 }
@@ -67,8 +66,9 @@ func TestPoolFillerUsedForBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest.fill = func(fctx context.Context, total, d int) (vecmat.Matrix, error) {
-		return mc.BuildPoolMatrix(fctx, mc.ConeSamplers(a.Region(), a.Seed()), total, d, 0)
+	honest.fill = func(fctx context.Context, total, d int) ([]float64, error) {
+		pool, err := mc.BuildPoolMatrix(fctx, mc.ConeSamplers(a.Region(), a.Seed()), total, d, 0)
+		return pool.Data(), err
 	}
 
 	plain, err := New(ds, WithSeed(11), WithSampleCount(2000))
@@ -86,9 +86,9 @@ func TestPoolFillerUsedForBuild(t *testing.T) {
 
 func TestPoolFillerFallsBackOnErrorAndBadShape(t *testing.T) {
 	ds := fillerDataset()
-	for name, fill := range map[string]func(context.Context, int, int) (vecmat.Matrix, error){
-		"error":     func(context.Context, int, int) (vecmat.Matrix, error) { return vecmat.Matrix{}, errors.New("boom") },
-		"bad shape": func(context.Context, int, int) (vecmat.Matrix, error) { return vecmat.New(3, 2), nil },
+	for name, fill := range map[string]func(context.Context, int, int) ([]float64, error){
+		"error":     func(context.Context, int, int) ([]float64, error) { return nil, errors.New("boom") },
+		"bad shape": func(context.Context, int, int) ([]float64, error) { return make([]float64, 3*2), nil },
 	} {
 		t.Run(name, func(t *testing.T) {
 			broken := &fakeFiller{fill: fill}
@@ -110,10 +110,10 @@ func TestPoolFillerFallsBackOnErrorAndBadShape(t *testing.T) {
 
 func TestPoolFillerCancellationPropagates(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
-	blocked := &fakeFiller{fill: func(fctx context.Context, total, d int) (vecmat.Matrix, error) {
+	blocked := &fakeFiller{fill: func(fctx context.Context, total, d int) ([]float64, error) {
 		cancel() // the caller gives up while the filler is in flight
 		<-fctx.Done()
-		return vecmat.Matrix{}, fctx.Err()
+		return nil, fctx.Err()
 	}}
 	ds := fillerDataset()
 	a, err := New(ds, WithSeed(11), WithSampleCount(2000), WithPoolFiller(blocked))
@@ -125,8 +125,8 @@ func TestPoolFillerCancellationPropagates(t *testing.T) {
 	}
 	// The aborted build must be retryable: a fresh context succeeds via the
 	// local fallback (the filler now fails immediately).
-	blocked.fill = func(context.Context, int, int) (vecmat.Matrix, error) {
-		return vecmat.Matrix{}, errors.New("still broken")
+	blocked.fill = func(context.Context, int, int) ([]float64, error) {
+		return nil, errors.New("still broken")
 	}
 	if _, err := verify(ctx, a, fillerRanking(ds)); err != nil {
 		t.Fatalf("retry after cancelled filler build: %v", err)
@@ -139,8 +139,8 @@ func TestPoolFillerCacheStillWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filler := &fakeFiller{fill: func(context.Context, int, int) (vecmat.Matrix, error) {
-		return vecmat.Matrix{}, errors.New("should not be called on a cache hit")
+	filler := &fakeFiller{fill: func(context.Context, int, int) ([]float64, error) {
+		return nil, errors.New("should not be called on a cache hit")
 	}}
 	a, err := New(ds, WithSeed(11), WithSampleCount(2000),
 		WithPoolCache(staticCache{snap: store.EncodeSnapshot(ref)}), WithPoolFiller(filler))

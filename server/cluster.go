@@ -14,7 +14,6 @@ import (
 
 	"stablerank"
 	"stablerank/internal/cluster"
-	"stablerank/internal/vecmat"
 )
 
 // Cluster glue: how one stablerankd process becomes a replica in a sharded
@@ -189,8 +188,9 @@ type coordinatorFiller struct {
 	hash  string
 }
 
-func (f *coordinatorFiller) FillPool(ctx context.Context, total, d int) (vecmat.Matrix, error) {
-	return f.coord.FillPool(ctx, f.spec, f.seed, total, f.hash)
+func (f *coordinatorFiller) FillPool(ctx context.Context, total, d int) ([]float64, error) {
+	pool, err := f.coord.FillPool(ctx, f.spec, f.seed, total, f.hash)
+	return pool.Data(), err
 }
 
 // poolFillerFor binds the coordinator to one analyzer key. The wire spec

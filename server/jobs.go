@@ -60,7 +60,7 @@ type jobStore struct {
 	workers int
 	ttl     time.Duration
 	timeout time.Duration
-	exec    func(context.Context, *job) (*queryResponse, error)
+	exec    func(context.Context, *compiledQuery) (*queryResponse, error)
 	persist *jobPersister // nil = no persistence
 
 	baseCtx   context.Context //srlint:ctxflow worker-pool lifetime context, owned by the store and cancelled in close()
@@ -75,7 +75,7 @@ type jobStore struct {
 
 // newJobStore starts the worker pool. workers < 0 disables the subsystem
 // (submit answers 503).
-func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(context.Context, *job) (*queryResponse, error), persist *jobPersister) *jobStore {
+func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(context.Context, *compiledQuery) (*queryResponse, error), persist *jobPersister) *jobStore {
 	if workers < 0 {
 		workers = 0
 	}
@@ -160,7 +160,7 @@ func (st *jobStore) run(j *job) {
 	}
 	defer cancel()
 
-	resp, err := st.exec(ctx, j)
+	resp, err := st.exec(ctx, j.cq)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -178,9 +178,9 @@ func (st *jobStore) run(j *job) {
 	if err != nil {
 		if st.baseCtx.Err() != nil {
 			// Shutdown cancelled the job. Leave the persisted record in its
-			// running state — exec already checkpointed the progress — so the
-			// next boot re-enqueues and resumes it. The in-memory state is
-			// moot: the process is exiting.
+			// running state, so the next boot re-enqueues it and runs it
+			// again from the start. The in-memory state is moot: the
+			// process is exiting.
 			return
 		}
 		j.state = jobFailed

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,10 +22,10 @@ import (
 //   - Pool snapshots: snapshotCache hands each analyzer a keyed PoolCache,
 //     so a warm restart reinstalls previously drawn Monte-Carlo pools
 //     (PoolBuilds == 0) instead of resampling them.
-//   - Job checkpoints: jobPersister records every job's lifecycle and, for
-//     enumeration-shaped jobs, a periodic checkpoint of the rendered result
-//     prefix; a restart re-enqueues unfinished jobs and resumes them past
-//     their last checkpoint.
+//   - Job records: jobPersister records every job's lifecycle with its
+//     request; a restart re-enqueues unfinished jobs and runs them again
+//     from the start. The answer is deterministic, so the re-run returns
+//     the bytes the interrupted run would have.
 
 // ---------------------------------------------------------------------------
 // Pool snapshot cache.
@@ -170,7 +169,7 @@ func (k *keyedPoolCache) Save(snapshot []byte) {
 }
 
 // ---------------------------------------------------------------------------
-// Job records and checkpoints.
+// Job records.
 
 // jobRecord is the persisted lifecycle of one async job. The original
 // request travels with it so an unfinished job can be recompiled against the
@@ -186,41 +185,19 @@ type jobRecord struct {
 	Result  *queryResponse `json:"result,omitempty"`
 }
 
-// checkpointRecord is the resumable progress of one enumeration-shaped job:
-// the rendered result prefix. The enumeration itself is deterministic (same
-// pool, same delayed-arrangement walk), so "resume" re-drives it and skips
-// the first len(Rows) rankings — the expensive partition work for the prefix
-// is avoided only when the pool snapshot also warm-starts, but the already
-// rendered rows are never recomputed and a completed prefix always survives.
-// DatasetHash guards resumption against the dataset changing between runs:
-// a mismatch discards the prefix instead of splicing two enumerations.
-type checkpointRecord struct {
-	ID          string           `json:"id"`
-	DatasetHash string           `json:"dataset_hash"`
-	Rows        []stableResponse `json:"rows"`
-}
-
-// jobPersister writes job records and checkpoints through the store.
+// jobPersister writes job records through the store.
 type jobPersister struct {
 	st   store.Store
 	logf func(format string, args ...any)
 
-	checkpointWrites atomic.Int64
-	resumes          atomic.Int64
-	restoredJobs     atomic.Int64
+	restoredJobs atomic.Int64
 }
 
 func newJobPersister(st store.Store, logf func(string, ...any)) *jobPersister {
 	return &jobPersister{st: st, logf: logf}
 }
 
-// terminalJobState reports whether a state can no longer change.
-func terminalJobState(st jobState) bool {
-	return st == jobDone || st == jobFailed || st == jobCancelled
-}
-
-// saveJob persists j's current lifecycle state; reaching a terminal state
-// retires the checkpoint (the record now carries the result or verdict).
+// saveJob persists j's current lifecycle state.
 func (p *jobPersister) saveJob(j *job) {
 	var req *queryRequest
 	if j.cq != nil {
@@ -249,48 +226,37 @@ func (p *jobPersister) saveJob(j *job) {
 	}
 	if err := p.st.Put(store.NSJobs, j.id, data); err != nil {
 		p.logf("stablerankd: persisting job %s: %v", j.id, err)
-		return
-	}
-	if terminalJobState(j.state) {
-		_ = p.st.Delete(store.NSCheckpoints, j.id)
 	}
 }
 
-// forget removes a job's record and checkpoint (DELETE, TTL purge).
+// forget removes a job's record (DELETE, TTL purge).
 func (p *jobPersister) forget(id string) {
 	_ = p.st.Delete(store.NSJobs, id)
-	_ = p.st.Delete(store.NSCheckpoints, id)
 }
 
-// saveCheckpoint persists the rendered prefix of a running enumeration.
-func (p *jobPersister) saveCheckpoint(id, datasetHash string, rows []stableResponse) {
-	data, err := json.Marshal(checkpointRecord{ID: id, DatasetHash: datasetHash, Rows: rows})
-	if err != nil {
-		p.logf("stablerankd: encoding job %s checkpoint: %v", id, err)
-		return
-	}
-	if err := p.st.Put(store.NSCheckpoints, id, data); err != nil {
-		p.logf("stablerankd: persisting job %s checkpoint: %v", id, err)
-		return
-	}
-	p.checkpointWrites.Add(1)
-}
+// retiredCheckpoints is the namespace where earlier versions kept the
+// rendered prefix of each running enumeration job. Nothing reads it now,
+// and -max-store-bytes counts every namespace, so reclaimCheckpoints
+// deletes its entries.
+const retiredCheckpoints = "checkpoints"
 
-// loadCheckpoint returns a job's persisted progress, if intact.
-func (p *jobPersister) loadCheckpoint(id string) (checkpointRecord, bool) {
-	data, err := p.st.Get(store.NSCheckpoints, id)
+// reclaimCheckpoints deletes every entry left in the retired checkpoints
+// namespace. Runs once at boot.
+func (p *jobPersister) reclaimCheckpoints() {
+	entries, err := p.st.Entries(retiredCheckpoints)
 	if err != nil {
-		if !errors.Is(err, store.ErrNotFound) {
-			p.logf("stablerankd: job %s checkpoint unreadable, restarting enumeration: %v", id, err)
+		p.logf("stablerankd: listing retired job checkpoints: %v", err)
+		return
+	}
+	removed := 0
+	for _, e := range entries {
+		if p.st.Delete(retiredCheckpoints, e.Key) == nil {
+			removed++
 		}
-		return checkpointRecord{}, false
 	}
-	var rec checkpointRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		p.logf("stablerankd: job %s checkpoint malformed, restarting enumeration: %v", id, err)
-		return checkpointRecord{}, false
+	if removed > 0 {
+		p.logf("stablerankd: removed %d retired job checkpoint(s)", removed)
 	}
-	return rec, true
 }
 
 // jobSeq extracts the numeric suffix of a job id ("j17" -> 17).
@@ -303,90 +269,13 @@ func jobSeq(id string) int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointed job execution.
-
-// checkpointable reports whether a compiled query runs under the
-// checkpointing executor: a single enumeration-shaped operation, the only
-// job shape with meaningful incremental progress (deep enumerations are why
-// the jobs endpoint exists). Mixed batches run atomically via execQuery.
-func checkpointable(cq *compiledQuery) bool {
-	if len(cq.specs) != 1 {
-		return false
-	}
-	switch cq.specs[0].Op {
-	case "toph", "above", "enumerate":
-		return true
-	}
-	return false
-}
-
-// execJob runs one async job. Enumeration-shaped jobs stream their single
-// query and checkpoint the rendered prefix every CheckpointEvery rows — plus
-// once more on cancellation, so a drain-time shutdown persists the exact
-// progress a restart resumes from. Results are bit-identical to execQuery's
-// batch path: same analyzer, same deterministic enumeration, same rendering.
-func (s *Server) execJob(ctx context.Context, j *job) (*queryResponse, error) {
-	cq := j.cq
-	p := s.jobs.persist
-	if p == nil || s.cfg.CheckpointEvery < 0 || !checkpointable(cq) {
-		return s.execQuery(ctx, cq)
-	}
-	ds, a, _, err := s.analyzerFor(cq)
-	if err != nil {
-		return nil, err
-	}
-	queries, err := cq.buildQueries(s, ds)
-	if err != nil {
-		return nil, err
-	}
-	spec, q := cq.specs[0], queries[0]
-	hash := fmt.Sprintf("%016x", ds.Hash())
-
-	var rows []stableResponse
-	if ck, ok := p.loadCheckpoint(j.id); ok {
-		if ck.DatasetHash == hash {
-			rows = ck.Rows
-			p.resumes.Add(1)
-			s.logf("stablerankd: job %s resuming past %d checkpointed rows", j.id, len(rows))
-		} else {
-			s.logf("stablerankd: job %s checkpoint is for a different dataset content, restarting enumeration", j.id)
-		}
-	}
-	skip, seen := len(rows), 0
-	for res, err := range a.Stream(ctx, q) {
-		if err != nil {
-			if ctx.Err() != nil {
-				// Cancelled mid-enumeration (shutdown, timeout or DELETE):
-				// persist the progress. A shutdown leaves the job record
-				// running, so a restart resumes right here; terminal
-				// transitions retire the checkpoint via saveJob.
-				p.saveCheckpoint(j.id, hash, rows)
-			}
-			return nil, err
-		}
-		seen++
-		if seen <= skip {
-			continue // deterministic re-enumeration of the restored prefix
-		}
-		rows = append(rows, s.stableResponses(ds, []stablerank.Stable{*res.Stable}, seen-1)...)
-		if s.cfg.CheckpointEvery > 0 && len(rows)%s.cfg.CheckpointEvery == 0 {
-			p.saveCheckpoint(j.id, hash, rows)
-		}
-	}
-	// Rendered as execQuery renders it, with the streamed rows as rankings.
-	out := s.renderOpResult(ds, spec, q, stablerank.Result{})
-	out.Rankings = append(out.Rankings, rows...)
-	return &queryResponse{Dataset: cq.dataset, Results: []opResult{out}}, nil
-}
-
-// ---------------------------------------------------------------------------
 // Restore at boot.
 
 // restore reloads persisted jobs into a fresh jobStore: terminal records
 // become retrievable results again (their TTL restarts from their original
 // end time), unfinished ones are recompiled against the reloaded registry
-// and re-enqueued to resume from their last checkpoint. Called from New,
-// before the server handles requests.
+// and re-enqueued to run again from the start. Called from New, before the
+// server handles requests.
 func (st *jobStore) restore(s *Server) {
 	p := st.persist
 	entries, err := p.st.Entries(store.NSJobs)
@@ -510,11 +399,7 @@ func (s *Server) storeStats() map[string]any {
 		out["snapshots"] = map[string]any{"enabled": false}
 	}
 	if p := s.persister; p != nil {
-		out["checkpoints"] = map[string]any{
-			"writes":        p.checkpointWrites.Load(),
-			"resumes":       p.resumes.Load(),
-			"restored_jobs": p.restoredJobs.Load(),
-		}
+		out["restored_jobs"] = p.restoredJobs.Load()
 	}
 	return out
 }

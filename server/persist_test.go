@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"stablerank"
 	"stablerank/internal/store"
 )
 
@@ -177,9 +175,9 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 }
 
 // TestJobResumeAcrossRestart seeds the store with a mid-flight job — a
-// running record plus a checkpoint holding the first 4 rendered rankings —
-// and boots a server over it: the job must be re-enqueued, resume past the
-// checkpoint, and complete with a result identical to an uninterrupted run.
+// running record holding its request — and boots a server over it: the job
+// must be re-enqueued, run again, and complete with a result identical to
+// an uninterrupted run.
 func TestJobResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	query := `{"dataset":"fig1","queries":[{"op":"enumerate","limit":11}]}`
@@ -211,17 +209,6 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	if err := st.Put(store.NSJobs, "j7", recBytes); err != nil {
 		t.Fatal(err)
 	}
-	ckBytes, err := json.Marshal(checkpointRecord{
-		ID:          "j7",
-		DatasetHash: fmt.Sprintf("%016x", stablerank.Figure1().Hash()),
-		Rows:        sync.Results[0].Rankings[:4],
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(store.NSCheckpoints, "j7", ckBytes); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +221,10 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	if s2.persister.restoredJobs.Load() != 1 {
 		t.Errorf("restored jobs = %d, want 1", s2.persister.restoredJobs.Load())
 	}
-	if s2.persister.resumes.Load() != 1 {
-		t.Errorf("checkpoint resumes = %d, want 1", s2.persister.resumes.Load())
-	}
 	gotJSON, _ := json.Marshal(done.Result)
 	wantJSON, _ := json.Marshal(&sync)
 	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("resumed job result differs from uninterrupted run:\ngot:  %s\nwant: %s", gotJSON, wantJSON)
+		t.Errorf("re-run job result differs from uninterrupted run:\ngot:  %s\nwant: %s", gotJSON, wantJSON)
 	}
 	// Fresh ids must continue past restored ones.
 	next, code := submitJob(t, ts2, `{"dataset":"fig1","queries":[{"op":"toph","h":1}]}`)
@@ -249,16 +233,15 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCloseCheckpointsRunningJobs pins the shutdown ordering contract: Close
-// first stops the job workers — the running job writes a final checkpoint on
-// its way out and its persisted record stays "running" (resumable) — and
-// only then flushes and closes the store, so everything written during the
-// drain is durable when Close returns.
-func TestCloseCheckpointsRunningJobs(t *testing.T) {
+// TestCloseKeepsRunningJobRecords pins the shutdown ordering contract:
+// Close first stops the job workers — a running job's persisted record stays
+// "running" with its request, so the next boot re-runs it — and only then
+// flushes and closes the store, so everything written during the drain is
+// durable when Close returns.
+func TestCloseKeepsRunningJobRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, func(c *Config) {
 		c.DataDir = dir
-		c.CheckpointEvery = 1
 		c.JobWorkers = 1
 		c.DefaultSampleCount = 30_000
 	})
@@ -269,13 +252,7 @@ func TestCloseCheckpointsRunningJobs(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.persister.checkpointWrites.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never checkpointed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitJobStatus(t, ts, j.ID, jobRunning, 10*time.Second)
 	ts.Close()
 	s.Close()
 
@@ -298,15 +275,40 @@ func TestCloseCheckpointsRunningJobs(t *testing.T) {
 	if rec.Request == nil {
 		t.Error("persisted record carries no request to recompile")
 	}
-	ckBytes, err := st.Get(store.NSCheckpoints, j.ID)
+}
+
+// TestBootReclaimsRetiredCheckpoints: a data dir written by a version that
+// checkpointed jobs keeps entries under the retired checkpoints namespace;
+// the first boot deletes them, so they stop counting against
+// -max-store-bytes.
+func TestBootReclaimsRetiredCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
-		t.Fatalf("checkpoint after Close: %v", err)
-	}
-	var ck checkpointRecord
-	if err := json.Unmarshal(ckBytes, &ck); err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.Rows) < 1 {
-		t.Error("final checkpoint holds no rows")
+	for _, id := range []string{"j3", "j4"} {
+		if err := st.Put(retiredCheckpoints, id, []byte(`{"id":"`+id+`","rows":[]}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	entries, err := s.store.Entries(retiredCheckpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("%d retired checkpoint entries after boot, want 0", len(entries))
+	}
+	if b := s.store.SizeBytes(); b != 0 {
+		t.Fatalf("store holds %d bytes after boot, want 0", b)
 	}
 }

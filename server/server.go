@@ -62,9 +62,10 @@
 // catalog, answers its first query from a restored pool without resampling
 // (PoolBuilds stays 0 and results are bit-identical — the pool draw is
 // deterministic, so a restored pool IS the pool that would have been drawn),
-// and resumes unfinished jobs past their last checkpoint. Corrupt entries
-// are quarantined and rebuilt, never fatal. The /statsz "store" section
-// reports snapshot hits/misses/bytes and checkpoint resume counters.
+// and re-runs unfinished jobs from the start (the answer is deterministic,
+// so a re-run returns the bytes the interrupted run would have). Corrupt
+// entries are quarantined and rebuilt, never fatal. The /statsz "store"
+// section reports snapshot hits/misses/bytes and the restored job count.
 //
 // Servers cluster two ways, separately or together. Config.Peers/SelfURL
 // shard analyzer keys across replicas on a consistent-hash ring: every node
@@ -144,20 +145,18 @@ type Config struct {
 	// JobTimeout bounds one job's computation (default 5m; negative
 	// disables).
 	JobTimeout time.Duration
-	// DataDir enables persistence: datasets, pool snapshots and job
-	// checkpoints are stored under this directory and reloaded on the next
-	// boot. Empty (the default) keeps the server fully in-memory.
+	// DataDir enables persistence: datasets, pool snapshots and job records
+	// are stored under this directory and reloaded on the next boot, which
+	// re-runs unfinished jobs. Empty (the default) keeps the server fully
+	// in-memory.
 	DataDir string
 	// DisableSnapshotCache turns off pool-snapshot persistence while keeping
-	// the dataset catalog and job checkpoints (only meaningful with DataDir).
+	// the dataset catalog and job records (only meaningful with DataDir).
 	DisableSnapshotCache bool
 	// MaxStoreBytes caps the on-disk store; beyond it the oldest pool
 	// snapshots are evicted first and, at the floor, new snapshots are simply
 	// not cached (0 = unlimited).
 	MaxStoreBytes int64
-	// CheckpointEvery is how many enumerated rankings an async job streams
-	// between checkpoints (default 1000; negative disables checkpointing).
-	CheckpointEvery int
 	// Peers is the full replica set of a sharded cluster, this node
 	// included, as base URLs. Analyzer keys are placed on the set by
 	// consistent hashing and POST /v1/query plus the GET /v1/{dataset}/{op}
@@ -240,9 +239,6 @@ func (c Config) Defaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
 	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 1_000
-	}
 	if c.FillTimeout == 0 {
 		c.FillTimeout = 30 * time.Second
 	}
@@ -299,7 +295,7 @@ type Server struct {
 
 // New builds a Server from cfg (zero value fine). With Config.DataDir set it
 // opens the store, reloads the persisted dataset catalog, re-enqueues
-// unfinished async jobs (resuming from their checkpoints), and hands every
+// unfinished async jobs (to run again from the start), and hands every
 // analyzer a pool-snapshot cache so warm restarts skip Monte-Carlo pool
 // builds entirely.
 func New(cfg Config) (*Server, error) {
@@ -351,8 +347,9 @@ func New(cfg Config) (*Server, error) {
 			s.snapshots.sweepStale()
 		}
 		s.persister = newJobPersister(st, s.logf)
+		s.persister.reclaimCheckpoints()
 	}
-	s.jobs = newJobStore(cfg.JobWorkers, cfg.JobQueueSize, cfg.JobTTL, cfg.JobTimeout, s.execJob, s.persister)
+	s.jobs = newJobStore(cfg.JobWorkers, cfg.JobQueueSize, cfg.JobTTL, cfg.JobTimeout, s.execQuery, s.persister)
 	if s.persister != nil {
 		s.jobs.restore(s)
 	}
@@ -364,10 +361,10 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close shuts the server down in dependency order: first the async job
-// workers stop (cancelling running jobs, which persist a final checkpoint on
-// the way out), then the store is flushed and closed — so every checkpoint
-// write strictly precedes the flush and a kill right after Close loses
-// nothing. The HTTP handler itself holds no background state; after Close
+// workers stop (cancelling running jobs, whose records stay "running" so the
+// next boot re-runs them), then the store is flushed and closed — so every
+// job-record write strictly precedes the flush and a kill right after Close
+// loses nothing. The HTTP handler itself holds no background state; after Close
 // the jobs endpoints answer 503. Close is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {

@@ -13,7 +13,6 @@ import (
 	"stablerank/internal/md"
 	"stablerank/internal/plan"
 	"stablerank/internal/store"
-	"stablerank/internal/vecmat"
 )
 
 // Analyzer errors keep their "core:" prefix: /v1/query renders a result's
@@ -221,15 +220,16 @@ func WithPoolCache(c PoolCache) Option {
 
 // PoolFiller is an alternative construction strategy for the sample pool —
 // the hook stablerankd's cluster coordinator plugs in so a pool can be
-// assembled from chunks computed on remote fill workers. A filler must
-// return a matrix bit-identical to the local draw for the analyzer's
-// (region, seed, n); per-chunk deterministic seeding makes that natural.
-// Filler failures (other than context cancellation) and wrong-shape results
-// silently fall back to the local draw — degrading costs latency, never
-// correctness.
+// assembled from chunks computed on remote fill workers. FillPool returns
+// the pool as one row-major array of total×d values, which the analyzer
+// keeps without copying. It must be bit-identical to the local draw for the
+// analyzer's (region, seed, total); per-chunk deterministic seeding makes
+// that natural. Filler failures (other than context cancellation) and
+// results of the wrong length silently fall back to the local draw —
+// degrading costs latency, never correctness.
 type PoolFiller interface {
 	// Implementations must be safe for concurrent use.
-	FillPool(ctx context.Context, total, d int) (vecmat.Matrix, error)
+	FillPool(ctx context.Context, total, d int) ([]float64, error)
 }
 
 // WithPoolFiller delegates pool construction to an external filler. When a
