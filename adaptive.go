@@ -1,4 +1,4 @@
-package plan
+package stablerank
 
 import (
 	"context"
@@ -31,11 +31,11 @@ const (
 	adaptiveChunkMax = 16 * sweepBlock
 )
 
-// adaptiveSweep answers the verify queries with early stopping. It mirrors
-// fusedSweep's failure contract: per-ranking infeasibility lands in the
-// matching Outcome.Err, and only cancellation fails the call (clearing every
-// partial verify outcome).
-func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Query, verifyIdx []int, out []Outcome) error {
+// adaptiveSweep answers the verify queries with early stopping at the
+// analyzer's WithAdaptive target. It mirrors fusedSweep's failure contract:
+// per-ranking infeasibility lands in the matching Result.Err, and only
+// cancellation fails the call (clearing every partial verification).
+func (a *Analyzer) adaptiveSweep(ctx context.Context, pool vecmat.Matrix, queries []Query, verifyIdx []int, out []Result) error {
 	type liveVerify struct {
 		qi    int
 		cons  vecmat.Matrix
@@ -44,33 +44,32 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 	live := make([]liveVerify, 0, len(verifyIdx))
 	for _, i := range verifyIdx {
 		q := queries[i].(VerifyQuery)
-		m, constraints, err := md.ConstraintMatrix(env.DS, q.Ranking)
+		m, constraints, err := md.ConstraintMatrix(a.ds, q.Ranking)
 		if err != nil {
-			out[i].Err = err
+			out[i].Err = mapQueryErr(err)
 			continue
 		}
-		out[i].Verify = &Verification{Constraints: constraints}
+		out[i].Verification = &Verification{Constraints: constraints}
 		live = append(live, liveVerify{qi: i, cons: m})
 	}
 	if len(live) == 0 {
 		return nil
 	}
-	if env.OnSweep != nil {
-		env.OnSweep()
-	}
+	a.sweeps.Add(1)
 	rows := pool.Rows()
-	grouped, starts := concatLive(env, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
+	d := a.ds.D()
+	grouped, starts := concatLive(d, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
 	counts := make([]int, len(live))
 	pos, chunk := 0, adaptiveChunkMin
 	for pos < rows && len(live) > 0 {
 		hi := min(pos+chunk, rows)
 		err := ctx.Err()
 		if err == nil {
-			err = countChunkGrouped(ctx, grouped, starts, pool, pos, hi, env.Workers, counts)
+			err = countChunkGrouped(ctx, grouped, starts, pool, pos, hi, a.workers, counts)
 		}
 		if err != nil {
 			for _, i := range verifyIdx {
-				out[i].Verify = nil
+				out[i].Verification = nil
 			}
 			return err
 		}
@@ -87,16 +86,15 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 			v := live[li]
 			v.count = counts[li]
 			est := float64(v.count) / float64(pos)
-			ci := env.Confidence(est, pos)
-			if ci <= env.AdaptiveError && pos < rows {
-				o := out[v.qi].Verify
+			ci := confidenceOf(est, pos, a.alpha)
+			if ci <= a.adaptiveErr && pos < rows {
+				o := out[v.qi].Verification
 				o.Stability = est
 				o.ConfidenceError = ci
 				o.SampleCount = pos
 				o.Adaptive = true
-				if env.OnAdaptiveStop != nil {
-					env.OnAdaptiveStop(pos, rows)
-				}
+				a.adaptiveStops.Add(1)
+				a.adaptiveRowsSaved.Add(int64(rows - pos))
 				done = true
 				continue
 			}
@@ -106,7 +104,7 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 		if done && len(live) > 0 {
 			// Compact the concatenated constraint matrix to the survivors so
 			// retired queries stop costing dot products.
-			grouped, starts = concatLive(env, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
+			grouped, starts = concatLive(d, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
 			counts = counts[:len(live)]
 			for li := range live {
 				counts[li] = live[li].count
@@ -118,22 +116,22 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 	for li := range live {
 		v := live[li]
 		est := float64(counts[li]) / float64(rows)
-		o := out[v.qi].Verify
+		o := out[v.qi].Verification
 		o.Stability = est
-		o.ConfidenceError = env.Confidence(est, rows)
+		o.ConfidenceError = confidenceOf(est, rows, a.alpha)
 		o.SampleCount = rows
 	}
 	return nil
 }
 
-// concatLive rebuilds the concatenated constraint matrix for the surviving
-// live set.
-func concatLive[T any](env *Env, live []T, cons func(*T) vecmat.Matrix) (vecmat.Matrix, []int) {
+// concatLive rebuilds the concatenated constraint matrix, of dimension d,
+// for the surviving live set.
+func concatLive[T any](d int, live []T, cons func(*T) vecmat.Matrix) (vecmat.Matrix, []int) {
 	mats := make([]vecmat.Matrix, len(live))
 	for i := range live {
 		mats[i] = cons(&live[i])
 	}
-	return vecmat.ConcatGroups(env.DS.D(), mats)
+	return vecmat.ConcatGroups(d, mats)
 }
 
 // countChunkGrouped accumulates grouped membership counts for pool rows

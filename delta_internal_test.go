@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,22 +145,25 @@ func TestApplyDeltaErrors(t *testing.T) {
 
 // cancelAfter is a context that cancels itself on its polls-th Err call: a
 // deterministic cancellation partway through a chunked pass, which polls
-// Err once per chunk.
+// Err once per chunk. polls goes negative by one for every poll after that.
+// Polls are serialized, so no poll slips between the cancelling one and the
+// cancellation taking effect.
 type cancelAfter struct {
 	context.Context
 	cancel context.CancelFunc
-	polls  atomic.Int64
+	mu     sync.Mutex
+	polls  int64
 }
 
 func newCancelAfter(parent context.Context, polls int64) *cancelAfter {
 	ctx, cancel := context.WithCancel(parent)
-	c := &cancelAfter{Context: ctx, cancel: cancel}
-	c.polls.Store(polls)
-	return c
+	return &cancelAfter{Context: ctx, cancel: cancel, polls: polls}
 }
 
 func (c *cancelAfter) Err() error {
-	if c.polls.Add(-1) == 0 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.polls--; c.polls == 0 {
 		c.cancel()
 	}
 	return c.Context.Err()
@@ -230,7 +232,7 @@ func TestLastDriftRetriesAfterCancel(t *testing.T) {
 		// Stopping within one chunk: after the cancelling poll, each of the
 		// other 3 workers polls at most once more before exiting, and the
 		// pass and LastDrift check the context once each on the way out.
-		if extra := -cctx.polls.Load(); extra > 5 {
+		if extra := -cctx.polls; extra > 5 {
 			t.Fatalf("polls=%d: %d polls after cancellation; workers kept claiming chunks", polls, extra)
 		}
 		deadline := time.Now().Add(5 * time.Second)

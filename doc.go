@@ -29,7 +29,9 @@
 // query entry points; the per-operation methods (VerifyStability, TopH,
 // AboveThreshold, ItemRankDistribution, Boundary) are each Do with a single
 // query, so results are bit-identical whichever surface is called at the
-// same seed; PoolBuilds and Sweeps make the plan sharing observable.
+// same seed; PoolBuilds and Sweeps make the plan sharing observable. The
+// plan is this package's own code: plan.go groups the queries, sweep.go
+// runs the fused pool sweep and adaptive.go the adaptive one.
 //
 // Performance model: the pool is stored as one contiguous row-major matrix
 // (internal/vecmat) and every verification, partition, and ranking inner

@@ -159,8 +159,8 @@ func (st *fillState) missing() []int {
 // completed. The result is bit-identical to mc.BuildPoolMatrix over the
 // same region and seed for ANY worker set, including none and including
 // workers dying mid-stream — the load-bearing invariant the cluster tests
-// pin. datasetHash is advisory context for worker logs.
-func (c *Coordinator) FillPool(ctx context.Context, spec RegionSpec, seed int64, total int, datasetHash string) (vecmat.Matrix, error) {
+// pin.
+func (c *Coordinator) FillPool(ctx context.Context, spec RegionSpec, seed int64, total int) (vecmat.Matrix, error) {
 	if total < 1 {
 		return vecmat.Matrix{}, fmt.Errorf("cluster: pool size %d < 1", total)
 	}
@@ -178,14 +178,14 @@ func (c *Coordinator) FillPool(ctx context.Context, spec RegionSpec, seed int64,
 		for i := range all {
 			all[i] = i
 		}
-		c.fillRemote(ctx, spec, seed, total, datasetHash, pool, st, all, false)
+		c.fillRemote(ctx, spec, seed, total, pool, st, all, false)
 		for round := 0; round < c.retryRounds; round++ {
 			missing := st.missing()
 			if len(missing) == 0 || ctx.Err() != nil {
 				break
 			}
 			c.retriedChunks.Add(int64(len(missing)))
-			c.fillRemote(ctx, spec, seed, total, datasetHash, pool, st, missing, true)
+			c.fillRemote(ctx, spec, seed, total, pool, st, missing, true)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -207,7 +207,7 @@ func (c *Coordinator) FillPool(ctx context.Context, spec RegionSpec, seed int64,
 // workers and runs one streaming fill request per non-empty share. Failures
 // only log and count: whatever is still missing afterwards is the caller's
 // problem (retry or local fill).
-func (c *Coordinator) fillRemote(ctx context.Context, spec RegionSpec, seed int64, total int, datasetHash string, pool vecmat.Matrix, st *fillState, chunks []int, isRetry bool) {
+func (c *Coordinator) fillRemote(ctx context.Context, spec RegionSpec, seed int64, total int, pool vecmat.Matrix, st *fillState, chunks []int, isRetry bool) {
 	n := len(c.workers)
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -218,7 +218,7 @@ func (c *Coordinator) fillRemote(ctx context.Context, spec RegionSpec, seed int6
 		wg.Add(1)
 		go func(worker string, share []int) {
 			defer wg.Done()
-			if err := c.fetchChunks(ctx, worker, spec, seed, total, datasetHash, pool, st, share); err != nil {
+			if err := c.fetchChunks(ctx, worker, spec, seed, total, pool, st, share); err != nil {
 				c.workerErrors.Add(1)
 				verb := "fill"
 				if isRetry {
@@ -236,7 +236,7 @@ func (c *Coordinator) fillRemote(ctx context.Context, spec RegionSpec, seed int6
 // requested chunk arrived (short stream, transport error, corrupt frame,
 // non-200) — but every chunk spliced before the failure stays spliced, so a
 // worker dying halfway through its share loses only the unfilled remainder.
-func (c *Coordinator) fetchChunks(ctx context.Context, worker string, spec RegionSpec, seed int64, total int, datasetHash string, pool vecmat.Matrix, st *fillState, share []int) error {
+func (c *Coordinator) fetchChunks(ctx context.Context, worker string, spec RegionSpec, seed int64, total int, pool vecmat.Matrix, st *fillState, share []int) error {
 	reqCtx := ctx
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
@@ -244,11 +244,10 @@ func (c *Coordinator) fetchChunks(ctx context.Context, worker string, spec Regio
 		defer cancel()
 	}
 	body, err := json.Marshal(FillRequest{
-		DatasetHash: datasetHash,
-		Region:      spec,
-		Seed:        seed,
-		Total:       total,
-		Chunks:      share,
+		Region: spec,
+		Seed:   seed,
+		Total:  total,
+		Chunks: share,
 	})
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -58,7 +59,7 @@ func assertPoolIdentical(t *testing.T, got, want vecmat.Matrix) {
 
 func fillPool(t *testing.T, c *Coordinator) vecmat.Matrix {
 	t.Helper()
-	pool, err := c.FillPool(context.Background(), testSpec(), testPoolSeed, testPoolTotal, "testhash")
+	pool, err := c.FillPool(context.Background(), testSpec(), testPoolSeed, testPoolTotal)
 	if err != nil {
 		t.Fatalf("FillPool: %v", err)
 	}
@@ -260,7 +261,7 @@ func TestClusterCancellationMidBuild(t *testing.T) {
 	}()
 	c := NewCoordinator(CoordinatorConfig{Workers: []string{hang.URL}})
 	start := time.Now()
-	_, err := c.FillPool(ctx, testSpec(), testPoolSeed, testPoolTotal, "")
+	_, err := c.FillPool(ctx, testSpec(), testPoolSeed, testPoolTotal)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("FillPool under cancellation = %v, want context.Canceled", err)
 	}
@@ -271,10 +272,10 @@ func TestClusterCancellationMidBuild(t *testing.T) {
 
 func TestClusterFillPoolRejectsBadInput(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
-	if _, err := c.FillPool(context.Background(), testSpec(), testPoolSeed, 0, ""); err == nil {
+	if _, err := c.FillPool(context.Background(), testSpec(), testPoolSeed, 0); err == nil {
 		t.Fatal("FillPool(total=0) succeeded, want error")
 	}
-	if _, err := c.FillPool(context.Background(), RegionSpec{D: 1}, testPoolSeed, 100, ""); err == nil {
+	if _, err := c.FillPool(context.Background(), RegionSpec{D: 1}, testPoolSeed, 100); err == nil {
 		t.Fatal("FillPool(d=1) succeeded, want error")
 	}
 }
@@ -308,6 +309,36 @@ func TestClusterWorkerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ping status = %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestClusterWorkerIgnoresDatasetHash: a fill body carrying the
+// "dataset_hash" field that older coordinators send is still served, with
+// the chunk the local draw makes.
+func TestClusterWorkerIgnoresDatasetHash(t *testing.T) {
+	srv := newWorkerServer(t)
+	body := fmt.Sprintf(`{"dataset_hash":"00000000deadbeef","region":{"d":3,"weights":[0.5,0.3,0.2],"theta":0.35},"seed":%d,"total":%d,"chunks":[1]}`,
+		testPoolSeed, testPoolTotal)
+	resp, err := http.Post(srv.URL+"/cluster/v1/fill", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	got, err := ReadChunk(resp.Body)
+	if err != nil {
+		t.Fatalf("ReadChunk: %v", err)
+	}
+	lo, hi := mc.ChunkRange(1, testPoolTotal)
+	if got.Index != 1 || got.Lo != lo || got.Hi != hi {
+		t.Fatalf("chunk %d rows [%d, %d), want 1 rows [%d, %d)", got.Index, got.Lo, got.Hi, lo, hi)
+	}
+	want, err := vecmat.FromData(testPoolD, referencePool(t).Data()[lo*testPoolD:hi*testPoolD])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPoolIdentical(t, got.Rows, want)
 }
 
 // BenchmarkRemoteChunkFill compares a purely local pool build against the
@@ -365,7 +396,7 @@ func BenchmarkRemoteChunkFill(b *testing.B) {
 		c := NewCoordinator(CoordinatorConfig{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.FillPool(context.Background(), spec, testPoolSeed, total, ""); err != nil {
+			if _, err := c.FillPool(context.Background(), spec, testPoolSeed, total); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -377,7 +408,7 @@ func BenchmarkRemoteChunkFill(b *testing.B) {
 		c := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.FillPool(context.Background(), spec, testPoolSeed, total, ""); err != nil {
+			if _, err := c.FillPool(context.Background(), spec, testPoolSeed, total); err != nil {
 				b.Fatal(err)
 			}
 		}

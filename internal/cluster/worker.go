@@ -16,14 +16,14 @@ import (
 // on every node), and cmd/stablerankd's -worker mode runs ONLY this.
 
 // FillRequest is the POST /cluster/v1/fill body: compute the listed chunks
-// of a Total-sample pool drawn from Region with Seed. DatasetHash is
-// advisory (logging/tracing); chunk contents never depend on it.
+// of a Total-sample pool drawn from Region with Seed. Chunk contents depend
+// on nothing else; unknown fields, such as the "dataset_hash" older
+// coordinators send, are ignored.
 type FillRequest struct {
-	DatasetHash string     `json:"dataset_hash,omitempty"`
-	Region      RegionSpec `json:"region"`
-	Seed        int64      `json:"seed"`
-	Total       int        `json:"total"`
-	Chunks      []int      `json:"chunks"`
+	Region RegionSpec `json:"region"`
+	Seed   int64      `json:"seed"`
+	Total  int        `json:"total"`
+	Chunks []int      `json:"chunks"`
 }
 
 // Validate checks the request's internal consistency against the worker's

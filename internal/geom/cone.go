@@ -137,16 +137,6 @@ func (r ConstraintRegion) OrientedNormals() []Vector {
 	return out
 }
 
-// WithOrthant returns the oriented constraint normals including the d
-// non-negativity constraints e_i . w >= 0.
-func (r ConstraintRegion) WithOrthant() []Vector {
-	out := r.OrientedNormals()
-	for i := 0; i < r.D; i++ {
-		out = append(out, Basis(r.D, i))
-	}
-	return out
-}
-
 // Interval2D describes a 2D region of interest as an angle range
 // [Lo, Hi] within [0, pi/2], the representation used by the exact 2D
 // algorithms (Section 3.2).

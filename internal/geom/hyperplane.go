@@ -25,20 +25,6 @@ func OrderingExchange(a, b Vector) Hyperplane {
 // to the hyperplane.
 func (h Hyperplane) Eval(w Vector) float64 { return h.Normal.Dot(w) }
 
-// Side returns +1, -1, or 0 according to the sign of Normal . w, with a
-// tolerance band of tol around zero.
-func (h Hyperplane) Side(w Vector, tol float64) int {
-	v := h.Eval(w)
-	switch {
-	case v > tol:
-		return 1
-	case v < -tol:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // IsDegenerate reports whether the normal is numerically zero, which happens
 // for ordering exchanges between items with identical attribute vectors.
 func (h Hyperplane) IsDegenerate() bool { return h.Normal.Norm() < Eps }

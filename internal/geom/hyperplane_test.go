@@ -15,8 +15,8 @@ func TestOrderingExchange(t *testing.T) {
 	// arctan((t4[0]-t1[0])/(t1[1]-t4[1])) per Equation 6.
 	theta := math.Atan2(t4[0]-t1[0], t1[1]-t4[1])
 	boundary := Ray2D(theta)
-	if s := h.Side(boundary, 1e-9); s != 0 {
-		t.Errorf("exchange ray not on hyperplane, side=%d eval=%v", s, h.Eval(boundary))
+	if v := h.Eval(boundary); math.Abs(v) > 1e-9 {
+		t.Errorf("exchange ray not on hyperplane, eval=%v", v)
 	}
 	// Left of the exchange (smaller angle... here t1 has higher x2 so t1 wins
 	// at steep angles): check a function on each side scores consistently.
@@ -29,23 +29,6 @@ func TestOrderingExchange(t *testing.T) {
 	scoreHigh1, scoreHigh4 := fHigh.Dot(t1), fHigh.Dot(t4)
 	if (h.Eval(fHigh) > 0) != (scoreHigh1 > scoreHigh4) {
 		t.Error("positive side does not correspond to t1 outranking t4 (high)")
-	}
-}
-
-func TestHyperplaneSide(t *testing.T) {
-	h := Hyperplane{Normal: Vector{1, -1}}
-	tests := []struct {
-		w    Vector
-		want int
-	}{
-		{Vector{2, 1}, 1},
-		{Vector{1, 2}, -1},
-		{Vector{1, 1}, 0},
-	}
-	for _, tc := range tests {
-		if got := h.Side(tc.w, 1e-9); got != tc.want {
-			t.Errorf("Side(%v) = %d, want %d", tc.w, got, tc.want)
-		}
 	}
 }
 

@@ -22,14 +22,14 @@ import (
 
 // DefaultPackages are the determinism-critical import paths: the Monte-Carlo
 // and ranking engines whose outputs are promised bit-identical across runs
-// and worker counts, the query planner, and the server/cluster layers whose
-// JSON renderings and peer fan-outs are pinned byte-stable by tests.
+// and worker counts, the root package with its query planner, and the
+// server/cluster layers whose JSON renderings and peer fan-outs are pinned
+// byte-stable by tests.
 var DefaultPackages = []string{
 	"stablerank",
 	"stablerank/internal/mc",
 	"stablerank/internal/md",
 	"stablerank/internal/rank",
-	"stablerank/internal/plan",
 	"stablerank/internal/vecmat",
 	"stablerank/internal/twod",
 	"stablerank/internal/cluster",

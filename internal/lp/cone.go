@@ -2,7 +2,6 @@ package lp
 
 import (
 	"errors"
-	"math"
 
 	"stablerank/internal/geom"
 )
@@ -10,20 +9,10 @@ import (
 // Cone-feasibility helpers built on the simplex core. Regions in the
 // arrangement of ordering exchanges are convex cones
 // {x >= 0 : n_i . x >= 0}; all the questions GET-NEXTmd asks about them
-// reduce to linear programs after normalizing scale with sum(x) = 1.
-//
-// Hypercone (angular) regions of interest are not polyhedral; where a cone
-// constraint must enter an LP it is replaced by its linear relaxation
-//
-//	axis . x >= cos(theta)/sqrt(d) * sum(x)
-//
-// which is implied by the true constraint axis . x >= cos(theta) |x|_2
-// (since |x|_2 >= sum(x)/sqrt(d) on the orthant). The relaxation makes the
-// feasibility tests conservative: they may report an intersection that the
-// exact cap excludes, never the reverse. The sample-partition test of
-// Section 5.4 remains the primary (and unbiased) mechanism; these LPs are
-// the paper's "solve a linear program" alternative and are benchmarked as an
-// ablation.
+// reduce to linear programs after normalizing scale with sum(x) = 1. The
+// sample-partition test of Section 5.4 remains the primary (and unbiased)
+// mechanism; these LPs are the paper's "solve a linear program" alternative
+// and are benchmarked as an ablation.
 
 // interiorEps is the minimum max-min-slack for a cone to count as having a
 // nonempty interior.
@@ -42,18 +31,6 @@ func normalizeRows(normals []geom.Vector) []geom.Vector {
 		}
 	}
 	return out
-}
-
-// coneRelaxation returns the linear-relaxation normal for a hypercone region
-// of interest: (axis - cos(theta)/sqrt(d) * 1).
-func coneRelaxation(cone geom.Cone) geom.Vector {
-	d := cone.Dim()
-	shift := math.Cos(cone.Theta) / math.Sqrt(float64(d))
-	n := cone.Axis.Clone()
-	for i := range n {
-		n[i] -= shift
-	}
-	return n
 }
 
 // chebyshevProblem builds: maximize eps subject to n_i . x >= eps,
@@ -109,13 +86,6 @@ func InteriorPoint(d int, normals []geom.Vector) (geom.Vector, error) {
 	return geom.Vector(res.X[:d]).Clone(), nil
 }
 
-// InteriorPointInCone is InteriorPoint with an additional hypercone region
-// of interest, entering via its linear relaxation (see package comment).
-func InteriorPointInCone(d int, normals []geom.Vector, cone geom.Cone) (geom.Vector, error) {
-	all := append(append([]geom.Vector{}, normals...), coneRelaxation(cone))
-	return InteriorPoint(d, all)
-}
-
 // HyperplaneIntersects reports whether the hyperplane h (through the origin)
 // passes through the interior of the cone {x >= 0 : n . x >= 0}: i.e.
 // whether a point of the cone's interior lies exactly on h. This is the
@@ -130,46 +100,4 @@ func HyperplaneIntersects(d int, h geom.Hyperplane, normals []geom.Vector) (bool
 		return false, err
 	}
 	return res.Status == Optimal && res.Objective >= interiorEps, nil
-}
-
-// HyperplaneIntersectsInCone is HyperplaneIntersects restricted (via linear
-// relaxation) to a hypercone region of interest.
-func HyperplaneIntersectsInCone(d int, h geom.Hyperplane, normals []geom.Vector, cone geom.Cone) (bool, error) {
-	all := append(append([]geom.Vector{}, normals...), coneRelaxation(cone))
-	return HyperplaneIntersects(d, h, all)
-}
-
-// CentralRay returns the Chebyshev-style central ray of a constraint region
-// together with a conservative bounding half-angle: every unit vector of the
-// region lies within the returned angle of the returned ray. It implements
-// the bounding step of Section 5.2 (the paper uses the minimum enclosing
-// ball of the cone base); here the bound is acos(min_j axis_j), which is
-// exact for the whole orthant around the given axis — for any unit x >= 0,
-// axis . x >= min_j axis_j with equality at the basis vector of the smallest
-// axis component — and therefore covers any region inside the orthant. The
-// bound is conservative (possibly loose) for small regions, costing
-// acceptance rate but never biasing the rejection sampler seeded with it.
-func CentralRay(region geom.ConstraintRegion) (axis geom.Vector, theta float64, err error) {
-	x, err := InteriorPoint(region.D, region.OrientedNormals())
-	if err != nil {
-		return nil, 0, err
-	}
-	axis, err = x.Normalize()
-	if err != nil {
-		return nil, 0, ErrEmptyCone
-	}
-	minComp := math.Inf(1)
-	for _, v := range axis {
-		if v < minComp {
-			minComp = v
-		}
-	}
-	if minComp < 0 {
-		minComp = 0
-	}
-	if minComp > 1 {
-		minComp = 1
-	}
-	theta = math.Min(math.Acos(minComp)+1e-9, math.Pi/2)
-	return axis, theta, nil
 }

@@ -133,86 +133,3 @@ func TestHyperplaneIntersectsAgainstSampling(t *testing.T) {
 		}
 	}
 }
-
-func TestHyperplaneIntersectsInCone(t *testing.T) {
-	d := 3
-	axis := geom.Vector{1, 1, 1}.MustNormalize()
-	cone := geom.Cone{Axis: axis, Theta: math.Pi / 20}
-	// A hyperplane through the axis intersects.
-	h1 := geom.Hyperplane{Normal: geom.Vector{1, -1, 0}}
-	ok, err := HyperplaneIntersectsInCone(d, h1, nil, cone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("axis-containing hyperplane should intersect the cone")
-	}
-	// A hyperplane far from the cone: normal nearly parallel to the axis
-	// means the plane is nearly orthogonal to it.
-	h2 := geom.Hyperplane{Normal: axis}
-	ok, err = HyperplaneIntersectsInCone(d, h2, nil, cone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("orthogonal-to-axis hyperplane should miss a narrow cone")
-	}
-}
-
-func TestInteriorPointInCone(t *testing.T) {
-	axis := geom.Vector{1, 1}.MustNormalize()
-	cone := geom.Cone{Axis: axis, Theta: math.Pi / 10}
-	x, err := InteriorPointInCone(2, []geom.Vector{{1, -1}}, cone) // w1 >= w2 half of the cone
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] < x[1]-1e-9 {
-		t.Errorf("point %v violates halfspace", x)
-	}
-	// Within the *relaxed* cone; for 2D the relaxation is modest, check the
-	// true cone with slack.
-	a, _ := geom.Angle(geom.Vector(x), axis)
-	if a > cone.Theta+0.3 {
-		t.Errorf("point %v at angle %v way outside cone", x, a)
-	}
-}
-
-func TestCentralRay(t *testing.T) {
-	region, err := geom.NewConstraintRegion(2,
-		geom.Halfspace{Normal: geom.Vector{-1, 1}, Positive: true}, // w2 >= w1
-		geom.Halfspace{Normal: geom.Vector{2, -1}, Positive: true}, // 2 w1 >= w2
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	axis, theta, err := CentralRay(region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !region.Contains(axis) {
-		t.Errorf("central ray %v outside region", axis)
-	}
-	if theta <= 0 || theta > math.Pi/2 {
-		t.Errorf("theta = %v out of range", theta)
-	}
-	// Every region point must be within theta of the axis: check the two
-	// extreme rays (pi/4 and atan 2).
-	for _, a := range []float64{math.Pi / 4, math.Atan(2)} {
-		u := geom.Ray2D(a)
-		ang, _ := geom.Angle(u, axis)
-		if ang > theta+1e-9 {
-			t.Errorf("extreme ray at %v exceeds bounding angle %v", ang, theta)
-		}
-	}
-	// Empty region.
-	empty, err := geom.NewConstraintRegion(2,
-		geom.Halfspace{Normal: geom.Vector{1, -1}, Positive: true},
-		geom.Halfspace{Normal: geom.Vector{-1, 1}, Positive: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := CentralRay(empty); !errors.Is(err, ErrEmptyCone) {
-		t.Errorf("expected ErrEmptyCone, got %v", err)
-	}
-}

@@ -304,45 +304,3 @@ func (o *Operator) TopH(ctx context.Context, h, firstBudget, stepBudget int) ([]
 	}
 	return out, nil
 }
-
-// ExpectedDiscoveryCost returns the expected number of samples to first
-// observe a ranking of stability s, together with the variance (Theorem 2:
-// the geometric distribution).
-func ExpectedDiscoveryCost(s float64) (mean, variance float64) {
-	return stats.GeometricExpectation(s), stats.GeometricVariance(s)
-}
-
-// CurvePoint is one step of a discovery curve.
-type CurvePoint struct {
-	// Samples is the cumulative sample count at this point.
-	Samples int
-	// Distinct is the number of distinct rankings observed so far.
-	Distinct int
-}
-
-// DiscoveryCurve draws budget fresh samples, recording after every `every`
-// samples how many distinct rankings have been observed in total. The curve
-// saturates as the remaining undiscovered rankings become rare — the
-// practical face of Theorem 2's 1/S(r) discovery costs. The aggregates feed
-// subsequent Next* calls as usual.
-func (o *Operator) DiscoveryCurve(ctx context.Context, budget, every int) ([]CurvePoint, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("mc: negative budget %d", budget)
-	}
-	if every < 1 {
-		every = 1
-	}
-	var curve []CurvePoint
-	for i := 1; i <= budget; i++ {
-		if err := ctx.Err(); err != nil {
-			return curve, err
-		}
-		if err := o.observe(); err != nil {
-			return curve, err
-		}
-		if i%every == 0 || i == budget {
-			curve = append(curve, CurvePoint{Samples: o.total, Distinct: o.table.distinct})
-		}
-	}
-	return curve, nil
-}

@@ -319,45 +319,6 @@ func TestTopHHelper(t *testing.T) {
 	}
 }
 
-func TestDiscoveryCurve(t *testing.T) {
-	ds := dataset.Figure1()
-	o := newOp(t, ds, geom.FullSpace{D: 2}, 147)
-	curve, err := o.DiscoveryCurve(ctx, 5000, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 10 {
-		t.Fatalf("curve has %d points, want 10", len(curve))
-	}
-	// Monotone in both coordinates, saturating at the 11 feasible rankings.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Samples <= curve[i-1].Samples || curve[i].Distinct < curve[i-1].Distinct {
-			t.Fatal("curve not monotone")
-		}
-	}
-	last := curve[len(curve)-1].Distinct
-	if last < 8 || last > 11 {
-		t.Errorf("discovered %d rankings after 5000 samples, want close to 11", last)
-	}
-	if _, err := o.DiscoveryCurve(ctx, -1, 10); err == nil {
-		t.Error("negative budget accepted")
-	}
-	// The curve's aggregates feed Next calls.
-	if _, err := o.NextFixedBudget(ctx, 0); err != nil {
-		t.Errorf("NextFixedBudget after curve: %v", err)
-	}
-}
-
-func TestExpectedDiscoveryCost(t *testing.T) {
-	mean, variance := ExpectedDiscoveryCost(0.1)
-	if mean != 10 {
-		t.Errorf("mean = %v", mean)
-	}
-	if math.Abs(variance-90) > 1e-9 {
-		t.Errorf("variance = %v, want 90", variance)
-	}
-}
-
 // Empirical check of Theorem 2: the average first-discovery time of the top
 // ranking approximates 1/S(r).
 func TestDiscoveryCostEmpirical(t *testing.T) {

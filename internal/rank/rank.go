@@ -116,15 +116,6 @@ func (c *Computer) Compute(w geom.Vector) Ranking {
 	return Ranking{Order: c.order}
 }
 
-// TopK returns the first k entries of the ranking order; the computer owns
-// the storage (see Compute).
-func (c *Computer) TopK(w geom.Vector, k int) []int {
-	if k > len(c.order) {
-		k = len(c.order)
-	}
-	return c.Compute(w).Order[:k]
-}
-
 // Clone returns an independent copy of the ranking.
 func (r Ranking) Clone() Ranking {
 	o := make([]int, len(r.Order))

@@ -84,13 +84,6 @@ func TestComputerMatchesCompute(t *testing.T) {
 			t.Fatalf("computer mismatch at trial %d", trial)
 		}
 	}
-	top := c.TopK(geom.Vector{1, 1, 1}, 5)
-	if len(top) != 5 {
-		t.Errorf("TopK length = %d", len(top))
-	}
-	if got := c.TopK(geom.Vector{1, 1, 1}, 1000); len(got) != ds.N() {
-		t.Errorf("oversized TopK length = %d", len(got))
-	}
 }
 
 func TestKeys(t *testing.T) {

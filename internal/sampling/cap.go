@@ -181,14 +181,3 @@ func RejectionCost(d int, theta float64) float64 {
 	}
 	return geom.OrthantArea(d) / area
 }
-
-// PreferInverseCDF implements the paper's Section 5.2 cost comparison: the
-// inverse-CDF sampler costs O(log gamma) per draw against the expected
-// 1/acceptance draws of rejection; it reports true when the inverse-CDF
-// method is expected to be cheaper.
-func PreferInverseCDF(d int, theta float64, gamma int) bool {
-	if gamma < 2 {
-		gamma = 2
-	}
-	return math.Log2(float64(gamma)) < RejectionCost(d, theta)
-}

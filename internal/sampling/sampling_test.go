@@ -378,12 +378,6 @@ func TestRejectionCostAndPreference(t *testing.T) {
 	if narrow <= wide {
 		t.Errorf("narrow cone cost %v should exceed wide cone cost %v", narrow, wide)
 	}
-	if !PreferInverseCDF(3, math.Pi/100, 4096) {
-		t.Error("inverse CDF should win for a narrow cone")
-	}
-	if PreferInverseCDF(2, math.Pi/2, 1<<30) {
-		t.Error("rejection should win for a huge table and wide cone")
-	}
 	if !math.IsInf(RejectionCost(3, 0), 1) {
 		t.Error("zero-angle cone should have infinite rejection cost")
 	}

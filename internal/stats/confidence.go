@@ -37,20 +37,6 @@ func ConfidenceError(m float64, n int, alpha float64) float64 {
 	return z * math.Sqrt(m*(1-m)/float64(n))
 }
 
-// RequiredSamples returns the expected number of samples needed to bound the
-// confidence error of a proportion near s at level 1-alpha by e
-// (Equation 11): N = s(1-s) * (Z(1-alpha/2)/e)^2, rounded up, and never less
-// than one — the Equation 11 estimate is 0 at the degenerate proportions
-// s = 0 and s = 1, but no estimate exists before the first sample.
-func RequiredSamples(s, alpha, e float64) int {
-	if e <= 0 {
-		return math.MaxInt32
-	}
-	z := ZForConfidence(alpha)
-	n := s * (1 - s) * (z / e) * (z / e)
-	return max(int(math.Ceil(n)), 1)
-}
-
 // GeometricExpectation returns the expected number of independent trials
 // until the first success for success probability s, i.e. 1/s: the expected
 // sampling cost of first observing a ranking with stability s (Theorem 2).
@@ -68,40 +54,4 @@ func GeometricVariance(s float64) float64 {
 		return math.Inf(1)
 	}
 	return (1 - s) / (s * s)
-}
-
-// BernoulliMean and BernoulliStdDev describe the per-trial distribution of
-// the ranking-observation indicator with stability s (Section 4.4).
-func BernoulliMean(s float64) float64 { return s }
-
-// BernoulliStdDev returns sqrt(s(1-s)).
-func BernoulliStdDev(s float64) float64 {
-	if s < 0 || s > 1 {
-		return math.NaN()
-	}
-	return math.Sqrt(s * (1 - s))
-}
-
-// HoeffdingSamples returns the distribution-free sample count guaranteeing
-// |estimate - truth| <= e with probability 1-alpha for a bounded [0,1]
-// variable (Hoeffding's inequality, the paper's reference [27]):
-//
-//	N >= ln(2/alpha) / (2 e^2)
-//
-// Unlike the CLT-based Equation 11 this bound needs no plug-in estimate of
-// the proportion, at the cost of being conservative.
-func HoeffdingSamples(e, alpha float64) int {
-	if e <= 0 || alpha <= 0 || alpha >= 1 {
-		return math.MaxInt32
-	}
-	return int(math.Ceil(math.Log(2/alpha) / (2 * e * e)))
-}
-
-// HoeffdingError returns the guaranteed half-width after n samples at
-// confidence 1-alpha: e = sqrt(ln(2/alpha) / (2 n)).
-func HoeffdingError(n int, alpha float64) float64 {
-	if n <= 0 || alpha <= 0 || alpha >= 1 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(math.Log(2/alpha) / (2 * float64(n)))
 }

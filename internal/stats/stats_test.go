@@ -123,36 +123,6 @@ func TestConfidenceErrorEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRequiredSamplesEdgeCases: Equation 11's plug-in demand is 0 at the
-// degenerate proportions, but at least one sample is always required to have
-// an estimate at all.
-func TestRequiredSamplesEdgeCases(t *testing.T) {
-	for _, s := range []float64{0, 1} {
-		if got := RequiredSamples(s, 0.05, 0.01); got != 1 {
-			t.Errorf("RequiredSamples(%v) = %d, want floor of 1", s, got)
-		}
-	}
-	if got := RequiredSamples(0.5, 0.05, 0.5); got < 1 {
-		t.Errorf("RequiredSamples loose target = %d, want >= 1", got)
-	}
-}
-
-func TestRequiredSamples(t *testing.T) {
-	// Equation 11 round-trip: with n = RequiredSamples the achieved error is
-	// at most e.
-	for _, s := range []float64{0.01, 0.1, 0.5} {
-		for _, e := range []float64{0.01, 0.001} {
-			n := RequiredSamples(s, 0.05, e)
-			if got := ConfidenceError(s, n, 0.05); got > e*(1+1e-9) {
-				t.Errorf("s=%v e=%v: n=%d achieves error %v", s, e, n, got)
-			}
-		}
-	}
-	if RequiredSamples(0.5, 0.05, 0) != math.MaxInt32 {
-		t.Error("zero target error should demand MaxInt32 samples")
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	if got := GeometricExpectation(0.02); !almostEqual(got, 50, 1e-9) {
 		t.Errorf("GeometricExpectation(0.02) = %v", got)
@@ -162,47 +132,6 @@ func TestGeometric(t *testing.T) {
 	}
 	if !math.IsInf(GeometricExpectation(0), 1) || !math.IsInf(GeometricVariance(0), 1) {
 		t.Error("zero stability should have infinite discovery cost")
-	}
-}
-
-func TestBernoulli(t *testing.T) {
-	if BernoulliMean(0.3) != 0.3 {
-		t.Error("BernoulliMean")
-	}
-	if got := BernoulliStdDev(0.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("BernoulliStdDev(0.5) = %v", got)
-	}
-	if !math.IsNaN(BernoulliStdDev(1.5)) {
-		t.Error("out-of-range stddev should be NaN")
-	}
-}
-
-func TestHoeffding(t *testing.T) {
-	// Round trip: after HoeffdingSamples(e, a) samples the guaranteed error
-	// is at most e.
-	for _, e := range []float64{0.1, 0.01, 0.001} {
-		for _, a := range []float64{0.05, 0.01} {
-			n := HoeffdingSamples(e, a)
-			if got := HoeffdingError(n, a); got > e*(1+1e-9) {
-				t.Errorf("e=%v a=%v: n=%d gives error %v", e, a, n, got)
-			}
-			// One fewer sample must not suffice (tightness of the ceiling).
-			if n > 1 {
-				if got := HoeffdingError(n-1, a); got < e {
-					t.Errorf("e=%v a=%v: n-1=%d already gives %v", e, a, n-1, got)
-				}
-			}
-		}
-	}
-	// Hoeffding dominates the CLT bound at the worst-case proportion 1/2.
-	if HoeffdingSamples(0.01, 0.05) < RequiredSamples(0.5, 0.05, 0.01) {
-		t.Error("Hoeffding bound should be at least as conservative as CLT at s=0.5")
-	}
-	if HoeffdingSamples(0, 0.05) != math.MaxInt32 {
-		t.Error("zero error should demand MaxInt32")
-	}
-	if !math.IsInf(HoeffdingError(0, 0.05), 1) {
-		t.Error("zero samples should give infinite error")
 	}
 }
 

@@ -93,9 +93,6 @@ func Open(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// Root returns the directory the store lives in.
-func (s *FileStore) Root() string { return s.root }
-
 func (s *FileStore) index(ns, filename string, size int64) {
 	m := s.sizes[ns]
 	if m == nil {

@@ -56,9 +56,9 @@ type poolState struct {
 // ranking (150 items) saves 0.38 ms, breaking even at 16.
 const indexAfterPasses = 16
 
-// poolIndex is the plan's Env.Index: it records this sweep's qualifying
-// passes against the built pool's cell and returns the cell's index,
-// building it first when these passes bring the count to T. The build is
+// poolIndex is the fused sweep's index rule: it records this sweep's
+// qualifying passes against the built pool's cell and returns the cell's
+// index, building it first when these passes bring the count to T. The build is
 // synchronous, bounded CPU with no I/O, and claimed by CAS, so at most one
 // runs per cell; sweeps arriving meanwhile get nil and scan.
 func (a *Analyzer) poolIndex(qualifying int) *vecmat.Index {

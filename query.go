@@ -3,10 +3,10 @@ package stablerank
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 
 	"stablerank/internal/md"
-	"stablerank/internal/plan"
 	"stablerank/internal/twod"
 )
 
@@ -24,33 +24,61 @@ import (
 // Query is the sealed union of stability questions accepted by Do and
 // Stream: VerifyQuery, TopHQuery, AboveQuery, ItemRankQuery, BoundaryQuery
 // and EnumerateQuery.
-type Query = plan.Query
+type Query interface{ isQuery() }
 
 // VerifyQuery asks for the stability of one ranking (Problem 1); answered in
 // Result.Verification.
-type VerifyQuery = plan.VerifyQuery
+type VerifyQuery struct {
+	// Ranking is the full ranking whose stability is requested.
+	Ranking Ranking
+}
 
 // TopHQuery asks for the H most stable rankings (Problem 2, count form);
 // answered in Result.Stables.
-type TopHQuery = plan.TopHQuery
+type TopHQuery struct {
+	// H is the number of rankings requested; H <= 0 yields none.
+	H int
+}
 
 // AboveQuery asks for every ranking with stability >= Threshold (Problem 2,
 // threshold form); answered in Result.Stables.
-type AboveQuery = plan.AboveQuery
+type AboveQuery struct {
+	Threshold float64
+}
 
 // ItemRankQuery asks for the rank distribution of one item across sampled
 // scoring functions (Example 1); answered in Result.RankDistribution.
 // Samples <= 0 uses the analyzer's sample-pool size.
-type ItemRankQuery = plan.ItemRankQuery
+type ItemRankQuery struct {
+	// Item is the dataset index analyzed.
+	Item int
+	// Samples is the number of scoring-function samples; <= 0 uses the
+	// analyzer's configured sample-pool size. When Samples fits in the shared
+	// pool the distribution is computed inside the fused sweep (over the pool
+	// prefix of that length); larger requests fall back to a dedicated
+	// deterministic sampler stream.
+	Samples int
+}
 
 // BoundaryQuery asks for the non-redundant boundary facets of one ranking's
 // region (Section 8); answered in Result.Facets.
-type BoundaryQuery = plan.BoundaryQuery
+type BoundaryQuery struct {
+	Ranking Ranking
+}
 
 // EnumerateQuery asks for the Limit most stable rankings, or every ranking
 // when Limit <= 0; answered in Result.Stables, and the natural query to
 // Stream.
-type EnumerateQuery = plan.EnumerateQuery
+type EnumerateQuery struct {
+	Limit int
+}
+
+func (VerifyQuery) isQuery()    {}
+func (TopHQuery) isQuery()      {}
+func (AboveQuery) isQuery()     {}
+func (ItemRankQuery) isQuery()  {}
+func (BoundaryQuery) isQuery()  {}
+func (EnumerateQuery) isQuery() {}
 
 // Result is one query's outcome within Do or Stream; the payload field
 // matching the query's type is populated, and Result.Query echoes the
@@ -86,22 +114,34 @@ type Result struct {
 // region. Results are bit-identical to the per-operation methods at the same
 // seed — each of those is Do with a single query.
 func (a *Analyzer) Do(ctx context.Context, queries ...Query) ([]Result, error) {
-	outcomes, err := plan.Exec(orBackground(ctx), a.planEnv(), queries)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(queries))
-	for i, o := range outcomes {
-		results[i] = Result{
-			Query:            queries[i],
-			Verification:     o.Verify,
-			Stables:          o.Stables,
-			RankDistribution: o.ItemRank,
-			Facets:           o.Facets,
-			Err:              mapQueryErr(o.Err),
+	ctx = orBackground(ctx)
+	out := make([]Result, len(queries))
+	var verifyIdx, itemIdx, enumIdx []int
+	for i, q := range queries {
+		out[i].Query = q
+		switch q := q.(type) {
+		case VerifyQuery:
+			verifyIdx = append(verifyIdx, i)
+		case ItemRankQuery:
+			itemIdx = append(itemIdx, i)
+		case TopHQuery, AboveQuery, EnumerateQuery:
+			enumIdx = append(enumIdx, i)
+		case BoundaryQuery:
+			facets, err := md.Boundary(a.ds, q.Ranking)
+			out[i].Facets, out[i].Err = facets, mapQueryErr(err)
+		case nil:
+			out[i].Err = fmt.Errorf("plan: query %d is nil", i)
+		default:
+			out[i].Err = fmt.Errorf("plan: unknown query type %T", q)
 		}
 	}
-	return results, nil
+	if err := a.execPoint(ctx, queries, verifyIdx, itemIdx, out); err != nil {
+		return nil, err
+	}
+	if err := a.execEnum(ctx, queries, enumIdx, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Stream answers one query incrementally as a Go 1.23 range-over-func
@@ -171,48 +211,6 @@ func (a *Analyzer) streamEnum(ctx context.Context, q Query, yield func(Result, e
 			return
 		}
 	}
-}
-
-// planEnv wires the analyzer's mechanisms into the plan executor.
-func (a *Analyzer) planEnv() *plan.Env {
-	return &plan.Env{
-		DS:       a.ds,
-		TwoD:     a.is2D(),
-		Interval: a.interval,
-		Pool:     a.samplePool,
-		PoolSize: a.sampleCount,
-		Workers:  a.workers,
-		Sampler:  a.sampler,
-		NewCursor: func(ctx context.Context) (plan.Cursor, error) {
-			e, err := a.Enumerator(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return enumCursor{e}, nil
-		},
-		Confidence:    func(s float64, n int) float64 { return confidenceOf(s, n, a.alpha) },
-		OnSweep:       func() { a.sweeps.Add(1) },
-		Index:         a.poolIndex,
-		AdaptiveError: a.adaptiveErr,
-		OnAdaptiveStop: func(rowsUsed, poolRows int) {
-			a.adaptiveStops.Add(1)
-			a.adaptiveRowsSaved.Add(int64(poolRows - rowsUsed))
-		},
-	}
-}
-
-// enumCursor adapts the Analyzer's Enumerator to the plan's cursor shape.
-type enumCursor struct{ e *Enumerator }
-
-func (c enumCursor) Next(ctx context.Context) (plan.Stable, bool, error) {
-	s, err := c.e.Next(ctx)
-	if errors.Is(err, ErrExhausted) {
-		return plan.Stable{}, false, nil
-	}
-	if err != nil {
-		return plan.Stable{}, false, err
-	}
-	return s, true, nil
 }
 
 // mapQueryErr folds the engine-level sentinels into this package's, so

@@ -193,6 +193,33 @@ func TestDoPerQueryErrors(t *testing.T) {
 	}
 }
 
+// TestDoErrorText pins the executor's own error texts byte for byte:
+// /v1/query renders a result's error verbatim. The item-range check is the
+// pool path's (d >= 3); the 2D path answers from its sampler with an mc:
+// error instead.
+func TestDoErrorText(t *testing.T) {
+	ds := stablerank.Independent(rand.New(rand.NewSource(29)), 5, 3)
+	a, err := stablerank.New(ds, stablerank.WithSampleCount(500), stablerank.WithSeed(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    stablerank.Query
+		want string
+	}{
+		{nil, "plan: query 0 is nil"},
+		{stablerank.ItemRankQuery{Item: 7}, "plan: item 7 out of range [0, 5)"},
+	} {
+		res, err := a.Do(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Err == nil || res[0].Err.Error() != tc.want {
+			t.Errorf("Do(%#v) error = %v, want %q", tc.q, res[0].Err, tc.want)
+		}
+	}
+}
+
 // TestStreamEnumerate drives the streaming iterator over Figure 1 and checks
 // order, mass and early termination.
 func TestStreamEnumerate(t *testing.T) {

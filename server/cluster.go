@@ -185,11 +185,10 @@ type coordinatorFiller struct {
 	coord *cluster.Coordinator
 	spec  cluster.RegionSpec
 	seed  int64
-	hash  string
 }
 
 func (f *coordinatorFiller) FillPool(ctx context.Context, total, d int) ([]float64, error) {
-	pool, err := f.coord.FillPool(ctx, f.spec, f.seed, total, f.hash)
+	pool, err := f.coord.FillPool(ctx, f.spec, f.seed, total)
 	return pool.Data(), err
 }
 
@@ -207,7 +206,6 @@ func poolFillerFor(coord *cluster.Coordinator, ds *stablerank.Dataset, key analy
 			Cosine:  spec.cosine,
 		},
 		seed: key.seed,
-		hash: fmt.Sprintf("%016x", ds.Hash()),
 	}
 }
 

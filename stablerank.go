@@ -11,7 +11,6 @@ import (
 	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
 	"stablerank/internal/md"
-	"stablerank/internal/plan"
 	"stablerank/internal/store"
 )
 
@@ -52,11 +51,51 @@ func NewVector(xs ...float64) Vector { return geom.NewVector(xs...) }
 
 // Verification is the answer to the consumer's stability question
 // (Problem 1). See Analyzer.VerifyStability.
-type Verification = plan.Verification
+//
+// A ranking feasible by dominance but matched by no pool sample reports
+// stability 0 rather than an infeasibility error: the Monte-Carlo evidence
+// cannot tell the two apart.
+type Verification struct {
+	// Stability is the fraction of the region of interest generating the
+	// ranking: exact in 2D, a Monte-Carlo estimate otherwise.
+	Stability float64
+	// ConfidenceError is the half-width of the confidence interval around a
+	// Monte-Carlo estimate; 0 when Exact.
+	ConfidenceError float64
+	// Exact reports whether Stability is exact (2D) or estimated.
+	Exact bool
+	// Interval describes the ranking region in 2D (nil otherwise).
+	Interval *Interval2D
+	// Constraints describes the ranking region in higher dimensions as
+	// ordering-exchange halfspaces (nil in 2D).
+	Constraints []Halfspace
+	// SampleCount is the number of Monte-Carlo samples behind an estimate
+	// (0 when Exact). Under adaptive verification this is the number of pool
+	// rows actually swept, which may be smaller than the pool.
+	SampleCount int
+	// Adaptive reports that the estimate was stopped early by adaptive
+	// verification: the sweep consumed only SampleCount pool rows because the
+	// confidence half-width had already reached the configured target. False
+	// for exact answers and for adaptive sweeps that exhausted the pool.
+	Adaptive bool
+}
 
 // Stable is one enumerated ranking with its stability. See
 // Analyzer.Enumerator, Analyzer.TopH and Analyzer.AboveThreshold.
-type Stable = plan.Stable
+type Stable struct {
+	// Ranking is the full ranking of the dataset.
+	Ranking Ranking
+	// Stability is exact in 2D, Monte-Carlo otherwise.
+	Stability float64
+	// Weights is a representative acceptable scoring function inducing the
+	// ranking.
+	Weights Vector
+	// Exact reports whether Stability is exact.
+	Exact bool
+	// ConfidenceError is the half-width of the confidence interval around a
+	// Monte-Carlo stability estimate; 0 when Exact.
+	ConfidenceError float64
+}
 
 // BoundaryFacet is one facet of a ranking region: crossing it swaps exactly
 // the named item pair. See Analyzer.Boundary.

@@ -1,4 +1,4 @@
-package plan
+package stablerank
 
 import (
 	"context"
@@ -14,16 +14,17 @@ import (
 // with the vecmat kernel, and each sample row an item-rank query covers is
 // scored once (MulVec) and ranks every such query's item from that one score
 // vector (mc.RankAmong). A ranking with enough pool rows per constraint row
-// (vecmat.UseIndex) is instead counted through the pool's kd-tree index when
-// Env.Index supplies one, as one task beside the blocks. Counts are exact
-// integer sums and the index count equals the kernel's, so results are
-// bit-identical for every worker count, with or without the index.
+// (vecmat.UseIndex) is instead counted through the pool's kd-tree index once
+// the build rule (poolIndex) has built one, as one task beside the blocks.
+// Counts are exact integer sums and the index count equals the kernel's, so
+// results are bit-identical for every worker count, with or without the
+// index.
 
 // sweepBlock is the per-worker pool shard size; context cancellation is
 // polled once per block and once per indexed ranking.
 const sweepBlock = 4096
 
-// fusedItem is one pool-resident item-rank query: the outcome index, the
+// fusedItem is one pool-resident item-rank query: the result index, the
 // dataset item, and how many leading pool rows it consumes.
 type fusedItem struct {
 	qi, item, n int
@@ -40,10 +41,11 @@ func prefixRows(items []fusedItem) int {
 }
 
 // fusedSweep walks the pool once, feeding every verify constraint matrix and
-// every fused item-rank accumulator, sharded across env.Workers. Per-ranking
-// failures (infeasibility, shape mismatches) land in the matching
-// Outcome.Err without failing the sweep; only cancellation fails the call.
-func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Query, verifyIdx []int, items []fusedItem, out []Outcome) error {
+// every fused item-rank accumulator, sharded across the analyzer's workers.
+// Per-ranking failures (infeasibility, shape mismatches) land in the
+// matching Result.Err without failing the sweep; only cancellation fails the
+// call.
+func (a *Analyzer) fusedSweep(ctx context.Context, pool vecmat.Matrix, queries []Query, verifyIdx []int, items []fusedItem, out []Result) error {
 	type liveVerify struct {
 		qi   int
 		cons vecmat.Matrix
@@ -51,31 +53,29 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 	live := make([]liveVerify, 0, len(verifyIdx))
 	for _, i := range verifyIdx {
 		q := queries[i].(VerifyQuery)
-		m, constraints, err := md.ConstraintMatrix(env.DS, q.Ranking)
+		m, constraints, err := md.ConstraintMatrix(a.ds, q.Ranking)
 		if err != nil {
-			out[i].Err = err
+			out[i].Err = mapQueryErr(err)
 			continue
 		}
-		out[i].Verify = &Verification{Constraints: constraints, SampleCount: pool.Rows()}
+		out[i].Verification = &Verification{Constraints: constraints, SampleCount: pool.Rows()}
 		live = append(live, liveVerify{qi: i, cons: m})
 	}
 	if len(live)+len(items) == 0 {
 		return nil
 	}
 	// Route each ranking: through the index when its group qualifies and the
-	// Env has one, through the block scan otherwise. The qualifying count is
+	// pool has one, through the block scan otherwise. The qualifying count is
 	// reported even when no index comes back: it drives the build rule.
 	var ix *vecmat.Index
-	if env.Index != nil {
-		qualifying := 0
-		for _, v := range live {
-			if vecmat.UseIndex(pool, v.cons) {
-				qualifying++
-			}
+	qualifying := 0
+	for _, v := range live {
+		if vecmat.UseIndex(pool, v.cons) {
+			qualifying++
 		}
-		if qualifying > 0 {
-			ix = env.Index(qualifying)
-		}
+	}
+	if qualifying > 0 {
+		ix = a.poolIndex(qualifying)
 	}
 	var scanned, indexed []int // positions in live
 	for li, v := range live {
@@ -93,22 +93,20 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 	for si, li := range scanned {
 		consMats[si] = live[li].cons
 	}
-	grouped, starts := vecmat.ConcatGroups(env.DS.D(), consMats)
-	attrs := env.DS.Matrix()
+	grouped, starts := vecmat.ConcatGroups(a.ds.D(), consMats)
+	attrs := a.ds.Matrix()
 	itemRows := prefixRows(items) // rows past it score nothing
 	scanRows := itemRows
 	if len(scanned) > 0 {
 		scanRows = pool.Rows()
 	}
-	if env.OnSweep != nil {
-		env.OnSweep()
-	}
+	a.sweeps.Add(1)
 
 	// Tasks [0, blocks) scan pool blocks; tasks [blocks, blocks+len(indexed))
 	// count one indexed ranking each.
 	blocks := (scanRows + sweepBlock - 1) / sweepBlock
 	tasks := blocks + len(indexed)
-	workers := mc.Workers(env.Workers, tasks)
+	workers := mc.Workers(a.workers, tasks)
 	// Per-worker accumulators, merged after the sweep: one membership count
 	// per scanned verify, one dense rank histogram (1..N) per item query.
 	// Each indexed ranking's count is written by the one task that owns it.
@@ -120,12 +118,12 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		verifyCounts[w] = vc
 		rc := make([][]int, len(items))
 		for k := range items {
-			rc[k] = make([]int, env.DS.N()+1)
+			rc[k] = make([]int, a.ds.N()+1)
 		}
 		rankCounts[w] = rc
 		var scores []float64
 		if len(items) > 0 {
-			scores = make([]float64, env.DS.N())
+			scores = make([]float64, a.ds.N())
 		}
 		var scratch vecmat.IndexScratch
 		return func(t int) error {
@@ -152,10 +150,10 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		}
 	})
 	if err != nil {
-		// Clear the partially filled verify outcomes so a failed call leaves
+		// Clear the partially filled verifications so a failed call leaves
 		// no half-answered queries behind.
 		for _, v := range live {
-			out[v.qi].Verify = nil
+			out[v.qi].Verification = nil
 		}
 		return err
 	}
@@ -170,20 +168,18 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		totals[li] = indexCounts[j]
 	}
 	for li, v := range live {
-		o := out[v.qi].Verify
+		o := out[v.qi].Verification
 		o.Stability = float64(totals[li]) / float64(pool.Rows())
-		if env.Confidence != nil {
-			o.ConfidenceError = env.Confidence(o.Stability, pool.Rows())
-		}
+		o.ConfidenceError = confidenceOf(o.Stability, pool.Rows(), a.alpha)
 	}
 	for k, it := range items {
-		dist := &mc.RankDistribution{
+		dist := &RankDistribution{
 			Item:    it.item,
 			Counts:  make(map[int]int),
 			Samples: it.n,
-			Best:    env.DS.N() + 1,
+			Best:    a.ds.N() + 1,
 		}
-		for r := 1; r <= env.DS.N(); r++ {
+		for r := 1; r <= a.ds.N(); r++ {
 			c := 0
 			for w := range rankCounts {
 				c += rankCounts[w][k][r]
@@ -199,7 +195,7 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 				dist.Worst = r
 			}
 		}
-		out[it.qi].ItemRank = dist
+		out[it.qi].RankDistribution = dist
 	}
 	return nil
 }

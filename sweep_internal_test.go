@@ -1,7 +1,6 @@
-package plan
+package stablerank
 
 import (
-	"context"
 	"maps"
 	"math/rand"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"stablerank/internal/md"
 	"stablerank/internal/rank"
 	"stablerank/internal/sampling"
-	"stablerank/internal/stats"
 	"stablerank/internal/vecmat"
 )
 
@@ -20,8 +18,6 @@ import (
 // (one CountInside pass per ranking over the whole pool) for every seed and
 // worker count, and the adaptive sweep must be deterministic in the worker
 // count and collapse to exactly the full-sweep answer when the pool runs out.
-
-var ctx = context.Background()
 
 func testDataset(t *testing.T, seed int64, n, d int) *dataset.Dataset {
 	t.Helper()
@@ -52,35 +48,45 @@ func testPool(t *testing.T, seed int64, rows, d int) vecmat.Matrix {
 	return m
 }
 
-func testEnv(ds *dataset.Dataset, pool vecmat.Matrix, workers int) *Env {
-	return &Env{
-		DS:       ds,
-		Pool:     func(context.Context) (vecmat.Matrix, error) { return pool, nil },
-		PoolSize: pool.Rows(),
-		Workers:  workers,
-		Confidence: func(s float64, n int) float64 {
-			return stats.ConfidenceError(s, n, 0.05)
-		},
+// poolAnalyzer returns an analyzer over ds, sized to pool and sharded over
+// workers, whose pool cell already holds pool. In index mode the cell also
+// holds a prebuilt index over pool, so every qualifying ranking is counted
+// through it; in scan mode the cell's one index build is claimed and never
+// runs, so every ranking is scanned.
+func poolAnalyzer(t *testing.T, ds *dataset.Dataset, pool vecmat.Matrix, workers int, indexed bool, opts ...Option) *Analyzer {
+	t.Helper()
+	a, err := New(ds, append([]Option{WithSampleCount(pool.Rows()), WithWorkers(workers)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st := a.pool.Load()
+	st.once.Do(func() { st.samples = pool })
+	st.built.Store(true)
+	st.indexBuilds.Store(1)
+	if indexed {
+		st.index.Store(vecmat.BuildIndex(pool))
+	}
+	return a
 }
 
-// indexedEnv is testEnv whose Index callback always returns an index over
-// pool, so every qualifying ranking is counted through it.
-func indexedEnv(ds *dataset.Dataset, pool vecmat.Matrix, workers int) *Env {
-	env := testEnv(ds, pool, workers)
-	ix := vecmat.BuildIndex(pool)
-	env.Index = func(int) *vecmat.Index { return ix }
-	return env
-}
-
-// envModes runs the sweep tests twice: scanning every ranking, and with
+// poolModes runs the sweep tests twice: scanning every ranking, and with
 // every qualifying ranking counted through the pool's index.
-var envModes = []struct {
-	name string
-	env  func(*dataset.Dataset, vecmat.Matrix, int) *Env
+var poolModes = []struct {
+	name    string
+	indexed bool
 }{
-	{"scan", testEnv},
-	{"index", indexedEnv},
+	{"scan", false},
+	{"index", true},
+}
+
+// doAll answers queries on a, failing the test on a call-level error.
+func doAll(t *testing.T, a *Analyzer, queries []Query) []Result {
+	t.Helper()
+	out, err := a.Do(ctx, queries...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // verifyQueriesFor derives feasible rankings from random weight vectors so
@@ -122,14 +128,11 @@ func TestFusedSweepMatchesPerNormal(t *testing.T) {
 				want[i] = float64(m.CountInside(pool, 0, pool.Rows())) / float64(pool.Rows())
 			}
 
-			for _, mode := range envModes {
+			for _, mode := range poolModes {
 				for _, workers := range []int{1, 2, 3, 8} {
-					out, err := Exec(ctx, mode.env(ds, pool, workers), queries)
-					if err != nil {
-						t.Fatal(err)
-					}
+					out := doAll(t, poolAnalyzer(t, ds, pool, workers, mode.indexed), queries)
 					for i := range queries {
-						v := out[i].Verify
+						v := out[i].Verification
 						if v == nil {
 							t.Fatalf("%s d=%d seed=%d workers=%d query %d: no verification (err %v)", mode.name, d, seed, workers, i, out[i].Err)
 						}
@@ -154,27 +157,21 @@ func TestFusedSweepMixedBatch(t *testing.T) {
 	pool := testPool(t, 105, 12000, 3)
 	queries := append(verifyQueriesFor(t, ds, 205, 4), ItemRankQuery{Item: 2}, ItemRankQuery{Item: 0, Samples: 5000})
 
-	base, err := Exec(ctx, testEnv(ds, pool, 1), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := doAll(t, poolAnalyzer(t, ds, pool, 1, false), queries)
 	for _, run := range []struct {
-		env     func(*dataset.Dataset, vecmat.Matrix, int) *Env
+		indexed bool
 		workers int
-	}{{testEnv, 2}, {testEnv, 8}, {indexedEnv, 1}, {indexedEnv, 2}, {indexedEnv, 8}} {
+	}{{false, 2}, {false, 8}, {true, 1}, {true, 2}, {true, 8}} {
 		workers := run.workers
-		out, err := Exec(ctx, run.env(ds, pool, workers), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := doAll(t, poolAnalyzer(t, ds, pool, workers, run.indexed), queries)
 		for i := range queries {
 			switch {
-			case base[i].Verify != nil:
-				if out[i].Verify.Stability != base[i].Verify.Stability {
+			case base[i].Verification != nil:
+				if out[i].Verification.Stability != base[i].Verification.Stability {
 					t.Fatalf("workers=%d query %d stability diverged", workers, i)
 				}
-			case base[i].ItemRank != nil:
-				got, want := out[i].ItemRank, base[i].ItemRank
+			case base[i].RankDistribution != nil:
+				got, want := out[i].RankDistribution, base[i].RankDistribution
 				if got.Samples != want.Samples || got.Best != want.Best || got.Worst != want.Worst || len(got.Counts) != len(want.Counts) {
 					t.Fatalf("workers=%d query %d rank distribution diverged", workers, i)
 				}
@@ -197,20 +194,14 @@ func TestAdaptiveSweepDeterministic(t *testing.T) {
 	pool := testPool(t, 109, 60000, 4)
 	queries := verifyQueriesFor(t, ds, 209, 6)
 
-	run := func(workers int, target float64) []Outcome {
-		env := testEnv(ds, pool, workers)
-		env.AdaptiveError = target
-		out, err := Exec(ctx, env, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	run := func(indexed bool, workers int, target float64) []Result {
+		return doAll(t, poolAnalyzer(t, ds, pool, workers, indexed, WithAdaptive(target)), queries)
 	}
 
-	base := run(1, 0.02)
+	base := run(false, 1, 0.02)
 	stopped := 0
 	for i := range queries {
-		v := base[i].Verify
+		v := base[i].Verification
 		if v == nil {
 			t.Fatalf("query %d: %v", i, base[i].Err)
 		}
@@ -227,36 +218,35 @@ func TestAdaptiveSweepDeterministic(t *testing.T) {
 	if stopped == 0 {
 		t.Fatal("no query stopped early at a loose target on a 60k pool")
 	}
-	for _, workers := range []int{2, 3, 8} {
-		out := run(workers, 0.02)
-		for i := range queries {
-			g, w := out[i].Verify, base[i].Verify
-			if g.Stability != w.Stability || g.SampleCount != w.SampleCount || g.Adaptive != w.Adaptive || g.ConfidenceError != w.ConfidenceError {
-				t.Fatalf("workers=%d query %d: adaptive outcome diverged (%+v vs %+v)", workers, i, g, w)
+	for _, mode := range poolModes {
+		for _, workers := range []int{1, 2, 3, 8} {
+			out := run(mode.indexed, workers, 0.02)
+			for i := range queries {
+				g, w := out[i].Verification, base[i].Verification
+				if g.Stability != w.Stability || g.SampleCount != w.SampleCount || g.Adaptive != w.Adaptive || g.ConfidenceError != w.ConfidenceError {
+					t.Fatalf("%s workers=%d query %d: adaptive outcome diverged (%+v vs %+v)", mode.name, workers, i, g, w)
+				}
 			}
 		}
 	}
 
 	// An unreachable target must fall through to the exact full-pool answer.
-	exact, err := Exec(ctx, testEnv(ds, pool, 3), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict := run(3, 1e-12)
+	exact := doAll(t, poolAnalyzer(t, ds, pool, 3, false), queries)
+	strict := run(false, 3, 1e-12)
 	for i := range queries {
-		g, w := strict[i].Verify, exact[i].Verify
+		g, w := strict[i].Verification, exact[i].Verification
 		if g.Adaptive || g.SampleCount != pool.Rows() || g.Stability != w.Stability || g.ConfidenceError != w.ConfidenceError {
 			t.Fatalf("query %d: exhausted adaptive sweep != exact sweep (%+v vs %+v)", i, g, w)
 		}
 	}
 }
 
-// TestItemRankMatchesRankOf: one Exec holding three item-rank queries with
+// TestItemRankMatchesRankOf: one Do holding three item-rank queries with
 // different sample counts — the whole pool and a pool prefix on the fused
-// sweep, and more samples than the pool on the ItemRankDistribution path —
-// gives histograms equal to a per-row mc.RankOf loop over the same weight
-// vectors, for 1 and 8 workers. Small-integer attributes make duplicate
-// items, so the tie rule is exercised.
+// sweep, and more samples than the pool on the analyzer's own item-rank
+// sampler stream — gives histograms equal to a per-row mc.RankOf loop over
+// the same weight vectors, for 1, 2 and 8 workers. Small-integer attributes
+// make duplicate items, so the tie rule is exercised.
 func TestItemRankMatchesRankOf(t *testing.T) {
 	const poolRows = 10000
 	for _, d := range []int{3, 4} {
@@ -274,9 +264,6 @@ func TestItemRankMatchesRankOf(t *testing.T) {
 			attrs.SetRow(i, ds.Attrs(i))
 		}
 		pool := testPool(t, 300+int64(d), poolRows, d)
-		sampler := func(off int64) (sampling.Sampler, error) {
-			return sampling.NewUniform(d, rand.New(rand.NewSource(500+off)))
-		}
 		queries := []Query{
 			ItemRankQuery{Item: 3},
 			ItemRankQuery{Item: 7, Samples: 2500},
@@ -296,7 +283,7 @@ func TestItemRankMatchesRankOf(t *testing.T) {
 				}
 				continue
 			}
-			s, err := sampler(itemRankSeedOffset)
+			s, err := poolAnalyzer(t, ds, pool, 1, false).sampler(itemRankSeedOffset)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,20 +295,17 @@ func TestItemRankMatchesRankOf(t *testing.T) {
 				want[qi][mc.RankOf(attrs, w, q.Item)]++
 			}
 		}
-		for _, workers := range []int{1, 8} {
-			env := testEnv(ds, pool, workers)
-			env.Sampler = sampler
-			out, err := Exec(ctx, env, queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qi := range queries {
-				got := out[qi].ItemRank
-				if got == nil {
-					t.Fatalf("d=%d workers=%d query %d: no distribution (err %v)", d, workers, qi, out[qi].Err)
-				}
-				if !maps.Equal(got.Counts, want[qi]) {
-					t.Fatalf("d=%d workers=%d query %d: histogram %v, RankOf loop %v", d, workers, qi, got.Counts, want[qi])
+		for _, mode := range poolModes {
+			for _, workers := range []int{1, 2, 8} {
+				out := doAll(t, poolAnalyzer(t, ds, pool, workers, mode.indexed), queries)
+				for qi := range queries {
+					got := out[qi].RankDistribution
+					if got == nil {
+						t.Fatalf("%s d=%d workers=%d query %d: no distribution (err %v)", mode.name, d, workers, qi, out[qi].Err)
+					}
+					if !maps.Equal(got.Counts, want[qi]) {
+						t.Fatalf("%s d=%d workers=%d query %d: histogram %v, RankOf loop %v", mode.name, d, workers, qi, got.Counts, want[qi])
+					}
 				}
 			}
 		}
