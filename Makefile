@@ -1,9 +1,11 @@
 GO ?= go
 
-# Benchmark-trajectory artifact name; CI uploads one per PR so perf is
-# comparable across the PR sequence. CI derives the artifact path from this
-# via `make -s print-benchjson` instead of hardcoding it in the workflow.
-BENCHJSON ?= BENCH_pr10.json
+# Fresh benchmark stream that benchjson writes and perfgate gates; CI
+# uploads it per PR so perf is comparable across the PR sequence, reading
+# the path via `make -s print-benchjson` instead of hardcoding it in the
+# workflow. The name falls under .gitignore's BENCH_*.json rule, so local
+# runs never overwrite a checked-in file.
+BENCHJSON ?= BENCH_head.json
 
 # Perf-gate knobs: the previous PR's checked-in benchmark stream, the gated
 # benchmark families (pool build, snapshot cold/warm load, every verification

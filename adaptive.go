@@ -55,7 +55,7 @@ func (a *Analyzer) adaptiveSweep(ctx context.Context, pool vecmat.Matrix, querie
 	if len(live) == 0 {
 		return nil
 	}
-	a.sweeps.Add(1)
+	a.pool.sweeps.Add(1)
 	rows := pool.Rows()
 	d := a.ds.D()
 	grouped, starts := concatLive(d, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
@@ -93,8 +93,8 @@ func (a *Analyzer) adaptiveSweep(ctx context.Context, pool vecmat.Matrix, querie
 				o.ConfidenceError = ci
 				o.SampleCount = pos
 				o.Adaptive = true
-				a.adaptiveStops.Add(1)
-				a.adaptiveRowsSaved.Add(int64(rows - pos))
+				a.pool.adaptiveStops.Add(1)
+				a.pool.adaptiveRowsSaved.Add(int64(rows - pos))
 				done = true
 				continue
 			}

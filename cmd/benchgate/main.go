@@ -1,9 +1,9 @@
 // Command benchgate is the CI perf-regression gate: it compares two
 // benchmark runs captured as `go test -json` streams (the `make benchjson`
-// artifacts, e.g. BENCH_pr9.json vs BENCH_pr10.json) and fails when a
-// benchmark slowed down beyond a tolerance threshold.
+// artifacts, e.g. the checked-in BENCH_pr9.json vs a fresh BENCH_head.json)
+// and fails when a benchmark slowed down beyond a tolerance threshold.
 //
-//	benchgate -baseline BENCH_pr9.json -candidate BENCH_pr10.json \
+//	benchgate -baseline BENCH_pr9.json -candidate BENCH_head.json \
 //	    -match 'PoolBuild|Verify|SV2D|SVMD|Kernel' -threshold 1.25 -min 25ms
 //
 // Only benchmarks present in BOTH streams and matching -match are gated;

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"stablerank/internal/dataset"
 	"stablerank/internal/mc"
@@ -106,7 +105,7 @@ type deltaRecord struct {
 
 // DeltasApplied returns how many deltas produced this analyzer, accumulated
 // along the ApplyDelta chain.
-func (a *Analyzer) DeltasApplied() int64 { return a.deltasApplied.Load() }
+func (a *Analyzer) DeltasApplied() int64 { return a.deltasApplied }
 
 // Warm draws (or restores) the Monte-Carlo sample pool now instead of on
 // first query.
@@ -116,12 +115,15 @@ func (a *Analyzer) Warm(ctx context.Context) error {
 }
 
 // ApplyDelta returns a new Analyzer over the mutated dataset without
-// rebuilding anything expensive: the Monte-Carlo sample pool carries over
-// verbatim (pool samples are weight-space points, independent of dataset
-// content). Every query result from the returned analyzer is bit-identical
-// to a from-scratch analyzer over the same dataset and configuration. The
-// receiver stays valid; both may be used concurrently. With no deltas the
-// receiver itself is returned.
+// rebuilding anything expensive: it shares the receiver's pool cell, built
+// or not (pool samples are weight-space points, independent of dataset
+// content), so the two draw at most one pool between them, and the pool's
+// counters (PoolBuilds, PoolRestores, PoolBuildDuration, Sweeps,
+// AdaptiveStops, AdaptiveRowsSaved) count the work of both. Every query
+// result from the returned analyzer is bit-identical to a from-scratch
+// analyzer over the same dataset and configuration. The receiver stays
+// valid; both may be used concurrently. With no deltas the receiver itself
+// is returned.
 func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, error) {
 	if len(deltas) == 0 {
 		return a, nil
@@ -136,43 +138,24 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 	if nds.N() == 0 {
 		return nil, dataset.ErrEmptyDataset
 	}
-
-	n := &Analyzer{
-		ds:          nds,
-		roi:         a.roi,
-		seed:        a.seed,
-		sampleCount: a.sampleCount,
-		alpha:       a.alpha,
-		workers:     a.workers,
-		adaptiveErr: a.adaptiveErr,
-		poolCache:   a.poolCache,
-		poolFiller:  a.poolFiller,
-		last:        &deltaRecord{trace: trace, oldDS: a.ds},
-	}
-	carry(&n.poolBuilds, &a.poolBuilds)
-	carry(&n.poolBuildNanos, &a.poolBuildNanos)
-	carry(&n.poolRestores, &a.poolRestores)
-	carry(&n.sweeps, &a.sweeps)
-	carry(&n.adaptiveStops, &a.adaptiveStops)
-	carry(&n.adaptiveRowsSaved, &a.adaptiveRowsSaved)
-	n.deltasApplied.Store(a.deltasApplied.Load() + int64(len(trace)))
-
-	if st := a.pool.Load(); st != nil && st.built.Load() {
-		// Share the built pool verbatim: a built poolState cell holds only
-		// immutable or atomic state, so both analyzers sweep the same
-		// backing matrix and share its index and pass count. The blocked
-		// row-pass pricing the delta against every sample is deferred to
-		// LastDrift, so callers that never read drift pay only for the
-		// dataset copy.
-		n.pool.Store(st)
-	} else {
-		n.pool.Store(&poolState{})
-	}
-	return n, nil
+	// The blocked row-pass pricing the delta against every sample is
+	// deferred to LastDrift, so callers that never read drift pay only for
+	// the dataset copy.
+	return &Analyzer{
+		ds:            nds,
+		roi:           a.roi,
+		seed:          a.seed,
+		sampleCount:   a.sampleCount,
+		alpha:         a.alpha,
+		workers:       a.workers,
+		adaptiveErr:   a.adaptiveErr,
+		poolCache:     a.poolCache,
+		poolFiller:    a.poolFiller,
+		pool:          a.pool,
+		deltasApplied: a.deltasApplied + int64(len(trace)),
+		last:          &deltaRecord{trace: trace, oldDS: a.ds},
+	}, nil
 }
-
-// carry copies a counter from src to dst.
-func carry(dst, src *atomic.Int64) { dst.Store(src.Load()) }
 
 // pass runs the per-delta score pass over the pool at most once: one
 // EvalRowsBlocked sweep evaluating every touched item's before/after

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -98,6 +99,9 @@ func TestApplyDeltaSharesPool(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaColdPool: the child of an analyzer whose pool is not built
+// yet shares its parent's pool cell, so the pool the child draws on first
+// use is the parent's too, and the two count one build between them.
 func TestApplyDeltaColdPool(t *testing.T) {
 	ctx := context.Background()
 	a, err := New(deltaDS(t, 10, 3, 2), WithSampleCount(500))
@@ -117,8 +121,11 @@ func TestApplyDeltaColdPool(t *testing.T) {
 	if _, err := itemRank(ctx, na, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if na.PoolBuilds() != 1 {
-		t.Fatalf("PoolBuilds = %d", na.PoolBuilds())
+	if !a.PoolBuilt() {
+		t.Fatal("parent did not see the pool its child built")
+	}
+	if a.PoolBuilds() != 1 || na.PoolBuilds() != 1 {
+		t.Fatalf("PoolBuilds = %d on the parent, %d on the child; want 1 on both", a.PoolBuilds(), na.PoolBuilds())
 	}
 }
 
@@ -611,6 +618,150 @@ func TestLastDriftConcurrent(t *testing.T) {
 		}
 		if !slices.Equal(results[g], results[0]) {
 			t.Fatalf("caller %d drift %+v differs from caller 0 %+v", g, results[g], results[0])
+		}
+	}
+}
+
+// TestLineageMatchesFresh runs random ApplyDelta histories over one dataset.
+// Each grows a lineage by add, remove and update batches, chained up to four
+// derivations deep, some taken while the shared pool is still cold. Warm and
+// Do calls (verify, item-rank, top-h) go to its members in random order, and
+// the first pool build is cancelled mid-draw at least once before a live
+// call, or every member at once, retries it. After every step each member
+// answers bit for bit as a fresh New over its dataset with the same options
+// does, and every member reports the same PoolBuilds: one draw plus one per
+// cancelled attempt.
+func TestLineageMatchesFresh(t *testing.T) {
+	histories := 10
+	if testing.Short() {
+		histories = 4
+	}
+	for _, workers := range []int{1, 3} {
+		for h := range histories {
+			seed := int64(100*workers + h)
+			t.Run(fmt.Sprintf("workers=%d/seed=%d", workers, seed), func(t *testing.T) {
+				t.Cleanup(func() {
+					if t.Failed() {
+						t.Logf("lineage history: seed %d, workers %d", seed, workers)
+					}
+				})
+				lineageHistory(t, seed, workers)
+			})
+		}
+	}
+}
+
+// lineageMember is one analyzer of a lineage beside a fresh analyzer over
+// its dataset.
+type lineageMember struct {
+	a, fresh *Analyzer
+	depth    int
+}
+
+func lineageHistory(t *testing.T, seed int64, workers int) {
+	const steps, maxMembers, maxDepth = 12, 6, 4
+	rng := rand.New(rand.NewSource(seed))
+	grid := rng.Intn(2) == 0
+	// 5000 rows are two pool chunks, so three workers draw concurrently.
+	opts := []Option{WithSeed(seed), WithSampleCount(5000), WithWorkers(workers)}
+	w := []float64(driftAttrs(rng, 3, false))
+	queries := func(ds *dataset.Dataset) []Query {
+		return []Query{
+			VerifyQuery{Ranking: RankingOf(ds, []float64{1, 1, 1})},
+			VerifyQuery{Ranking: RankingOf(ds, w)},
+			ItemRankQuery{Item: ds.N() - 1},
+			TopHQuery{H: 3},
+		}
+	}
+	member := func(a *Analyzer, depth int) lineageMember {
+		fresh, err := New(a.Dataset(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lineageMember{a: a, fresh: fresh, depth: depth}
+	}
+	same := func(step int, m lineageMember, qs []Query) {
+		t.Helper()
+		if got, want := doAll(t, m.a, qs), doAll(t, m.fresh, qs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: depth-%d member answers %+v, fresh analyzer %+v", step, m.depth, got, want)
+		}
+	}
+	root, err := New(driftDS(t, rng, 8, 3, grid), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []lineageMember{member(root, 0)}
+	cancels, cold := 0, true
+	coldSteps := rng.Intn(4) // derivations before any member touches the pool
+	for step := range steps {
+		m := members[rng.Intn(len(members))]
+		op := rng.Intn(3) // derive, Warm or Do
+		switch {
+		case step < coldSteps:
+			op = 0
+		case op == 0 && (m.depth == maxDepth || len(members) == maxMembers), cold && step >= steps/3:
+			op = 1 + rng.Intn(2)
+		}
+		if op > 0 && cold {
+			// Cancel the first build partway through its draw: a poll
+			// after the first one lands inside a chunk, and the draw polls
+			// at least ten times.
+			for range 1 + rng.Intn(2) {
+				c := members[rng.Intn(len(members))]
+				cctx := newCancelAfter(ctx, int64(3+rng.Intn(5)))
+				if err := c.a.Warm(cctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("step %d: cancelled Warm returned %v", step, err)
+				}
+				cctx.cancel()
+				cancels++
+			}
+			cold = false
+			if rng.Intn(2) == 0 {
+				// Every member races for the retried build at once.
+				var wg sync.WaitGroup
+				for _, c := range members {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := c.a.Warm(ctx); err != nil {
+							t.Errorf("step %d: concurrent Warm: %v", step, err)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		}
+		switch op {
+		case 0:
+			batch := driftBatch(rng, m.a.Dataset(), 1+rng.Intn(3), grid)
+			child, err := m.a.ApplyDelta(ctx, batch...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members = append(members, member(child, m.depth+1))
+		case 1:
+			if err := m.a.Warm(ctx); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		default:
+			qs := queries(m.a.Dataset())
+			rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+			same(step, m, qs[:1+rng.Intn(len(qs))])
+		}
+
+		builds := int64(cancels)
+		if !cold {
+			builds++
+		}
+		for _, i := range rng.Perm(len(members)) {
+			m := members[i]
+			if m.a.pool != root.pool || m.a.PoolBuilt() == cold || m.a.PoolBuilds() != builds {
+				t.Fatalf("step %d: depth-%d member shares cell %v, built %v, %d pool builds; want shared, %v, %d",
+					step, m.depth, m.a.pool == root.pool, m.a.PoolBuilt(), m.a.PoolBuilds(), !cold, builds)
+			}
+			if !cold {
+				same(step, m, queries(m.a.Dataset()))
+			}
 		}
 	}
 }

@@ -107,14 +107,18 @@
 // the dataset invalidates none of it — only the scores and per-sample
 // ranking positions of the touched items. ApplyDeltas edits a Dataset
 // value; Analyzer.ApplyDelta applies ItemAdd / ItemRemove / AttrUpdate
-// deltas to a warmed analyzer by copying the dataset with the deltas applied
-// and sharing the resident pool, which beats a rebuild by orders of
-// magnitude at realistic pool sizes. Nothing ranking-shaped is maintained
-// incrementally: every answer is computed from the mutated dataset and the
-// shared pool, so the derived analyzer is bit-identical to one constructed
-// fresh over the mutated dataset. DeltasApplied makes the maintenance
-// observable, and LastDrift prices the most recent batch's score and rank
-// impact against the pool on demand. Typical use:
+// deltas to an analyzer by copying the dataset with the deltas applied and
+// sharing its pool cell — the pool, drawn or not, and the counters of the
+// work done on it — which beats a rebuild by orders of magnitude at
+// realistic pool sizes. A derived analyzer and its parent therefore draw
+// at most one pool between them, and PoolBuilds, PoolRestores,
+// PoolBuildDuration, Sweeps, AdaptiveStops and AdaptiveRowsSaved read the
+// same on both. Nothing ranking-shaped is maintained incrementally: every
+// answer is computed from the mutated dataset and the shared pool, so the
+// derived analyzer is bit-identical to one constructed fresh over the
+// mutated dataset. DeltasApplied makes the maintenance observable, and
+// LastDrift prices the most recent batch's score and rank impact against
+// the pool on demand. Typical use:
 //
 //	ds, _ := stablerank.ReadCSV(f, true)
 //	a, _ := stablerank.New(ds, stablerank.WithCosineSimilarity(weights, 0.998))

@@ -79,19 +79,6 @@ func (t *internTable) observe(sel []int) (*internEntry, bool) {
 	return e2, false
 }
 
-// lookup returns the entry for sel, or nil when it was never observed.
-func (t *internTable) lookup(sel []int) *internEntry {
-	if e, ok := t.entries[t.hash(sel)]; ok && equalIndices(e.order, sel) {
-		return e
-	}
-	if t.overflow != nil {
-		if e, ok := t.overflow[rank.Ranking{Order: sel}.Key()]; ok {
-			return e
-		}
-	}
-	return nil
-}
-
 // forEach visits every distinct entry (iteration order is unspecified).
 func (t *internTable) forEach(fn func(*internEntry)) {
 	for _, e := range t.entries { //srlint:ordered visits are commutative; best() breaks count ties by entry key, not visit order

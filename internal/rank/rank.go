@@ -6,7 +6,6 @@
 package rank
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -173,23 +172,6 @@ func encodeIndices(idx []int) string {
 		b.WriteString(strconv.Itoa(v))
 	}
 	return b.String()
-}
-
-// DecodeKey parses a key produced by Key/TopK*Key back into item indices.
-func DecodeKey(key string) ([]int, error) {
-	if key == "" {
-		return nil, nil
-	}
-	parts := strings.Split(key, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("rank: bad key %q: %w", key, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // PositionOf returns the 1-based rank of item idx in the ranking, or 0 if it

@@ -111,22 +111,6 @@ func TestKeys(t *testing.T) {
 	}
 }
 
-func TestDecodeKey(t *testing.T) {
-	idx, err := DecodeKey("3,1,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 3 || idx[0] != 3 || idx[2] != 4 {
-		t.Errorf("DecodeKey = %v", idx)
-	}
-	if _, err := DecodeKey("1,x"); err == nil {
-		t.Error("bad key accepted")
-	}
-	if idx, err := DecodeKey(""); err != nil || idx != nil {
-		t.Errorf("empty key = %v, %v", idx, err)
-	}
-}
-
 func TestPositionOf(t *testing.T) {
 	r := Ranking{Order: []int{3, 1, 4}}
 	if r.PositionOf(1) != 2 {

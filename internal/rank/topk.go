@@ -1,10 +1,6 @@
 package rank
 
-import (
-	"sort"
-
-	"stablerank/internal/geom"
-)
+import "stablerank/internal/geom"
 
 // Top-k selection without a full sort. The randomized top-k operators
 // (Section 4.5.1) rank the dataset for every Monte-Carlo sample but only
@@ -74,20 +70,4 @@ func (c *Computer) siftDown(h []int, i int) {
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
-}
-
-// TopKRankedKeyOf returns the ranked top-k key of the selection (equivalent
-// to Compute(w).TopKRankedKey(k) but without the full sort).
-func (c *Computer) TopKRankedKeyOf(w geom.Vector, k int) string {
-	return encodeIndices(c.TopKSelect(w, k))
-}
-
-// TopKSetKeyOf returns the set top-k key of the selection (equivalent to
-// Compute(w).TopKSetKey(k) but without the full sort).
-func (c *Computer) TopKSetKeyOf(w geom.Vector, k int) string {
-	sel := c.TopKSelect(w, k)
-	tmp := make([]int, len(sel))
-	copy(tmp, sel)
-	sort.Ints(tmp)
-	return encodeIndices(tmp)
 }

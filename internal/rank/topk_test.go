@@ -75,26 +75,6 @@ func TestTopKSelectZeroK(t *testing.T) {
 	}
 }
 
-func TestTopKKeyHelpers(t *testing.T) {
-	rr := rand.New(rand.NewSource(162))
-	ds := dataset.MustNew(3)
-	for i := 0; i < 60; i++ {
-		ds.MustAdd("", rr.Float64(), rr.Float64(), rr.Float64())
-	}
-	c := NewComputer(ds)
-	for trial := 0; trial < 30; trial++ {
-		w := geom.Vector{rr.Float64() + 0.01, rr.Float64() + 0.01, rr.Float64() + 0.01}
-		k := 1 + rr.Intn(10)
-		full := Compute(ds, w)
-		if got, want := c.TopKRankedKeyOf(w, k), full.TopKRankedKey(k); got != want {
-			t.Fatalf("ranked key %q != %q", got, want)
-		}
-		if got, want := c.TopKSetKeyOf(w, k), full.TopKSetKey(k); got != want {
-			t.Fatalf("set key %q != %q", got, want)
-		}
-	}
-}
-
 func BenchmarkTopKSelectVsFullSort(b *testing.B) {
 	rr := rand.New(rand.NewSource(163))
 	ds := dataset.MustNew(3)

@@ -36,22 +36,3 @@ func ConfidenceError(m float64, n int, alpha float64) float64 {
 	}
 	return z * math.Sqrt(m*(1-m)/float64(n))
 }
-
-// GeometricExpectation returns the expected number of independent trials
-// until the first success for success probability s, i.e. 1/s: the expected
-// sampling cost of first observing a ranking with stability s (Theorem 2).
-func GeometricExpectation(s float64) float64 {
-	if s <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / s
-}
-
-// GeometricVariance returns the variance (1-s)/s^2 of the first-success
-// trial count for success probability s (Theorem 2).
-func GeometricVariance(s float64) float64 {
-	if s <= 0 {
-		return math.Inf(1)
-	}
-	return (1 - s) / (s * s)
-}

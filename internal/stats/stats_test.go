@@ -123,18 +123,6 @@ func TestConfidenceErrorEdgeCases(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	if got := GeometricExpectation(0.02); !almostEqual(got, 50, 1e-9) {
-		t.Errorf("GeometricExpectation(0.02) = %v", got)
-	}
-	if got := GeometricVariance(0.5); !almostEqual(got, 2, 1e-9) {
-		t.Errorf("GeometricVariance(0.5) = %v, want 2", got)
-	}
-	if !math.IsInf(GeometricExpectation(0), 1) || !math.IsInf(GeometricVariance(0), 1) {
-		t.Error("zero stability should have infinite discovery cost")
-	}
-}
-
 func TestRegularizedIncompleteBeta(t *testing.T) {
 	tests := []struct {
 		z, a, b float64

@@ -343,46 +343,3 @@ func EnumerateAll(ds *dataset.Dataset, iv geom.Interval2D) ([]Result, error) {
 		out = append(out, r)
 	}
 }
-
-// TopH returns the h most stable rankings (or all, if fewer exist).
-func TopH(ds *dataset.Dataset, iv geom.Interval2D, h int) ([]Result, error) {
-	e, err := NewEnumerator(ds, iv)
-	if err != nil {
-		return nil, err
-	}
-	var out []Result
-	for len(out) < h {
-		r, err := e.Next()
-		if errors.Is(err, ErrExhausted) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// AboveThreshold returns every ranking with stability >= s, in decreasing
-// stability order (the threshold form of Problem 2).
-func AboveThreshold(ds *dataset.Dataset, iv geom.Interval2D, s float64) ([]Result, error) {
-	e, err := NewEnumerator(ds, iv)
-	if err != nil {
-		return nil, err
-	}
-	var out []Result
-	for {
-		r, err := e.Next()
-		if errors.Is(err, ErrExhausted) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if r.Stability < s {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}

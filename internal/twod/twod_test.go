@@ -354,48 +354,6 @@ func TestEnumeratorOrderAndExhaustion(t *testing.T) {
 	}
 }
 
-func TestTopHAndThreshold(t *testing.T) {
-	rr := rand.New(rand.NewSource(95))
-	ds := randDataset(rr, 12)
-	all, err := EnumerateAll(ds, fullU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	top3, err := TopH(ds, fullU(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top3) != 3 {
-		t.Fatalf("TopH returned %d", len(top3))
-	}
-	for i := range top3 {
-		if math.Abs(top3[i].Stability-all[i].Stability) > 1e-12 {
-			t.Errorf("TopH[%d] stability mismatch", i)
-		}
-	}
-	// Oversized h returns everything.
-	many, err := TopH(ds, fullU(), 10000)
-	if err != nil || len(many) != len(all) {
-		t.Errorf("oversized TopH: %d vs %d", len(many), len(all))
-	}
-	// Threshold form.
-	s := all[len(all)/2].Stability
-	th, err := AboveThreshold(ds, fullU(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range th {
-		if r.Stability < s {
-			t.Errorf("threshold violated: %v < %v", r.Stability, s)
-		}
-	}
-	for _, r := range all[len(th):] {
-		if r.Stability >= s && r.Stability > th[len(th)-1].Stability {
-			t.Error("threshold missed a qualifying region")
-		}
-	}
-}
-
 // The number of feasible rankings is far below n! and bounded by the number
 // of exchanges + 1.
 func TestRegionCountBound(t *testing.T) {

@@ -16,13 +16,50 @@ import (
 	"stablerank/internal/vecmat"
 )
 
+// poolCell owns the sample pool of one analyzer lineage: New creates it and
+// ApplyDelta shares it, built or not, because the pool's rows are
+// weight-space points fixed by region, seed and sample count, never by the
+// data. It is the one place concurrent first uses coalesce into a single
+// build, and it holds the counters of the work done on its pool, so every
+// analyzer of a lineage reports the same values.
+type poolCell struct {
+	// The embedded pointer is the current build attempt. A successful
+	// attempt is published once and is immutable afterwards; a failed one
+	// is swapped for a fresh attempt, so a build aborted by context
+	// cancellation can be retried.
+	atomic.Pointer[poolState]
+
+	// builds counts entries into drawPool, so callers sharing the cell can
+	// observe that concurrent first uses coalesced into a single pool
+	// construction; buildNanos is the wall time of the last successful one.
+	builds     atomic.Int64
+	buildNanos atomic.Int64
+	// restores counts pools installed from a snapshot cache instead of
+	// drawn: a warm restart answers its first query with builds == 0 and
+	// restores == 1.
+	restores atomic.Int64
+	// sweeps counts fused sample-pool sweeps (see Sweeps).
+	sweeps atomic.Int64
+	// adaptiveStops counts verify queries that adaptive verification stopped
+	// before the pool was exhausted; adaptiveRowsSaved accumulates the pool
+	// rows those early stops skipped. Both are 0 without WithAdaptive.
+	adaptiveStops     atomic.Int64
+	adaptiveRowsSaved atomic.Int64
+}
+
+// newPoolCell returns a cell with one fresh build attempt.
+func newPoolCell() *poolCell {
+	c := &poolCell{}
+	c.Store(&poolState{})
+	return c
+}
+
 // poolState is one attempt at building the shared sample pool. The pool is
 // one contiguous row-major matrix (stride = the dataset dimension), the
 // storage every flat verification and enumeration kernel sweeps directly.
-// Once built, the cell also owns the pool's kd-tree range-counting index,
+// Once built, the attempt also owns the pool's kd-tree range-counting index,
 // built lazily by the build rule (see indexAfterPasses). Everything in a
-// built cell is immutable or atomic, so ApplyDelta shares the cell — pool,
-// index and pass count — verbatim between analyzers.
+// built attempt is immutable or atomic.
 type poolState struct {
 	once    sync.Once
 	samples vecmat.Matrix
@@ -57,10 +94,10 @@ type poolState struct {
 const indexAfterPasses = 16
 
 // poolIndex is the fused sweep's index rule: it records this sweep's
-// qualifying passes against the built pool's cell and returns the cell's
-// index, building it first when these passes bring the count to T. The build is
+// qualifying passes against the built pool and returns the pool's index,
+// building it first when these passes bring the count to T. The build is
 // synchronous, bounded CPU with no I/O, and claimed by CAS, so at most one
-// runs per cell; sweeps arriving meanwhile get nil and scan.
+// runs per pool; sweeps arriving meanwhile get nil and scan.
 func (a *Analyzer) poolIndex(qualifying int) *vecmat.Index {
 	st := a.pool.Load()
 	if !st.built.Load() {
@@ -83,17 +120,17 @@ func (a *Analyzer) sampler(seedOffset int64) (sampling.Sampler, error) {
 }
 
 // samplePool lazily draws the shared Monte-Carlo sample pool. Concurrent
-// callers block on the same build; the winning build is published once and
-// the slice is immutable afterwards. The build runs under the winning
-// caller's context, so a cancelled winner fails the attempt for everyone
-// blocked on it; the failed cell is then replaced and callers whose own
-// context is still live retry with it instead of inheriting someone else's
-// cancellation.
+// callers on every analyzer sharing the pool cell block on the same build;
+// the winning build is published once and the slice is immutable
+// afterwards. The build runs under the winning caller's context, so a
+// cancelled winner fails the attempt for everyone blocked on it; the failed
+// attempt is then replaced and callers whose own context is still live
+// retry with it instead of inheriting someone else's cancellation.
 func (a *Analyzer) samplePool(ctx context.Context) (vecmat.Matrix, error) {
 	for {
 		st := a.pool.Load()
 		st.once.Do(func() {
-			st.samples, st.err = a.obtainPool(ctx) //srlint:onceerr not latched: the retry loop below swaps out a failed cell, and callers with live contexts rebuild
+			st.samples, st.err = a.obtainPool(ctx) //srlint:onceerr not latched: the retry loop below swaps out a failed attempt, and callers with live contexts rebuild
 			if st.err == nil && a.poolCache != nil {
 				st.key = a.poolCache.Key()
 			}
@@ -127,7 +164,7 @@ func (a *Analyzer) obtainPool(ctx context.Context) (vecmat.Matrix, error) {
 		if raw, ok := a.poolCache.Load(); ok {
 			if m, err := store.DecodeSnapshot(raw); err == nil &&
 				m.Rows() == a.sampleCount && m.Stride() == a.ds.D() {
-				a.poolRestores.Add(1)
+				a.pool.restores.Add(1)
 				return m, nil
 			}
 		}
@@ -145,13 +182,13 @@ func (a *Analyzer) obtainPool(ctx context.Context) (vecmat.Matrix, error) {
 // (seed, chunk index), so the pool is bit-identical for every worker count;
 // cancellation is plumbed through every worker.
 func (a *Analyzer) drawPool(ctx context.Context) (vecmat.Matrix, error) {
-	a.poolBuilds.Add(1)
+	a.pool.builds.Add(1)
 	start := time.Now()
 	pool, err := a.buildPool(ctx)
 	if err != nil {
 		return vecmat.Matrix{}, err
 	}
-	a.poolBuildNanos.Store(time.Since(start).Nanoseconds())
+	a.pool.buildNanos.Store(time.Since(start).Nanoseconds())
 	return pool, nil
 }
 

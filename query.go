@@ -229,5 +229,7 @@ func mapQueryErr(err error) error {
 // Sweeps returns how many fused sample-pool sweeps the analyzer has
 // performed across Do calls, the per-operation methods included. Together with
 // PoolBuilds it makes plan sharing observable: a heterogeneous Do call
-// mixing verify and item-rank queries raises it by exactly one.
-func (a *Analyzer) Sweeps() int64 { return a.sweeps.Load() }
+// mixing verify and item-rank queries raises it by exactly one. An analyzer
+// derived by ApplyDelta shares its parent's pool cell and counters, so
+// sweeps on either one show on both.
+func (a *Analyzer) Sweeps() int64 { return a.pool.sweeps.Load() }

@@ -123,15 +123,16 @@ func (k analyzerKey) String() string {
 	return s
 }
 
-// analyzerPool deduplicates Analyzer construction per key, singleflight
-// style: the first request for a key builds, concurrent requests for the
-// same key wait for that build, and later requests get the cached Analyzer.
-// Since an Analyzer draws its sample pool once and shares it across calls,
-// this collapses N concurrent identical queries into one pool build.
+// analyzerPool caches one Analyzer per key: the first request for a key
+// constructs it, and every later request gets the cached Analyzer.
+// Construction draws nothing, so it runs under the cache mutex; the
+// expensive sample-pool build happens later, in the Analyzer's pool cell,
+// which coalesces the first uses of all requests sharing the Analyzer into
+// one build. So N concurrent identical queries cost one pool build.
 //
-// Residency is bounded: the pool holds at most max completed analyzers and
-// evicts the least recently used one beyond that, so clients sweeping seeds,
-// sample counts, or regions (or datasets being replaced, which bumps the
+// Residency is bounded: the pool holds at most max analyzers and evicts the
+// least recently used one beyond that, so clients sweeping seeds, sample
+// counts, or regions (or datasets being replaced, which bumps the
 // generation in the key) cannot pin sample pools in memory without bound.
 // Evicted analyzers stay alive for requests already holding them and are
 // collected when those finish.
@@ -147,31 +148,14 @@ type analyzerPool struct {
 	order   *list.List                    // guarded by mu; front = most recently used; values *poolItem
 	entries map[analyzerKey]*list.Element // guarded by mu
 
-	builds    atomic.Int64 // Analyzer constructions started
-	dedupHits atomic.Int64 // requests served by an existing entry
-	inflight  atomic.Int64 // builds currently running
-	evictions atomic.Int64 // completed analyzers dropped by the LRU bound
+	builds    atomic.Int64 // Analyzer constructions attempted
+	dedupHits atomic.Int64 // requests served by a cached analyzer
+	evictions atomic.Int64 // analyzers dropped by the LRU bound
 }
 
 type poolItem struct {
 	key analyzerKey
-	e   *analyzerEntry
-}
-
-type analyzerEntry struct {
-	ready chan struct{} // closed when the build finishes
-	a     *stablerank.Analyzer
-	err   error
-}
-
-// done reports whether the entry's build has finished.
-func (e *analyzerEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
+	a   *stablerank.Analyzer
 }
 
 func newAnalyzerPool(max, workers int) *analyzerPool {
@@ -189,83 +173,57 @@ func newAnalyzerPool(max, workers int) *analyzerPool {
 	}
 }
 
-// get returns the shared Analyzer for key, building it (at most once per
-// key, regardless of concurrency) from ds and spec. A failed build is
-// forgotten so the key can be retried — deterministic misconfigurations
-// surface the same error again, transient conditions get a fresh chance.
+// get returns the shared Analyzer for key, constructing it from ds and spec
+// on a miss. A failed construction is not cached, so the key can be
+// retried: deterministic misconfigurations surface the same error again.
 func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, spec regionSpec) (*stablerank.Analyzer, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if el, ok := p.entries[key]; ok {
 		p.order.MoveToFront(el)
-		e := el.Value.(*poolItem).e
-		p.mu.Unlock()
 		p.dedupHits.Add(1)
-		<-e.ready
-		return e.a, e.err
+		return el.Value.(*poolItem).a, nil
 	}
-	e := &analyzerEntry{ready: make(chan struct{})}
-	p.entries[key] = p.order.PushFront(&poolItem{key: key, e: e})
-	// Evict the least recently used *completed* analyzers beyond the bound;
-	// in-flight builds are skipped (their requests still need the entry for
-	// deduplication).
-	for el := p.order.Back(); p.order.Len() > p.max && el != nil; {
-		prev := el.Prev()
-		if item := el.Value.(*poolItem); item.e != e && item.e.done() {
-			p.order.Remove(el)
-			delete(p.entries, item.key)
-			p.evictions.Add(1)
-		}
-		el = prev
-	}
-	p.mu.Unlock()
-
 	p.builds.Add(1)
-	p.inflight.Add(1)
 	opts, err := spec.options(key.seed, key.samples, p.workers, key.adaptive)
-	if err == nil {
-		if p.snaps != nil {
-			// The analyzer restores its sample pool from a persisted snapshot
-			// instead of redrawing it, and persists the pool it does draw.
-			opts = append(opts, stablerank.WithPoolCache(p.snaps.cacheFor(ds, key)))
-		}
-		if p.coord != nil {
-			opts = append(opts, stablerank.WithPoolFiller(poolFillerFor(p.coord, ds, key, spec)))
-		}
-		e.a, e.err = stablerank.New(ds, opts...)
-	} else {
-		e.err = err
+	if err != nil {
+		return nil, err
 	}
-	p.inflight.Add(-1)
-	close(e.ready)
-
-	if e.err != nil {
-		p.mu.Lock()
-		// Only forget the entry if it is still ours; a concurrent retry may
-		// already have replaced it.
-		if el, ok := p.entries[key]; ok && el.Value.(*poolItem).e == e {
-			p.order.Remove(el)
-			delete(p.entries, key)
-		}
-		p.mu.Unlock()
+	if p.snaps != nil {
+		// The analyzer restores its sample pool from a persisted snapshot
+		// instead of redrawing it, and persists the pool it does draw.
+		opts = append(opts, stablerank.WithPoolCache(p.snaps.cacheFor(ds, key)))
 	}
-	return e.a, e.err
+	if p.coord != nil {
+		opts = append(opts, stablerank.WithPoolFiller(poolFillerFor(p.coord, ds, key, spec)))
+	}
+	a, err := stablerank.New(ds, opts...)
+	if err != nil {
+		return nil, err
+	}
+	p.entries[key] = p.order.PushFront(&poolItem{key: key, a: a})
+	for p.order.Len() > p.max {
+		el := p.order.Back()
+		p.order.Remove(el)
+		delete(p.entries, el.Value.(*poolItem).key)
+		p.evictions.Add(1)
+	}
+	return a, nil
 }
 
 // applyDeltas migrates resident analyzers of the named dataset from the
 // exact pre-PATCH (oldGen, oldVer) key to the new (gen, ver) key by applying
-// the deltas to each — ApplyDelta shares the built Monte-Carlo pool, so the
+// the deltas to each — ApplyDelta shares the Monte-Carlo pool cell, so the
 // migrated analyzers answer queries against the mutated dataset without
 // drawing a sample. Every other name-matching entry is dropped, not
 // migrated: an analyzer left over from an older generation (or inserted by a
-// racing build against a different version) holds a different dataset, and
-// applying the deltas to it would rekey stale results under the current
-// key. In-flight or failed builds are likewise dropped (the next request
-// rebuilds under the new key, exactly as before deltas existed). Returns how
-// many analyzers were migrated and dropped, and the drift analyzer: the
-// full-space migrated analyzer with a built pool whose key sorts first
-// (deterministic regardless of map iteration order), or nil when none
-// qualifies — region-restricted analyzers sample a different weight space,
-// so pricing drift on one would publish numbers that depend on which
+// racing request against a different version) holds a different dataset,
+// and applying the deltas to it would rekey stale results under the current
+// key. Returns how many analyzers were migrated and dropped, and the drift
+// analyzer: the full-space migrated analyzer with a built pool whose key
+// sorts first (deterministic regardless of map iteration order), or nil when
+// none qualifies — region-restricted analyzers sample a different weight
+// space, so pricing drift on one would publish numbers that depend on which
 // analyzers happen to be resident.
 func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, deltas []stablerank.Delta) (migrated, dropped int, driftA *stablerank.Analyzer) {
 	p.mu.Lock()
@@ -284,9 +242,8 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 	var driftKey string
 	for _, item := range matches {
 		var na *stablerank.Analyzer
-		if item.key.gen == oldGen && item.key.ver == oldVer &&
-			item.e.done() && item.e.err == nil && item.e.a != nil {
-			a, err := item.e.a.ApplyDelta(context.Background(), deltas...) //srlint:ctxflow migration must complete atomically for every resident analyzer, not just the patching request's
+		if item.key.gen == oldGen && item.key.ver == oldVer {
+			a, err := item.a.ApplyDelta(context.Background(), deltas...) //srlint:ctxflow migration must complete atomically for every resident analyzer, not just the patching request's
 			if err == nil {
 				na = a
 			}
@@ -300,9 +257,7 @@ func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, 
 		}
 		if na != nil {
 			if _, exists := p.entries[nkey]; !exists {
-				e := &analyzerEntry{ready: make(chan struct{}), a: na}
-				close(e.ready)
-				p.entries[nkey] = p.order.PushFront(&poolItem{key: nkey, e: e})
+				p.entries[nkey] = p.order.PushFront(&poolItem{key: nkey, a: na})
 			}
 		}
 		p.mu.Unlock()
@@ -343,7 +298,7 @@ type analyzerStat struct {
 }
 
 // snapshot reports the resident analyzers and the pool counters.
-func (p *analyzerPool) snapshot() (stats []analyzerStat, builds, dedupHits, inflight, evictions int64) {
+func (p *analyzerPool) snapshot() (stats []analyzerStat, builds, dedupHits, evictions int64) {
 	p.mu.Lock()
 	items := make([]*poolItem, 0, len(p.entries))
 	for _, el := range p.entries {
@@ -353,29 +308,24 @@ func (p *analyzerPool) snapshot() (stats []analyzerStat, builds, dedupHits, infl
 	// Sorted keys pin the /statsz resident list: two consecutive renders of
 	// an idle server must be byte-identical.
 	sort.Slice(items, func(i, j int) bool { return items[i].key.String() < items[j].key.String() })
-	stats = make([]analyzerStat, 0, len(items))
-	for _, item := range items {
-		if !item.e.done() {
-			continue // build still in flight; skip rather than block /statsz
-		}
-		if item.e.err != nil || item.e.a == nil {
-			continue
-		}
-		stats = append(stats, analyzerStat{
+	stats = make([]analyzerStat, len(items))
+	for i, item := range items {
+		a := item.a
+		stats[i] = analyzerStat{
 			Key:          item.key.String(),
-			SampleCount:  item.e.a.SampleCount(),
-			PoolBuilt:    item.e.a.PoolBuilt(),
-			PoolBuilds:   item.e.a.PoolBuilds(),
-			PoolRestores: item.e.a.PoolRestores(),
-			Workers:      item.e.a.Workers(),
-			PoolBuildMS:  float64(item.e.a.PoolBuildDuration().Microseconds()) / 1000,
-			PoolBytes:    item.e.a.PoolMemoryBytes(),
-			SnapshotKey:  item.e.a.PoolSnapshotKey(),
+			SampleCount:  a.SampleCount(),
+			PoolBuilt:    a.PoolBuilt(),
+			PoolBuilds:   a.PoolBuilds(),
+			PoolRestores: a.PoolRestores(),
+			Workers:      a.Workers(),
+			PoolBuildMS:  float64(a.PoolBuildDuration().Microseconds()) / 1000,
+			PoolBytes:    a.PoolMemoryBytes(),
+			SnapshotKey:  a.PoolSnapshotKey(),
 
-			AdaptiveTarget:    item.e.a.AdaptiveTargetError(),
-			AdaptiveStops:     item.e.a.AdaptiveStops(),
-			AdaptiveRowsSaved: item.e.a.AdaptiveRowsSaved(),
-		})
+			AdaptiveTarget:    a.AdaptiveTargetError(),
+			AdaptiveStops:     a.AdaptiveStops(),
+			AdaptiveRowsSaved: a.AdaptiveRowsSaved(),
+		}
 	}
-	return stats, p.builds.Load(), p.dedupHits.Load(), p.inflight.Load(), p.evictions.Load()
+	return stats, p.builds.Load(), p.dedupHits.Load(), p.evictions.Load()
 }

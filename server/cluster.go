@@ -279,7 +279,7 @@ type peerStatsRow struct {
 // aggregates; identical shape whether read locally or fetched from a peer.
 func (s *Server) localStatsSummary() peerStatsRow {
 	hits, misses, _ := s.cache.stats()
-	analyzers, _, _, _, _ := s.analyzers.snapshot()
+	analyzers, _, _, _ := s.analyzers.snapshot()
 	var poolBytes int64
 	for _, a := range analyzers {
 		poolBytes += a.PoolBytes

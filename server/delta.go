@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,13 +52,12 @@ type deltaRequest struct {
 // (Duplicate-ID rules depend on the evolving dataset and are enforced by
 // stablerank.ApplyDeltas.)
 func decodeDeltas(data []byte, d, maxOps int) ([]stablerank.Delta, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req deltaRequest
-	if err := dec.Decode(&req); err != nil {
+	trailing, err := decodeBody(data, &req)
+	if err != nil {
 		return nil, fmt.Errorf("bad delta body: %v", err)
 	}
-	if dec.More() {
+	if trailing {
 		return nil, errors.New("bad delta body: trailing data after the delta object")
 	}
 	if len(req.Deltas) == 0 {

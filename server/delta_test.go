@@ -188,6 +188,8 @@ func TestPatchDatasetValidation(t *testing.T) {
 		{"malformed json", "ind3", `{"deltas":[`, http.StatusBadRequest},
 		{"unknown field", "ind3", `{"deltas":[{"op":"remove","id":"x","extra":1}]}`, http.StatusBadRequest},
 		{"trailing data", "ind3", `{"deltas":[{"op":"remove","id":"i0"}]} {"more":1}`, http.StatusBadRequest},
+		{"trailing bracket", "ind3", `{"deltas":[{"op":"remove","id":"i0"}]}]`, http.StatusBadRequest},
+		{"trailing brace", "ind3", `{"deltas":[{"op":"remove","id":"i0"}]}}`, http.StatusBadRequest},
 		{"empty batch", "ind3", `{"deltas":[]}`, http.StatusBadRequest},
 		{"bad op", "ind3", `{"deltas":[{"op":"upsert","id":"i0","attrs":[1,2,3]}]}`, http.StatusBadRequest},
 		{"missing id", "ind3", `{"deltas":[{"op":"remove"}]}`, http.StatusBadRequest},
@@ -488,6 +490,8 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte(`{"deltas":[{"op":"frobnicate","id":"x"}]}`))
 	f.Add([]byte(`{"deltas":[]}`))
 	f.Add([]byte(`{"deltas":[{"op":"remove","id":"i0"}]} trailing`))
+	f.Add([]byte(`{"deltas":[{"op":"remove","id":"i0"}]}]`))
+	f.Add([]byte(`{"deltas":[{"op":"remove","id":"i0"}]}}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		deltas, err := decodeDeltas(data, 3, 64)
@@ -496,6 +500,9 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		if len(deltas) == 0 || len(deltas) > 64 {
 			t.Fatalf("decode accepted %d deltas outside (0, 64]", len(deltas))
+		}
+		if !json.Valid(data) {
+			t.Fatalf("decode accepted a body that is not one JSON value: %q", data)
 		}
 		base := seedDataset(12, 3, 7)
 		nds, err := stablerank.ApplyDeltas(base, deltas...)

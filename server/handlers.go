@@ -349,7 +349,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	analyzers, builds, dedupHits, inflight, evictions := s.analyzers.snapshot()
+	analyzers, builds, dedupHits, evictions := s.analyzers.snapshot()
 	var poolBytes int64
 	for _, a := range analyzers {
 		poolBytes += a.PoolBytes
@@ -368,7 +368,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"capacity":         s.cfg.MaxAnalyzers,
 			"builds":           builds,
 			"dedup_hits":       dedupHits,
-			"inflight_builds":  inflight,
 			"evictions":        evictions,
 			"pool_bytes_total": poolBytes,
 		},

@@ -84,7 +84,7 @@ func TestRestartDurability(t *testing.T) {
 	if h := s2.snapshots.hits.Load(); h < 1 {
 		t.Errorf("snapshot hits after warm query = %d, want >= 1", h)
 	}
-	stats, _, _, _, _ := s2.analyzers.snapshot()
+	stats, _, _, _ := s2.analyzers.snapshot()
 	found := false
 	for _, st := range stats {
 		if !strings.HasPrefix(st.Key, "ind3@") {

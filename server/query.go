@@ -210,15 +210,27 @@ func readQueryRequest(w http.ResponseWriter, r *http.Request) ([]byte, *queryReq
 		return nil, nil, errBadRequest("reading query request: %v", err)
 	}
 	var req queryRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	trailing, err := decodeBody(raw, &req)
+	if err != nil {
 		return nil, nil, errBadRequest("decoding query request: %v", err)
 	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
+	if trailing {
 		return nil, nil, errBadRequest("query request has trailing data")
 	}
 	return raw, &req, nil
+}
+
+// decodeBody decodes a request body holding one JSON value into v,
+// rejecting unknown fields. trailing reports anything but white space after
+// the value — a stray closing bracket too, which json.Decoder.More does not
+// count.
+func decodeBody(data []byte, v any) (trailing bool, err error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return false, err
+	}
+	return dec.Decode(&struct{}{}) != io.EOF, nil
 }
 
 // compileQuery validates the request against the current dataset and caps

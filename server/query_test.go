@@ -437,7 +437,7 @@ func TestQueryConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	stats, builds, _, _, _ := s.analyzers.snapshot()
+	stats, builds, _, _ := s.analyzers.snapshot()
 	if builds != 1 {
 		t.Errorf("%d analyzer builds for identical concurrent queries, want 1", builds)
 	}
@@ -484,7 +484,7 @@ func TestQueryAdaptive(t *testing.T) {
 	}
 
 	// Adaptive and exact requests must not share an analyzer key.
-	stats, builds, _, _, _ := s.analyzers.snapshot()
+	stats, builds, _, _ := s.analyzers.snapshot()
 	if builds != 2 {
 		t.Errorf("adaptive + exact requests made %d analyzer builds, want 2", builds)
 	}

@@ -1,10 +1,10 @@
 // Package server implements stablerankd, the HTTP serving layer over the
-// stablerank library: a named-dataset registry, one shared concurrency-safe
-// Analyzer per (dataset, region, seed, samples) key behind singleflight
-// deduplication — so concurrent identical queries share a single Monte-Carlo
-// sample pool build — an LRU cache of rendered responses, per-request
-// timeouts plumbed into the library's context plumbing, and /healthz +
-// /statsz observability.
+// stablerank library: a named-dataset registry, an LRU cache of one shared
+// concurrency-safe Analyzer per (dataset, region, seed, samples) key — whose
+// pool cell coalesces concurrent identical queries into a single
+// Monte-Carlo sample pool build — an LRU cache of rendered responses,
+// per-request timeouts plumbed into the library's context plumbing, and
+// /healthz + /statsz observability.
 //
 // Endpoints (all responses JSON):
 //

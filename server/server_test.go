@@ -476,7 +476,7 @@ func TestFullSpaceQueriesShareOneAnalyzer(t *testing.T) {
 			t.Fatalf("weights %s: %d", w, code)
 		}
 	}
-	if _, builds, _, _, _ := s.analyzers.snapshot(); builds != 1 {
+	if _, builds, _, _ := s.analyzers.snapshot(); builds != 1 {
 		t.Errorf("full-space queries built %d analyzers, want 1", builds)
 	}
 }
@@ -490,7 +490,7 @@ func TestAnalyzerPoolIsBounded(t *testing.T) {
 			t.Fatalf("seed %d: %d", seed, code)
 		}
 	}
-	stats, builds, _, _, evictions := s.analyzers.snapshot()
+	stats, builds, _, evictions := s.analyzers.snapshot()
 	if len(stats) > 2 {
 		t.Errorf("%d resident analyzers, bound is 2", len(stats))
 	}

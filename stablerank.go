@@ -335,40 +335,13 @@ type Analyzer struct {
 	poolCache   PoolCache
 	poolFiller  PoolFiller
 
-	// pool holds the lazily drawn shared sample pool. The indirection via an
-	// atomic pointer to a once-guarded cell (instead of a bare sync.Once on
-	// the Analyzer) lets a build aborted by context cancellation be retried:
-	// on failure the cell is swapped for a fresh one, while a successful pool
-	// is published exactly once and is immutable afterwards.
-	pool atomic.Pointer[poolState]
-
-	// poolBuilds counts entries into drawPool, so callers sharing an
-	// Analyzer can observe that concurrent first uses coalesced into a
-	// single pool construction.
-	poolBuilds atomic.Int64
-
-	// poolBuildNanos records the wall time of the last successful pool build,
-	// for operational visibility (/statsz reports it per analyzer).
-	poolBuildNanos atomic.Int64
-
-	// poolRestores counts pools installed from a snapshot cache instead of
-	// drawn: a warm restart answers its first query with poolBuilds == 0 and
-	// poolRestores == 1.
-	poolRestores atomic.Int64
-
-	// sweeps counts fused sample-pool sweeps (see Sweeps); together with
-	// poolBuilds it makes the sharing behaviour of Do observable.
-	sweeps atomic.Int64
-
-	// adaptiveStops counts verify queries that adaptive verification stopped
-	// before the pool was exhausted; adaptiveRowsSaved accumulates the pool
-	// rows those early stops skipped. Both are 0 without WithAdaptive.
-	adaptiveStops     atomic.Int64
-	adaptiveRowsSaved atomic.Int64
+	// pool is the lazily drawn shared sample pool with its counters, shared
+	// by every analyzer ApplyDelta derives from this one (see poolCell).
+	pool *poolCell
 
 	// deltasApplied and the last delta record feed /statsz and the drift
 	// stream (see delta.go).
-	deltasApplied atomic.Int64
+	deltasApplied int64
 	last          *deltaRecord
 
 	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
@@ -392,6 +365,7 @@ func New(ds *Dataset, opts ...Option) (*Analyzer, error) {
 		seed:        1,
 		sampleCount: 100_000,
 		alpha:       0.05,
+		pool:        newPoolCell(),
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -401,7 +375,6 @@ func New(ds *Dataset, opts ...Option) (*Analyzer, error) {
 	if a.roi.Dim() != ds.D() {
 		return nil, fmt.Errorf("core: region dimension %d != dataset dimension %d", a.roi.Dim(), ds.D())
 	}
-	a.pool.Store(&poolState{})
 	return a, nil
 }
 
@@ -423,14 +396,13 @@ func (a *Analyzer) SampleCount() int { return a.sampleCount }
 // PoolBuilds returns how many times the shared sample pool has been
 // (re)built. Concurrent first uses coalesce into one build, so after any
 // number of successful calls it reports 1; only builds aborted by
-// cancellation and later retried raise it.
-func (a *Analyzer) PoolBuilds() int64 { return a.poolBuilds.Load() }
+// cancellation and later retried raise it. An analyzer derived by
+// ApplyDelta shares its parent's pool cell and counters, so a build on
+// either one shows on both.
+func (a *Analyzer) PoolBuilds() int64 { return a.pool.builds.Load() }
 
 // PoolBuilt reports whether the shared sample pool is resident.
-func (a *Analyzer) PoolBuilt() bool {
-	st := a.pool.Load()
-	return st != nil && st.built.Load()
-}
+func (a *Analyzer) PoolBuilt() bool { return a.pool.Load().built.Load() }
 
 // PoolMemoryBytes returns the resident size of the shared Monte-Carlo
 // sample pool — the contiguous backing array (SampleCount x dimension
@@ -444,7 +416,7 @@ func (a *Analyzer) PoolMemoryBytes() int64 {
 	if m := a.memo.Load(); m != nil {
 		n = m.bytes
 	}
-	if st := a.pool.Load(); st != nil && st.built.Load() {
+	if st := a.pool.Load(); st.built.Load() {
 		n += st.samples.Bytes() + int64(len(st.key)) + st.index.Load().Bytes()
 	}
 	return n
@@ -452,14 +424,15 @@ func (a *Analyzer) PoolMemoryBytes() int64 {
 
 // PoolRestores returns how many times the pool was installed from an
 // attached PoolCache instead of drawn; a warm restart answers its first
-// query with PoolBuilds() == 0 and PoolRestores() == 1.
-func (a *Analyzer) PoolRestores() int64 { return a.poolRestores.Load() }
+// query with PoolBuilds() == 0 and PoolRestores() == 1. An analyzer derived
+// by ApplyDelta shares its parent's pool cell and counters.
+func (a *Analyzer) PoolRestores() int64 { return a.pool.restores.Load() }
 
 // PoolSnapshotKey returns the interned PoolCache key of the resident pool,
 // or "" while no pool is built or no cache is attached.
 func (a *Analyzer) PoolSnapshotKey() string {
 	st := a.pool.Load()
-	if st == nil || !st.built.Load() {
+	if !st.built.Load() {
 		return ""
 	}
 	return st.key
@@ -476,9 +449,10 @@ func (a *Analyzer) Workers() int {
 
 // PoolBuildDuration returns the wall time of the most recent successful
 // sample-pool build, or 0 if none has completed yet — the number /statsz
-// exposes per resident analyzer.
+// exposes per resident analyzer. An analyzer derived by ApplyDelta shares
+// its parent's pool cell and counters.
 func (a *Analyzer) PoolBuildDuration() time.Duration {
-	return time.Duration(a.poolBuildNanos.Load())
+	return time.Duration(a.pool.buildNanos.Load())
 }
 
 // AdaptiveTargetError returns the WithAdaptive target confidence error, or 0
@@ -486,13 +460,16 @@ func (a *Analyzer) PoolBuildDuration() time.Duration {
 func (a *Analyzer) AdaptiveTargetError() float64 { return a.adaptiveErr }
 
 // AdaptiveStops returns how many verify queries adaptive verification has
-// stopped before exhausting the sample pool.
-func (a *Analyzer) AdaptiveStops() int64 { return a.adaptiveStops.Load() }
+// stopped before exhausting the sample pool. An analyzer derived by
+// ApplyDelta shares its parent's pool cell and counters, so stops on either
+// one show on both.
+func (a *Analyzer) AdaptiveStops() int64 { return a.pool.adaptiveStops.Load() }
 
 // AdaptiveRowsSaved returns the total number of pool rows that early-stopped
 // verify queries skipped — the sweep work adaptive verification avoided,
-// reported per analyzer in stablerankd's /statsz.
-func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.adaptiveRowsSaved.Load() }
+// reported per analyzer in stablerankd's /statsz. An analyzer derived by
+// ApplyDelta shares its parent's pool cell and counters.
+func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.pool.adaptiveRowsSaved.Load() }
 
 // VerifyStability computes the stability of ranking r in the region of
 // interest — the fraction of acceptable scoring functions that induce it:

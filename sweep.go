@@ -100,7 +100,7 @@ func (a *Analyzer) fusedSweep(ctx context.Context, pool vecmat.Matrix, queries [
 	if len(scanned) > 0 {
 		scanRows = pool.Rows()
 	}
-	a.sweeps.Add(1)
+	a.pool.sweeps.Add(1)
 
 	// Tasks [0, blocks) scan pool blocks; tasks [blocks, blocks+len(indexed))
 	// count one indexed ranking each.
