@@ -2,6 +2,7 @@ package stablerank
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -104,7 +105,7 @@ type deltaRecord struct {
 }
 
 // DeltasApplied returns how many deltas produced this analyzer, accumulated
-// along the ApplyDelta chain.
+// along the ApplyDelta chain; an Over view starts a chain at 0.
 func (a *Analyzer) DeltasApplied() int64 { return a.deltasApplied }
 
 // Warm draws (or restores) the Monte-Carlo sample pool now instead of on
@@ -114,16 +115,36 @@ func (a *Analyzer) Warm(ctx context.Context) error {
 	return err
 }
 
-// ApplyDelta returns a new Analyzer over the mutated dataset without
-// rebuilding anything expensive: it shares the receiver's pool cell, built
-// or not (pool samples are weight-space points, independent of dataset
-// content), so the two draw at most one pool between them, and the pool's
-// counters (PoolBuilds, PoolRestores, PoolBuildDuration, Sweeps,
-// AdaptiveStops, AdaptiveRowsSaved) count the work of both. Every query
-// result from the returned analyzer is bit-identical to a from-scratch
-// analyzer over the same dataset and configuration. The receiver stays
-// valid; both may be used concurrently. With no deltas the receiver itself
-// is returned.
+// Over returns an Analyzer with the receiver's configuration over another
+// dataset of the same dimension, without rebuilding anything expensive: it
+// shares the receiver's pool cell, built or not (pool samples are
+// weight-space points, independent of dataset content), so the two draw at
+// most one pool between them, and the pool's counters (PoolBuilds,
+// PoolRestores, PoolBuildDuration, Sweeps, AdaptiveStops,
+// AdaptiveRowsSaved) count the work of both. The view starts with an empty
+// enumeration memo and no delta record (DeltasApplied 0, LastDrift nil).
+// Every query result from it is bit-identical to a from-scratch analyzer
+// over ds with the same configuration. The receiver stays valid; both may
+// be used concurrently. Over(a.Dataset()) returns the receiver itself; a
+// nil or empty dataset, or one of another dimension, is an error.
+func (a *Analyzer) Over(ds *Dataset) (*Analyzer, error) {
+	if ds == a.ds {
+		return a, nil
+	}
+	if ds == nil || ds.N() == 0 {
+		return nil, dataset.ErrEmptyDataset
+	}
+	if ds.D() != a.ds.D() {
+		return nil, fmt.Errorf("core: dataset dimension %d != analyzer dimension %d", ds.D(), a.ds.D())
+	}
+	return &Analyzer{config: a.config, ds: ds, pool: a.pool}, nil
+}
+
+// ApplyDelta returns a new Analyzer over the receiver's dataset with the
+// deltas applied: the receiver's Over view of the mutated dataset, sharing
+// its pool cell and counters, plus the batch's delta record, so
+// DeltasApplied adds the batch to the receiver's count and LastDrift prices
+// it. With no deltas the receiver itself is returned.
 func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, error) {
 	if len(deltas) == 0 {
 		return a, nil
@@ -135,26 +156,16 @@ func (a *Analyzer) ApplyDelta(ctx context.Context, deltas ...Delta) (*Analyzer, 
 	if err != nil {
 		return nil, err
 	}
-	if nds.N() == 0 {
-		return nil, dataset.ErrEmptyDataset
+	na, err := a.Over(nds)
+	if err != nil {
+		return nil, err
 	}
 	// The blocked row-pass pricing the delta against every sample is
 	// deferred to LastDrift, so callers that never read drift pay only for
 	// the dataset copy.
-	return &Analyzer{
-		ds:            nds,
-		roi:           a.roi,
-		seed:          a.seed,
-		sampleCount:   a.sampleCount,
-		alpha:         a.alpha,
-		workers:       a.workers,
-		adaptiveErr:   a.adaptiveErr,
-		poolCache:     a.poolCache,
-		poolFiller:    a.poolFiller,
-		pool:          a.pool,
-		deltasApplied: a.deltasApplied + int64(len(trace)),
-		last:          &deltaRecord{trace: trace, oldDS: a.ds},
-	}, nil
+	na.deltasApplied = a.deltasApplied + int64(len(trace))
+	na.last = &deltaRecord{trace: trace, oldDS: a.ds}
+	return na, nil
 }
 
 // pass runs the per-delta score pass over the pool at most once: one

@@ -1,8 +1,9 @@
 // Benchmarks for the incremental delta path. The headline claim: applying a
-// delta to a warmed analyzer costs one vecmat row-pass over the existing pool
-// plus an O(log n) ranking splice, where a rebuild re-draws the entire
-// Monte-Carlo pool — at n=1k items over a 400k-sample pool that is orders of
-// magnitude apart, and TestDeltaApplySpeedup pins the gap at >= 10x.
+// delta to a warmed analyzer copies the dataset with the delta applied and
+// shares the existing pool (pricing the delta against the pool waits for
+// LastDrift), where a rebuild re-draws the entire Monte-Carlo pool — at
+// n=1k items over a 400k-sample pool that is orders of magnitude apart, and
+// TestDeltaApplySpeedup pins the gap at >= 10x.
 package stablerank_test
 
 import (
@@ -42,7 +43,8 @@ func deltaBenchUpdate(ds *stablerank.Dataset, i int) stablerank.Delta {
 }
 
 // BenchmarkDeltaApply: one delta against a warmed 400k-sample analyzer —
-// the incremental path (score row-pass + ranking splice, pool untouched).
+// the incremental path (a dataset copy and an Over view of it, pool
+// untouched).
 func BenchmarkDeltaApply(b *testing.B) {
 	ctx := context.Background()
 	ds := benchDiamonds(deltaBenchItems, 3)

@@ -622,15 +622,16 @@ func TestLastDriftConcurrent(t *testing.T) {
 	}
 }
 
-// TestLineageMatchesFresh runs random ApplyDelta histories over one dataset.
-// Each grows a lineage by add, remove and update batches, chained up to four
-// derivations deep, some taken while the shared pool is still cold. Warm and
-// Do calls (verify, item-rank, top-h) go to its members in random order, and
-// the first pool build is cancelled mid-draw at least once before a live
-// call, or every member at once, retries it. After every step each member
-// answers bit for bit as a fresh New over its dataset with the same options
-// does, and every member reports the same PoolBuilds: one draw plus one per
-// cancelled attempt.
+// TestLineageMatchesFresh runs random ApplyDelta and Over histories over one
+// dataset. Each grows a lineage by add, remove and update batches and by
+// Over views of independently generated datasets of the same dimension,
+// chained up to four derivations deep, some taken while the shared pool is
+// still cold. Warm and Do calls (verify, item-rank, top-h) go to its members
+// in random order, and the first pool build is cancelled mid-draw at least
+// once before a live call, or every member at once, retries it. After every
+// step each member answers bit for bit as a fresh New over its dataset with
+// the same options does, and every member reports the same PoolBuilds: one
+// draw plus one per cancelled attempt.
 func TestLineageMatchesFresh(t *testing.T) {
 	histories := 10
 	if testing.Short() {
@@ -648,6 +649,52 @@ func TestLineageMatchesFresh(t *testing.T) {
 				lineageHistory(t, seed, workers)
 			})
 		}
+	}
+}
+
+// TestOverErrors: Over rejects a nil, an empty and an other-dimension
+// dataset, returns the receiver for its own dataset, and otherwise a view
+// sharing the receiver's pool cell with an empty memo and no delta record.
+func TestOverErrors(t *testing.T) {
+	ds := deltaDS(t, 6, 3, 1)
+	a, err := New(ds, WithSampleCount(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := a.ApplyDelta(ctx, Delta{Op: AttrUpdate, ID: ds.Item(0).ID, Attrs: []float64{1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := child.TopH(ctx, 2); err != nil || child.memo.Load() == nil {
+		t.Fatalf("TopH = %v, memoized %v", err, child.memo.Load() != nil)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *dataset.Dataset
+		want string
+	}{
+		{"nil", nil, ErrEmptyDataset.Error()},
+		{"empty", dataset.MustNew(3), ErrEmptyDataset.Error()},
+		{"other dimension", deltaDS(t, 6, 4, 1), "core: dataset dimension 4 != analyzer dimension 3"},
+	} {
+		if v, err := child.Over(tc.ds); v != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Over = %v, %v; want nil, %q", tc.name, v, err, tc.want)
+		}
+	}
+	if v, err := child.Over(child.Dataset()); v != child || err != nil {
+		t.Fatalf("Over of its own dataset = %p, %v; want the receiver %p", v, err, child)
+	}
+	other := deltaDS(t, 6, 3, 2)
+	v, err := child.Over(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == child || v.Dataset() != other || v.pool != a.pool || v.memo.Load() != nil || v.DeltasApplied() != 0 {
+		t.Fatalf("Over view: new %v, dataset %v, shared cell %v, memo %v, deltas %d",
+			v != child, v.Dataset() == other, v.pool == a.pool, v.memo.Load(), v.DeltasApplied())
+	}
+	if drift, err := v.LastDrift(ctx, 0); drift != nil || err != nil {
+		t.Fatalf("Over view LastDrift = %v, %v; want nil, nil", drift, err)
 	}
 }
 
@@ -733,8 +780,12 @@ func lineageHistory(t *testing.T, seed int64, workers int) {
 		}
 		switch op {
 		case 0:
-			batch := driftBatch(rng, m.a.Dataset(), 1+rng.Intn(3), grid)
-			child, err := m.a.ApplyDelta(ctx, batch...)
+			var child *Analyzer
+			if rng.Intn(4) == 0 {
+				child, err = m.a.Over(driftDS(t, rng, 2+rng.Intn(10), 3, grid))
+			} else {
+				child, err = m.a.ApplyDelta(ctx, driftBatch(rng, m.a.Dataset(), 1+rng.Intn(3), grid)...)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

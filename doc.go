@@ -60,7 +60,7 @@
 // repeat top-h costs a copy of a few rankings and no request costs more
 // than a fresh enumeration. This is exact because GET-NEXT is deterministic
 // for a fixed dataset, region and pool, a cancelled and resumed engine
-// included; an ApplyDelta analyzer starts with an empty memo, and
+// included; an Over or ApplyDelta analyzer starts with an empty memo, and
 // PoolMemoryBytes counts the memo.
 //
 // Adaptive verification: verify sweeps are exact by default — every verify
@@ -105,20 +105,22 @@
 //
 // Mutability: the sample pool is a set of weight-space points, so editing
 // the dataset invalidates none of it — only the scores and per-sample
-// ranking positions of the touched items. ApplyDeltas edits a Dataset
-// value; Analyzer.ApplyDelta applies ItemAdd / ItemRemove / AttrUpdate
-// deltas to an analyzer by copying the dataset with the deltas applied and
+// ranking positions of the touched items. Analyzer.Over returns the
+// analyzer's configuration over any other dataset of the same dimension,
 // sharing its pool cell — the pool, drawn or not, and the counters of the
 // work done on it — which beats a rebuild by orders of magnitude at
-// realistic pool sizes. A derived analyzer and its parent therefore draw
-// at most one pool between them, and PoolBuilds, PoolRestores,
+// realistic pool sizes. ApplyDeltas edits a Dataset value;
+// Analyzer.ApplyDelta applies ItemAdd / ItemRemove / AttrUpdate deltas to
+// an analyzer: the Over view of the dataset with the deltas applied, plus a
+// record of the batch. A derived analyzer and its parent therefore draw at
+// most one pool between them, and PoolBuilds, PoolRestores,
 // PoolBuildDuration, Sweeps, AdaptiveStops and AdaptiveRowsSaved read the
 // same on both. Nothing ranking-shaped is maintained incrementally: every
-// answer is computed from the mutated dataset and the shared pool, so the
-// derived analyzer is bit-identical to one constructed fresh over the
-// mutated dataset. DeltasApplied makes the maintenance observable, and
-// LastDrift prices the most recent batch's score and rank impact against
-// the pool on demand. Typical use:
+// answer is computed from the view's dataset and the shared pool, so a
+// derived analyzer is bit-identical to one constructed fresh over its
+// dataset. DeltasApplied makes the maintenance observable, and LastDrift
+// prices the most recent batch's score and rank impact against the pool on
+// demand. Typical use:
 //
 //	ds, _ := stablerank.ReadCSV(f, true)
 //	a, _ := stablerank.New(ds, stablerank.WithCosineSimilarity(weights, 0.998))

@@ -488,12 +488,18 @@ func (b *byteSource) next() int {
 // FuzzEnumHistory decodes a small dataset — d in {2, 3, 4}, at most 12
 // items, small-integer attributes so stabilities tie — and a history of
 // steps: enumerate to depth k, above s, stream and break, a cursor
-// cancelled at poll k and resumed, ApplyDelta. After every step the
-// analyzer's answer must equal a fresh analyzer's on the same dataset.
+// cancelled at poll k and resumed, ApplyDelta, and an Over view of another
+// decoded dataset of the same dimension. After every step the analyzer's
+// answer must equal a fresh analyzer's on the same dataset.
 func FuzzEnumHistory(f *testing.F) {
 	f.Add([]byte{2, 11, 20, 7, 1, 3, 5, 0, 2, 4, 6, 1, 3, 5, 7, 0, 8, 2, 9, 3, 5, 1, 0, 2, 40, 3, 9, 17, 4, 0, 3, 6, 2, 5})
 	f.Add([]byte{4, 11, 10, 2, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1, 0, 5, 8, 2, 0, 9, 7, 4, 9, 4, 4, 5, 9, 2, 3, 0, 7, 8, 1, 6, 4, 0, 6, 2, 8, 6, 2, 0, 8, 9, 9, 8, 6, 2, 8, 0, 3, 4, 8, 2, 5, 3, 4, 2, 1, 1, 7, 0, 6, 7, 9})
 	f.Add([]byte{3, 7, 0, 1, 2, 3, 4, 5, 0, 5, 4, 3, 2, 1, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 0, 3, 30, 20, 4, 2, 1, 2, 1})
+	// d = 3, six items; an Over view of five other items, then enumerate,
+	// ApplyDelta and another Over view.
+	f.Add([]byte{1, 5, 20, 3, 1, 0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0, 1, 3, 5, 0, 2, 4,
+		5, 4, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 1, 2, 3, 3, 0, 10,
+		4, 2, 2, 3, 4, 5, 2, 5, 6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
 		d := 2 + src.next()%3
@@ -501,14 +507,10 @@ func FuzzEnumHistory(f *testing.F) {
 		samples := 16 + 2*src.next()
 		seed := int64(src.next())
 		workers := 1 + src.next()%3
-		ds := dataset.MustNew(d)
-		for i := 0; i < n; i++ {
-			ds.MustAdd(fmt.Sprintf("i%d", i), fuzzAttrs(&src, d)...)
-		}
-		a := memoAnalyzer(ds, samples, workers, seed)
+		a := memoAnalyzer(fuzzDS(&src, d, n), samples, workers, seed)
 		for step := 0; step < 8 && len(src) > 0; step++ {
 			var op histOp
-			switch src.next() % 5 {
+			switch src.next() % 6 {
 			case 0:
 				op = histOp{kind: "do", queries: []Query{EnumerateQuery{Limit: src.next()}}}
 			case 1:
@@ -517,9 +519,15 @@ func FuzzEnumHistory(f *testing.F) {
 				op = histOp{kind: "stream", queries: []Query{EnumerateQuery{}}, n: 1 + src.next()}
 			case 3:
 				op = histOp{kind: "cursor", n: 1 + src.next(), poll: 1 + src.next()}
-			default:
+			case 4:
 				var err error
 				if a, err = a.ApplyDelta(ctx, fuzzDelta(&src, a.Dataset(), step)); err != nil {
+					t.Fatal(err)
+				}
+				op = histOp{kind: "do", queries: []Query{TopHQuery{H: 1 + src.next()}}}
+			default:
+				var err error
+				if a, err = a.Over(fuzzDS(&src, d, 1+src.next()%12)); err != nil {
 					t.Fatal(err)
 				}
 				op = histOp{kind: "do", queries: []Query{TopHQuery{H: 1 + src.next()}}}
@@ -531,6 +539,15 @@ func FuzzEnumHistory(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzDS decodes an n-item dataset of dimension d named i0..i{n-1}.
+func fuzzDS(src *byteSource, d, n int) *dataset.Dataset {
+	ds := dataset.MustNew(d)
+	for i := 0; i < n; i++ {
+		ds.MustAdd(fmt.Sprintf("i%d", i), fuzzAttrs(src, d)...)
+	}
+	return ds
 }
 
 func fuzzAttrs(src *byteSource, d int) []float64 {

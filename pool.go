@@ -17,9 +17,9 @@ import (
 )
 
 // poolCell owns the sample pool of one analyzer lineage: New creates it and
-// ApplyDelta shares it, built or not, because the pool's rows are
-// weight-space points fixed by region, seed and sample count, never by the
-// data. It is the one place concurrent first uses coalesce into a single
+// Over (and so ApplyDelta) shares it, built or not, because the pool's rows
+// are weight-space points fixed by region, seed and sample count, never by
+// the data. It is the one place concurrent first uses coalesce into a single
 // build, and it holds the counters of the work done on its pool, so every
 // analyzer of a lineage reports the same values.
 type poolCell struct {

@@ -230,6 +230,6 @@ func mapQueryErr(err error) error {
 // performed across Do calls, the per-operation methods included. Together with
 // PoolBuilds it makes plan sharing observable: a heterogeneous Do call
 // mixing verify and item-rank queries raises it by exactly one. An analyzer
-// derived by ApplyDelta shares its parent's pool cell and counters, so
-// sweeps on either one show on both.
+// derived by Over or ApplyDelta shares its parent's pool cell and counters,
+// so sweeps on either one show on both.
 func (a *Analyzer) Sweeps() int64 { return a.pool.sweeps.Load() }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -96,16 +95,11 @@ func (rs regionSpec) options(seed int64, samples, workers int, adaptive float64)
 	return opts, nil
 }
 
-// analyzerKey identifies one shared Analyzer. Two requests with equal keys
-// are guaranteed identical results, so they may share an Analyzer — and with
-// it the expensive Monte-Carlo sample pool.
+// analyzerKey identifies one shared Analyzer: requests with equal keys over
+// one dataset version get identical results. The dataset's version is not
+// part of the key; the cache entry records it (see analyzerPool.get).
 type analyzerKey struct {
 	dataset string
-	gen     int64
-	// ver is the dataset's delta version within the generation. A PATCH bumps
-	// it, and resident analyzers are migrated to the new key via ApplyDelta
-	// (sharing their sample pools) instead of being rebuilt.
-	ver     int64
 	region  string
 	seed    int64
 	samples int
@@ -115,8 +109,12 @@ type analyzerKey struct {
 	adaptive float64
 }
 
-func (k analyzerKey) String() string {
-	s := fmt.Sprintf("%s@%d.%d|%s|seed=%d|n=%d", k.dataset, k.gen, k.ver, k.region, k.seed, k.samples)
+// at renders the key at dataset generation gen and delta version ver: the
+// /statsz row key and the response cache's key prefix, whose "name@" start
+// lets a dataset delta invalidate exactly that dataset's cached responses.
+// at(0, 0) is the unversioned form.
+func (k analyzerKey) at(gen, ver int64) string {
+	s := fmt.Sprintf("%s@%d.%d|%s|seed=%d|n=%d", k.dataset, gen, ver, k.region, k.seed, k.samples)
 	if k.adaptive > 0 {
 		s += fmt.Sprintf("|adaptive=%s", strconv.FormatFloat(k.adaptive, 'g', -1, 64))
 	}
@@ -124,16 +122,16 @@ func (k analyzerKey) String() string {
 }
 
 // analyzerPool caches one Analyzer per key: the first request for a key
-// constructs it, and every later request gets the cached Analyzer.
-// Construction draws nothing, so it runs under the cache mutex; the
-// expensive sample-pool build happens later, in the Analyzer's pool cell,
-// which coalesces the first uses of all requests sharing the Analyzer into
-// one build. So N concurrent identical queries cost one pool build.
+// constructs it, and every later request gets the cached Analyzer, or an
+// Over view of it when the request reads another version of the dataset.
+// The expensive sample-pool build happens later, in the Analyzer's pool cell,
+// which coalesces the first uses of all requests sharing the cell into one
+// build. So N concurrent identical queries cost one pool build, and so does
+// any number of PATCHes and same-dimension replacements of the dataset.
 //
 // Residency is bounded: the pool holds at most max analyzers and evicts the
 // least recently used one beyond that, so clients sweeping seeds, sample
-// counts, or regions (or datasets being replaced, which bumps the
-// generation in the key) cannot pin sample pools in memory without bound.
+// counts, or regions cannot pin sample pools in memory without bound.
 // Evicted analyzers stay alive for requests already holding them and are
 // collected when those finish.
 type analyzerPool struct {
@@ -149,13 +147,16 @@ type analyzerPool struct {
 	entries map[analyzerKey]*list.Element // guarded by mu
 
 	builds    atomic.Int64 // Analyzer constructions attempted
-	dedupHits atomic.Int64 // requests served by a cached analyzer
+	dedupHits atomic.Int64 // requests served by a cached analyzer or an Over view of it
 	evictions atomic.Int64 // analyzers dropped by the LRU bound
 }
 
+// poolItem is one cache entry: the analyzer for key and the dataset version
+// (generation, delta version) it answers for.
 type poolItem struct {
-	key analyzerKey
-	a   *stablerank.Analyzer
+	key      analyzerKey
+	a        *stablerank.Analyzer // guarded by mu
+	gen, ver int64                // guarded by mu
 }
 
 func newAnalyzerPool(max, workers int) *analyzerPool {
@@ -173,18 +174,56 @@ func newAnalyzerPool(max, workers int) *analyzerPool {
 	}
 }
 
-// get returns the shared Analyzer for key, constructing it from ds and spec
-// on a miss. A failed construction is not cached, so the key can be
-// retried: deterministic misconfigurations surface the same error again.
-func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, spec regionSpec) (*stablerank.Analyzer, error) {
+// get returns the shared Analyzer for key over ds, the registry's dataset
+// at generation gen and delta version ver. A resident entry of ds's
+// dimension answers through Over: the entry itself at its own version, a
+// view sharing its pool cell at another. Otherwise, on a miss or after a
+// replacement changed the dimension, get constructs a new Analyzer. The
+// answer replaces the entry's analyzer when (gen, ver) is a newer version
+// than the entry's; a request for an older one (it raced a PATCH or a
+// replacement) leaves the entry alone. A failed construction is not
+// cached, so the key can be retried: deterministic misconfigurations
+// surface the same error again.
+func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, gen, ver int64, spec regionSpec) (*stablerank.Analyzer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.entries[key]; ok {
-		p.order.MoveToFront(el)
+	var (
+		a   *stablerank.Analyzer
+		err error
+	)
+	el, ok := p.entries[key]
+	if ok && el.Value.(*poolItem).a.Dataset().D() == ds.D() {
 		p.dedupHits.Add(1)
-		return el.Value.(*poolItem).a, nil
+		a, err = el.Value.(*poolItem).a.Over(ds)
+	} else {
+		p.builds.Add(1)
+		a, err = p.newAnalyzer(key, ds, spec)
 	}
-	p.builds.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		p.order.MoveToFront(el)
+		// Generations only grow and a replacement resets the delta version,
+		// so versions order by generation first.
+		if it := el.Value.(*poolItem); gen > it.gen || gen == it.gen && ver > it.ver {
+			it.a, it.gen, it.ver = a, gen, ver
+		}
+		return a, nil
+	}
+	p.entries[key] = p.order.PushFront(&poolItem{key: key, a: a, gen: gen, ver: ver})
+	for p.order.Len() > p.max {
+		el := p.order.Back()
+		p.order.Remove(el)
+		delete(p.entries, el.Value.(*poolItem).key)
+		p.evictions.Add(1)
+	}
+	return a, nil
+}
+
+// newAnalyzer constructs the Analyzer for key over ds. Construction draws
+// nothing, so get calls it under the cache mutex.
+func (p *analyzerPool) newAnalyzer(key analyzerKey, ds *stablerank.Dataset, spec regionSpec) (*stablerank.Analyzer, error) {
 	opts, err := spec.options(key.seed, key.samples, p.workers, key.adaptive)
 	if err != nil {
 		return nil, err
@@ -197,82 +236,32 @@ func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, spec regionS
 	if p.coord != nil {
 		opts = append(opts, stablerank.WithPoolFiller(poolFillerFor(p.coord, ds, key, spec)))
 	}
-	a, err := stablerank.New(ds, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p.entries[key] = p.order.PushFront(&poolItem{key: key, a: a})
-	for p.order.Len() > p.max {
-		el := p.order.Back()
-		p.order.Remove(el)
-		delete(p.entries, el.Value.(*poolItem).key)
-		p.evictions.Add(1)
-	}
-	return a, nil
+	return stablerank.New(ds, opts...)
 }
 
-// applyDeltas migrates resident analyzers of the named dataset from the
-// exact pre-PATCH (oldGen, oldVer) key to the new (gen, ver) key by applying
-// the deltas to each — ApplyDelta shares the Monte-Carlo pool cell, so the
-// migrated analyzers answer queries against the mutated dataset without
-// drawing a sample. Every other name-matching entry is dropped, not
-// migrated: an analyzer left over from an older generation (or inserted by a
-// racing request against a different version) holds a different dataset,
-// and applying the deltas to it would rekey stale results under the current
-// key. Returns how many analyzers were migrated and dropped, and the drift
-// analyzer: the full-space migrated analyzer with a built pool whose key
-// sorts first (deterministic regardless of map iteration order), or nil when
-// none qualifies — region-restricted analyzers sample a different weight
-// space, so pricing drift on one would publish numbers that depend on which
-// analyzers happen to be resident.
-func (p *analyzerPool) applyDeltas(name string, oldGen, oldVer, gen, ver int64, deltas []stablerank.Delta) (migrated, dropped int, driftA *stablerank.Analyzer) {
+// driftSource returns the analyzer a PATCH to the named dataset prices its
+// drift on: the dataset's resident full-space analyzer of dimension d with
+// a built pool whose unversioned key sorts first, whatever version it last
+// answered for, or nil when none qualifies. Region-restricted analyzers
+// sample a different weight space, so pricing drift on one would publish
+// numbers that depend on which analyzers happen to be resident.
+func (p *analyzerPool) driftSource(name string, d int) *stablerank.Analyzer {
 	p.mu.Lock()
-	matches := make([]*poolItem, 0, 4)
+	items := make([]poolItem, 0, 4)
 	for key, el := range p.entries {
-		if key.dataset != name {
+		if key.dataset != name || key.region != "full" {
 			continue
 		}
-		matches = append(matches, el.Value.(*poolItem))
+		items = append(items, *el.Value.(*poolItem))
 	}
 	p.mu.Unlock()
-	// Migrate in sorted-key order so eviction order doesn't depend on map
-	// iteration order.
-	sort.Slice(matches, func(i, j int) bool { return matches[i].key.String() < matches[j].key.String() })
-
-	var driftKey string
-	for _, item := range matches {
-		var na *stablerank.Analyzer
-		if item.key.gen == oldGen && item.key.ver == oldVer {
-			a, err := item.a.ApplyDelta(context.Background(), deltas...) //srlint:ctxflow migration must complete atomically for every resident analyzer, not just the patching request's
-			if err == nil {
-				na = a
-			}
-		}
-		nkey := item.key
-		nkey.gen, nkey.ver = gen, ver
-		p.mu.Lock()
-		if el, ok := p.entries[item.key]; ok && el.Value.(*poolItem) == item {
-			p.order.Remove(el)
-			delete(p.entries, item.key)
-		}
-		if na != nil {
-			if _, exists := p.entries[nkey]; !exists {
-				p.entries[nkey] = p.order.PushFront(&poolItem{key: nkey, a: na})
-			}
-		}
-		p.mu.Unlock()
-		if na != nil {
-			migrated++
-			if item.key.region == "full" && na.PoolBuilt() {
-				if k := nkey.String(); driftA == nil || k < driftKey {
-					driftA, driftKey = na, k
-				}
-			}
-		} else {
-			dropped++
+	sort.Slice(items, func(i, j int) bool { return items[i].key.at(0, 0) < items[j].key.at(0, 0) })
+	for _, it := range items {
+		if it.a.PoolBuilt() && it.a.Dataset().D() == d {
+			return it.a
 		}
 	}
-	return migrated, dropped, driftA
+	return nil
 }
 
 // analyzerStat is one resident analyzer's /statsz row. PoolBytes is the full
@@ -300,19 +289,19 @@ type analyzerStat struct {
 // snapshot reports the resident analyzers and the pool counters.
 func (p *analyzerPool) snapshot() (stats []analyzerStat, builds, dedupHits, evictions int64) {
 	p.mu.Lock()
-	items := make([]*poolItem, 0, len(p.entries))
+	items := make([]poolItem, 0, len(p.entries))
 	for _, el := range p.entries {
-		items = append(items, el.Value.(*poolItem))
+		items = append(items, *el.Value.(*poolItem))
 	}
 	p.mu.Unlock()
 	// Sorted keys pin the /statsz resident list: two consecutive renders of
 	// an idle server must be byte-identical.
-	sort.Slice(items, func(i, j int) bool { return items[i].key.String() < items[j].key.String() })
+	sort.Slice(items, func(i, j int) bool { return items[i].key.at(0, 0) < items[j].key.at(0, 0) })
 	stats = make([]analyzerStat, len(items))
 	for i, item := range items {
 		a := item.a
 		stats[i] = analyzerStat{
-			Key:          item.key.String(),
+			Key:          item.key.at(item.gen, item.ver),
 			SampleCount:  a.SampleCount(),
 			PoolBuilt:    a.PoolBuilt(),
 			PoolBuilds:   a.PoolBuilds(),

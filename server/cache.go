@@ -70,7 +70,7 @@ func (c *lruCache) put(key string, val []byte) {
 }
 
 // invalidateDataset removes every cached response belonging to the named
-// dataset (keys start with "name@"; see analyzerKey.String) and reports how
+// dataset (keys start with "name@"; see analyzerKey.at) and reports how
 // many entries were removed and how many — belonging to other datasets —
 // survived. This is the fine-grained path dataset deltas use: a PATCH to one
 // dataset leaves every other dataset's cached responses untouched, where the

@@ -12,7 +12,7 @@ import (
 )
 
 // PATCH /v1/datasets/{name}: mutate a registered dataset in place with a JSON
-// delta list, carrying resident analyzers' sample pools over instead of
+// delta list, keeping resident analyzers' sample pools instead of
 // rebuilding them.
 //
 //	{"deltas": [
@@ -23,11 +23,12 @@ import (
 //
 // The batch is atomic: one invalid op (unknown or duplicate ID, wrong
 // dimension, non-finite attribute) rejects the whole request and nothing
-// changes. On success the dataset's version is bumped, resident analyzers
-// migrate to the mutated dataset (their Monte-Carlo pools carry over
-// verbatim — pool samples are weight-space points, independent of dataset
-// content), the response cache drops only this dataset's entries, and the
-// drift of each delta is published to GET /v1/{dataset}/drift subscribers.
+// changes. On success the dataset's version is bumped, the response cache
+// drops only this dataset's entries, and the drift of each delta is
+// published to GET /v1/{dataset}/drift subscribers. No analyzer is touched:
+// the next read of each resident key answers through an Over view of its
+// analyzer over the mutated dataset, on the same Monte-Carlo pool (pool
+// samples are weight-space points, independent of dataset content).
 
 // maxDeltaOps bounds one PATCH's delta list; batches beyond it are rejected
 // before any dataset work happens.
@@ -102,19 +103,16 @@ func decodeDeltas(data []byte, d, maxOps int) ([]stablerank.Delta, error) {
 }
 
 // deltaResponse is the PATCH response: the dataset's new identity plus an
-// accounting of the resident analyzers and cached responses the deltas
-// moved or invalidated.
+// accounting of the cached responses the deltas invalidated.
 type deltaResponse struct {
-	Dataset           string `json:"dataset"`
-	N                 int    `json:"n"`
-	D                 int    `json:"d"`
-	Generation        int64  `json:"generation"`
-	Version           int64  `json:"version"`
-	Applied           int    `json:"applied"`
-	AnalyzersMigrated int    `json:"analyzers_migrated"`
-	AnalyzersDropped  int    `json:"analyzers_dropped"`
-	CacheInvalidated  int    `json:"cache_invalidated"`
-	CacheSurvived     int    `json:"cache_survived"`
+	Dataset          string `json:"dataset"`
+	N                int    `json:"n"`
+	D                int    `json:"d"`
+	Generation       int64  `json:"generation"`
+	Version          int64  `json:"version"`
+	Applied          int    `json:"applied"`
+	CacheInvalidated int    `json:"cache_invalidated"`
+	CacheSurvived    int    `json:"cache_survived"`
 }
 
 // handlePatchDataset is PATCH /v1/datasets/{name}.
@@ -160,16 +158,14 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyDeltas moves the whole server to the post-delta dataset as one unit:
-// registry version bump, resident-analyzer migration, per-dataset cache
-// invalidation, and counters. deltaMu serializes concurrent PATCHes so two
-// batches can never interleave their migrations; the pre-PATCH (gen, ver)
-// read under the lock is what gates which resident analyzers may be migrated
-// forward. Drift is priced after the lock is released — LastDrift sweeps the
-// analyzer's whole pool, and holding deltaMu for that would block every
-// PATCH to every dataset for the duration.
+// registry version bump, per-dataset cache invalidation, and counters.
+// deltaMu serializes concurrent PATCHes so two batches can never interleave
+// them. Drift is priced after the lock is released — LastDrift sweeps the
+// whole pool, and holding deltaMu for that would block every PATCH to every
+// dataset for the duration.
 func (s *Server) applyDeltas(name string, deltas []stablerank.Delta) (deltaResponse, error) {
 	s.deltaMu.Lock()
-	oldDS, oldGen, oldVer, ok := s.registry.Get(name)
+	oldDS, _, _, ok := s.registry.Get(name)
 	if !ok {
 		s.deltaMu.Unlock()
 		return deltaResponse{}, errNotFound("unknown dataset %q", name)
@@ -179,52 +175,51 @@ func (s *Server) applyDeltas(name string, deltas []stablerank.Delta) (deltaRespo
 		s.deltaMu.Unlock()
 		return deltaResponse{}, errBadRequest("applying deltas: %v", err)
 	}
-	migrated, dropped, driftA := s.analyzers.applyDeltas(name, oldGen, oldVer, gen, ver, deltas)
 	removed, survived := s.cache.invalidateDataset(name)
 
 	s.deltasApplied.Add(int64(len(deltas)))
-	s.deltaMigrated.Add(int64(migrated))
-	s.deltaDropped.Add(int64(dropped))
 	s.cacheInvalidated.Add(int64(removed))
 	s.cacheSurvivals.Add(int64(survived))
 	s.deltaMu.Unlock()
 
 	if s.drift.hasSubscribers(name) {
-		s.publishDrift(name, gen, ver, oldDS, deltas, driftA)
+		s.publishDrift(name, gen, ver, oldDS, deltas)
 	}
 	return deltaResponse{
-		Dataset:           name,
-		N:                 ds.N(),
-		D:                 ds.D(),
-		Generation:        gen,
-		Version:           ver,
-		Applied:           len(deltas),
-		AnalyzersMigrated: migrated,
-		AnalyzersDropped:  dropped,
-		CacheInvalidated:  removed,
-		CacheSurvived:     survived,
+		Dataset:          name,
+		N:                ds.N(),
+		D:                ds.D(),
+		Generation:       gen,
+		Version:          ver,
+		Applied:          len(deltas),
+		CacheInvalidated: removed,
+		CacheSurvived:    survived,
 	}, nil
 }
 
 // publishDrift prices the batch's stability drift and fans it out to the
 // dataset's drift subscribers. It runs before the PATCH response is written,
-// so a PATCH with subscribers waits for it. migrated, when non-nil, is a
-// full-space migrated analyzer with an already built pool
-// (analyzerPool.applyDeltas selects it deterministically), so LastDrift never
-// draws a pool here and the published numbers have stable semantics; with
-// none resident, a throwaway DriftSamples-row pool prices the batch instead.
-// Either way the rank pass covers DriftSamples pool rows: about 10 ms of a
-// one-delta PATCH at n=1000, d=4 on two cores (BenchmarkLastDrift).
-func (s *Server) publishDrift(name string, gen, ver int64, oldDS *stablerank.Dataset, deltas []stablerank.Delta, migrated *stablerank.Analyzer) {
+// so a PATCH with subscribers waits for it. When the analyzer cache holds a
+// drift source (analyzerPool.driftSource: a full-space analyzer with an
+// already built pool, selected deterministically), its Over view of the
+// pre-PATCH dataset applies the batch, so LastDrift never draws a pool here
+// and the published numbers have stable semantics; with none resident, a
+// throwaway DriftSamples-row pool prices the batch instead. Either way the
+// rank pass covers DriftSamples pool rows: about 10 ms of a one-delta PATCH
+// at n=1000, d=4 on two cores (BenchmarkLastDrift).
+func (s *Server) publishDrift(name string, gen, ver int64, oldDS *stablerank.Dataset, deltas []stablerank.Delta) {
 	ctx := context.Background() //srlint:ctxflow drift is priced before the PATCH response is written, but for the subscribers: the patching client's hang-up or deadline must not cancel published numbers
 	var (
 		drifts []stablerank.Drift
 		err    error
 	)
-	if migrated != nil {
-		drifts, err = migrated.LastDrift(ctx, s.cfg.DriftSamples)
-	} else {
+	src := s.analyzers.driftSource(name, oldDS.D())
+	if src == nil {
 		drifts, err = stablerank.DriftOf(ctx, oldDS, deltas, s.cfg.DefaultSeed, s.cfg.DriftSamples, s.cfg.DriftSamples)
+	} else if src, err = src.Over(oldDS); err == nil {
+		if src, err = src.ApplyDelta(ctx, deltas...); err == nil {
+			drifts, err = src.LastDrift(ctx, s.cfg.DriftSamples)
+		}
 	}
 	if err != nil {
 		s.logf("stablerankd: measuring drift for dataset %q: %v", name, err)
@@ -257,13 +252,11 @@ func (s *Server) publishDrift(name string, gen, ver int64, oldDS *stablerank.Dat
 // deltaStats is the /statsz "deltas" section.
 func (s *Server) deltaStats() map[string]any {
 	return map[string]any{
-		"applied":            s.deltasApplied.Load(),
-		"cache_invalidated":  s.cacheInvalidated.Load(),
-		"cache_survivals":    s.cacheSurvivals.Load(),
-		"analyzers_migrated": s.deltaMigrated.Load(),
-		"analyzers_dropped":  s.deltaDropped.Load(),
-		"drift_events":       s.drift.events.Load(),
-		"drift_dropped":      s.drift.dropped.Load(),
-		"drift_streamed":     s.drift.streamed.Load(),
+		"applied":           s.deltasApplied.Load(),
+		"cache_invalidated": s.cacheInvalidated.Load(),
+		"cache_survivals":   s.cacheSurvivals.Load(),
+		"drift_events":      s.drift.events.Load(),
+		"drift_dropped":     s.drift.dropped.Load(),
+		"drift_streamed":    s.drift.streamed.Load(),
 	}
 }

@@ -2,12 +2,16 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,25 +40,36 @@ func patchRaw(t *testing.T, base, name, body string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-// TestPatchDatasetSplicesState is the end-to-end delta flow: a warmed
+// resident returns the analyzer the cache holds for key, nil without one.
+func (p *analyzerPool) resident(key analyzerKey) *stablerank.Analyzer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if el, ok := p.entries[key]; ok {
+		return el.Value.(*poolItem).a
+	}
+	return nil
+}
+
+// TestPatchDatasetRepointsAnalyzer is the end-to-end delta flow: a warmed
 // analyzer and populated cache, then a PATCH, then the accounting — the
-// mutated dataset's analyzer migrates (no rebuild), only its cache entries
-// die, and /statsz's deltas section reflects all of it.
-func TestPatchDatasetSplicesState(t *testing.T) {
+// PATCH touches no analyzer, the next read re-points the resident one to
+// the registry's mutated dataset on the same pool (no rebuild), only the
+// mutated dataset's cache entries die, and /statsz's deltas section
+// reflects all of it.
+func TestPatchDatasetRepointsAnalyzer(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 
 	// Warm: one Monte-Carlo query on ind3 (builds its pool and caches the
 	// response) and one on fig1 (a second dataset's cache entry that must
 	// survive the PATCH).
-	var before struct {
-		Stability float64 `json:"stability"`
-	}
-	if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1&samples=5000", &before); code != http.StatusOK {
+	if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1&samples=5000", nil); code != http.StatusOK {
 		t.Fatalf("warm ind3 = %d", code)
 	}
 	if code, _ := get(t, ts, "/v1/fig1/verify?weights=1,1", nil); code != http.StatusOK {
 		t.Fatalf("warm fig1 = %d", code)
 	}
+	key := analyzerKey{dataset: "ind3", region: "full", seed: 1, samples: 5000}
+	warm := s.analyzers.resident(key)
 	buildsBefore := s.analyzers.builds.Load()
 
 	var pr deltaResponse
@@ -69,22 +84,22 @@ func TestPatchDatasetSplicesState(t *testing.T) {
 	if pr.Version != 1 || pr.Applied != 2 || pr.N != 13 {
 		t.Fatalf("patch response = %+v, want version 1, applied 2, n 13", pr)
 	}
-	if pr.AnalyzersMigrated < 1 {
-		t.Fatalf("analyzers_migrated = %d, want >= 1", pr.AnalyzersMigrated)
-	}
-	if strings.Contains(body, `"spliced"`) || strings.Contains(body, `"resorted"`) {
-		t.Fatalf("patch response still reports splice counters: %s", body)
+	if strings.Contains(body, `"analyzers_`) || strings.Contains(body, `"spliced"`) {
+		t.Fatalf("patch response still reports analyzer or splice counters: %s", body)
 	}
 	if pr.CacheInvalidated < 1 || pr.CacheSurvived < 1 {
 		t.Fatalf("cache invalidated %d / survived %d, want >= 1 each", pr.CacheInvalidated, pr.CacheSurvived)
 	}
+	if s.analyzers.resident(key) != warm {
+		t.Fatal("the PATCH touched the resident analyzer")
+	}
 
-	// The post-delta query answers against the new dataset from the MIGRATED
-	// analyzer: no new pool build, a cache miss (the old entry died), and a
-	// 13-item ranking that includes the added item.
+	// The post-delta query answers against the new dataset from a view of
+	// the resident analyzer: no new analyzer or pool build, a cache miss
+	// (the old entry died), and a 13-item ranking that includes the added
+	// item.
 	var after struct {
-		Stability float64   `json:"stability"`
-		Ranking   []itemRef `json:"ranking"`
+		Ranking []itemRef `json:"ranking"`
 	}
 	code, hdr := get(t, ts, "/v1/ind3/verify?weights=1,1,1&samples=5000", &after)
 	if code != http.StatusOK {
@@ -94,7 +109,11 @@ func TestPatchDatasetSplicesState(t *testing.T) {
 		t.Fatalf("post-patch verify X-Cache = %q, want miss", hdr.Get("X-Cache"))
 	}
 	if got := s.analyzers.builds.Load(); got != buildsBefore {
-		t.Fatalf("PATCH triggered %d pool builds, want 0", got-buildsBefore)
+		t.Fatalf("PATCH triggered %d analyzer builds, want 0", got-buildsBefore)
+	}
+	ds, _, _, _ := s.registry.Get("ind3")
+	if a := s.analyzers.resident(key); a.Dataset() != ds || a.PoolBuilds() != 1 {
+		t.Fatalf("resident analyzer holds the registry's dataset: %v, pool builds %d; want true, 1", a.Dataset() == ds, a.PoolBuilds())
 	}
 	if len(after.Ranking) != 13 {
 		t.Fatalf("post-patch ranking has %d items, want 13", len(after.Ranking))
@@ -112,33 +131,29 @@ func TestPatchDatasetSplicesState(t *testing.T) {
 	}
 
 	var stats struct {
-		Deltas struct {
-			Applied           int64 `json:"applied"`
-			CacheInvalidated  int64 `json:"cache_invalidated"`
-			CacheSurvivals    int64 `json:"cache_survivals"`
-			AnalyzersMigrated int64 `json:"analyzers_migrated"`
-		} `json:"deltas"`
+		Deltas map[string]int64 `json:"deltas"`
 	}
 	if code, _ := get(t, ts, "/statsz", &stats); code != http.StatusOK {
 		t.Fatalf("statsz = %d", code)
 	}
 	d := stats.Deltas
-	if d.Applied != 2 || d.AnalyzersMigrated < 1 {
-		t.Fatalf("statsz deltas = %+v, want applied 2, migrated >= 1", d)
+	if d["applied"] != 2 || d["cache_invalidated"] < 1 || d["cache_survivals"] < 1 {
+		t.Fatalf("statsz deltas = %+v, want applied 2, cache accounting >= 1 each", d)
 	}
-	if d.CacheInvalidated < 1 || d.CacheSurvivals < 1 {
-		t.Fatalf("statsz deltas cache accounting = %+v, want >= 1 each", d)
+	if _, ok := d["analyzers_migrated"]; ok {
+		t.Fatalf("statsz deltas still report migrations: %+v", d)
 	}
 }
 
-// TestPatchDropsStaleGenerationAnalyzers: an analyzer left resident after a
-// full dataset replacement (Add bumps the generation but never purges the
-// pool) holds state derived from the replaced content, so a later PATCH must
-// drop it rather than migrate it forward — the next query rebuilds against
-// the current dataset.
-func TestPatchDropsStaleGenerationAnalyzers(t *testing.T) {
+// TestReplaceThenPatchRepointsAnalyzer: an analyzer left resident by a
+// same-dimension replacement (Add bumps the generation but never purges the
+// cache) keeps serving its key after a later PATCH, re-pointed to the
+// replaced-and-patched dataset on its own pool, and answers byte for byte
+// as a fresh server over that dataset does.
+func TestReplaceThenPatchRepointsAnalyzer(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1", nil); code != http.StatusOK {
+	const path = "/v1/ind3/verify?weights=1,1,1"
+	if code, _ := get(t, ts, path, nil); code != http.StatusOK {
 		t.Fatalf("warm ind3 = %d", code)
 	}
 	// Replace ind3 wholesale: generation 1 -> 2, the gen-1 analyzer stays
@@ -146,33 +161,38 @@ func TestPatchDropsStaleGenerationAnalyzers(t *testing.T) {
 	if err := s.registry.Add("ind3", seedDataset(12, 3, 99)); err != nil {
 		t.Fatal(err)
 	}
-	buildsBefore := s.analyzers.builds.Load()
-
-	var pr deltaResponse
-	code, body := patchRaw(t, ts.URL, "ind3", `{"deltas":[{"op":"update","id":"i0","attrs":[9,9,9]}]}`)
-	if code != http.StatusOK {
+	if code, body := patchRaw(t, ts.URL, "ind3", `{"deltas":[{"op":"update","id":"i0","attrs":[9,9,9]}]}`); code != http.StatusOK {
 		t.Fatalf("patch = %d: %s", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &pr); err != nil {
-		t.Fatalf("patch body: %v\n%s", err, body)
+	read := func(ts *httptest.Server) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("post-patch verify = %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return string(body)
 	}
-	if pr.AnalyzersMigrated != 0 || pr.AnalyzersDropped != 1 {
-		t.Fatalf("migrated %d / dropped %d, want 0 / 1: a stale-generation analyzer must not be migrated forward", pr.AnalyzersMigrated, pr.AnalyzersDropped)
+	got := read(ts)
+	stats, builds, _, _ := s.analyzers.snapshot()
+	if builds != 1 || len(stats) != 1 || stats[0].PoolBuilds != 1 || stats[0].Key != "ind3@2.1|full|seed=1|n=20000" {
+		t.Fatalf("after replace + PATCH + read: %d analyzer builds, resident %+v; want 1 build, one ind3@2.1 row with 1 pool build", builds, stats)
 	}
-
-	// The next query cannot be served from the dropped analyzer: it rebuilds
-	// against the replaced-and-patched dataset.
-	var after struct {
-		Ranking []itemRef `json:"ranking"`
+	ds, _, _, _ := s.registry.Get("ind3")
+	if a := s.analyzers.resident(analyzerKey{dataset: "ind3", region: "full", seed: 1, samples: 20_000}); a.Dataset() != ds {
+		t.Fatal("the resident analyzer does not hold the registry's dataset")
 	}
-	if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1", &after); code != http.StatusOK {
-		t.Fatalf("post-patch verify = %d", code)
+	reg := NewRegistry()
+	if err := reg.Add("ind3", ds); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.analyzers.builds.Load(); got != buildsBefore+1 {
-		t.Fatalf("post-patch verify triggered %d builds, want 1 (stale analyzer must be gone)", got-buildsBefore)
-	}
-	if len(after.Ranking) != 12 {
-		t.Fatalf("post-patch ranking has %d items, want 12", len(after.Ranking))
+	_, fresh := newTestServer(t, func(c *Config) { c.Registry = reg })
+	if want := read(fresh); got != want {
+		t.Fatalf("after replace + PATCH:\n%s\nfresh server:\n%s", got, want)
 	}
 }
 
@@ -575,4 +595,283 @@ func TestPatchThenTopHMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: the PATCH left the answer unchanged; the test shows nothing", name)
 		}
 	}
+}
+
+// TestPatchDriftMatchesLibrary pins the PATCH drift source bit for bit: the
+// published events equal New(oldDS, WithSeed, WithSampleCount).ApplyDelta(
+// deltas...).LastDrift(DriftSamples) at the seed and sample count of the
+// resident full-space key that sorts first, whatever dataset version that
+// analyzer last answered for, and at DefaultSeed and DriftSamples (the
+// DriftOf fallback) with nothing resident.
+func TestPatchDriftMatchesLibrary(t *testing.T) {
+	patches := []string{
+		`{"deltas":[{"op":"update","id":"i0","attrs":[0.9,0.1,0.5]},{"op":"remove","id":"i4"}]}`,
+		`{"deltas":[{"op":"add","id":"neo","attrs":[0.4,0.6,0.5]},{"op":"update","id":"i1","attrs":[0.2,0.8,0.3]}]}`,
+	}
+	for _, tc := range []struct {
+		name          string
+		warm, replace bool
+		patches       []string
+	}{
+		{"two PATCHes without a read", true, false, patches},
+		{"replacement then PATCH", true, true, patches[:1]},
+		{"DriftOf fallback", false, false, patches[:1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, nil)
+			seed, samples := s.cfg.DefaultSeed, s.cfg.DriftSamples
+			if tc.warm {
+				// The cone key sorts before every full-space key and the
+				// seed-5 key after the seed-3 one: the seed-3 key prices.
+				seed, samples = 3, 5000
+				for _, q := range []string{"cosine=0.99&seed=3&samples=5000", "seed=5&samples=4000", "seed=3&samples=5000"} {
+					if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1&"+q, nil); code != http.StatusOK {
+						t.Fatalf("warm %s = %d", q, code)
+					}
+				}
+			}
+			if tc.replace {
+				if err := s.registry.Add("ind3", seedDataset(12, 3, 99)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/ind3/drift", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			if !sc.Scan() {
+				t.Fatalf("no hello line: %v", sc.Err())
+			}
+			for i, body := range tc.patches {
+				oldDS, _, _, _ := s.registry.Get("ind3")
+				deltas, err := decodeDeltas([]byte(body), oldDS.D(), maxDeltaOps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				code, out := patchRaw(t, ts.URL, "ind3", body)
+				var pr deltaResponse
+				if code != http.StatusOK || json.Unmarshal([]byte(out), &pr) != nil {
+					t.Fatalf("patch %d = %d: %s", i, code, out)
+				}
+				a, err := stablerank.New(oldDS, stablerank.WithSeed(seed), stablerank.WithSampleCount(samples))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, err = a.ApplyDelta(ctx, deltas...); err != nil {
+					t.Fatal(err)
+				}
+				drifts, err := a.LastDrift(ctx, s.cfg.DriftSamples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, d := range drifts {
+					want := driftEvent{Dataset: "ind3", Generation: pr.Generation, Version: pr.Version,
+						Op: d.Op.String(), ID: d.ID, PoolRows: d.PoolRows,
+						MeanScoreDelta: d.MeanScoreDelta, MaxAbsScoreDelta: d.MaxAbsScoreDelta,
+						RankRows: d.Shift.Rows, RankChanged: d.Shift.Changed,
+						MeanRankBefore: d.Shift.MeanBefore, MeanRankAfter: d.Shift.MeanAfter,
+						MeanAbsRankShift: d.Shift.MeanAbsShift, MaxAbsRankShift: d.Shift.MaxAbsShift,
+						RankImproved: d.Shift.Improved, RankWorsened: d.Shift.Worsened}
+					var got driftEvent
+					if !sc.Scan() {
+						t.Fatalf("patch %d: stream ended before event %d: %v", i, j, sc.Err())
+					}
+					if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
+						t.Fatalf("drift line: %v\n%s", err, sc.Text())
+					}
+					if got != want {
+						t.Fatalf("patch %d event %d:\n got %+v\nwant %+v", i, j, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// historyBytes decodes a fuzz input one byte at a time, reading 0 once
+// exhausted.
+type historyBytes []byte
+
+func (b *historyBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// dataset decodes 2-7 items of dimension d with attributes 0-5, so scores
+// tie often.
+func (b *historyBytes) dataset(d int) *stablerank.Dataset {
+	ds := stablerank.MustDataset(d)
+	for i := range 2 + b.next()%6 {
+		if err := ds.Add(fmt.Sprintf("i%d", i), b.attrs(d)); err != nil {
+			panic(err)
+		}
+	}
+	return ds
+}
+
+func (b *historyBytes) attrs(d int) []float64 {
+	attrs := make([]float64, d)
+	for j := range attrs {
+		attrs[j] = float64(b.next() % 6)
+	}
+	return attrs
+}
+
+// historyServer serves one dataset, "h", from a small pool on one worker.
+func historyServer(t *testing.T, ds *stablerank.Dataset) *Server {
+	reg := NewRegistry()
+	if err := reg.Add("h", ds); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Registry: reg, DefaultSampleCount: 300, Workers: 1, JobWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// serve answers one request in process and returns its status and body.
+func serve(s *Server, method, target, body string) (int, string) {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec.Code, rec.Body.String()
+}
+
+// FuzzPatchHistory decodes a history of PATCHes, same- and other-dimension
+// replacements, and reads of one dataset: three regions, each exact and
+// adaptive, through POST /v1/query, plus a cached GET /v1/h/toph for the
+// exact ones. After every read the response bytes equal a fresh server's
+// over the registry's current dataset, the analyzer that answered holds the
+// registry's dataset, the analyzer cache has built an analyzer only for a
+// key's first read at a dimension, and every resident row has drawn its
+// pool once.
+func FuzzPatchHistory(f *testing.F) {
+	// Read, PATCH, read the same key; PATCH twice more around a second key's
+	// reads; a same-dimension replacement and a read; a 3 -> 4 replacement
+	// and two reads.
+	f.Add([]byte{0, 1, 2, 3, 3, 2, 1,
+		3, 0, 0, 0, 0, 0, 5, 5, 5, 2, 3, 0, 0,
+		0, 1, 1, 1, 1, 1, 1, 0, 2, 2, 2, 0, 3, 1, 1,
+		1, 1, 0, 1, 2, 2, 1, 0, 5, 5, 1, 3, 1, 1,
+		2, 0, 1, 2, 3, 4, 4, 3, 2, 1, 3, 0, 0, 3, 2, 0})
+	for seed := range int64(6) {
+		data := make([]byte, 160)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := historyBytes(data)
+		d := 3
+		s := historyServer(t, src.dataset(d))
+		builds := int64(0)
+		dims := map[analyzerKey]int{} // the dimension each key's analyzer was built at
+		for step := 0; step < 10 && len(src) > 0; step++ {
+			switch op := src.next() % 5; op {
+			case 0:
+				ds, _, ver, _ := s.registry.Get("h")
+				var deltas []string
+				for j := range 1 + src.next()%2 {
+					id := ds.Item(src.next() % ds.N()).ID
+					attrs, _ := json.Marshal(src.attrs(d))
+					switch src.next() % 3 {
+					case 0:
+						deltas = append(deltas, fmt.Sprintf(`{"op":"remove","id":%q}`, id))
+					case 1:
+						deltas = append(deltas, fmt.Sprintf(`{"op":"add","id":"x%d.%d","attrs":%s}`, step, j, attrs))
+					default:
+						deltas = append(deltas, fmt.Sprintf(`{"op":"update","id":%q,"attrs":%s}`, id, attrs))
+					}
+				}
+				code, body := serve(s, http.MethodPatch, "/v1/datasets/h", `{"deltas":[`+strings.Join(deltas, ",")+`]}`)
+				_, _, nver, _ := s.registry.Get("h")
+				if code == http.StatusOK && nver != ver+1 || code == http.StatusBadRequest && nver != ver || code != http.StatusOK && code != http.StatusBadRequest {
+					t.Fatalf("step %d: PATCH = %d (version %d -> %d): %s", step, code, ver, nver, body)
+				}
+			case 1, 2:
+				if op == 2 {
+					d = 7 - d // 3 <-> 4
+				}
+				if err := s.registry.Add("h", src.dataset(d)); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				r, adaptive := src.next()%3, src.next()%2 == 1
+				ones, ramp := make([]float64, d), make([]float64, d)
+				for j := range d {
+					ones[j], ramp[j] = 1, float64(j+1)
+				}
+				spec := []regionSpec{{}, {weights: ones, cosine: 0.99}, {weights: ramp, theta: 0.4}}[r]
+				key := analyzerKey{dataset: "h", region: spec.canonical(), seed: 1, samples: 300}
+				req := queryRequest{Dataset: "h", Weights: spec.weights, Theta: spec.theta, Cosine: spec.cosine,
+					Queries: []querySpec{{Op: "verify", Weights: ramp}, {Op: "toph", H: 3}}}
+				if adaptive {
+					req.Adaptive, key.adaptive = 0.05, 0.05
+				}
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds, _, _, _ := s.registry.Get("h")
+				fresh := historyServer(t, ds)
+				reqs := [][3]string{{http.MethodPost, "/v1/query", string(body)}}
+				if !adaptive {
+					q := url.Values{"h": {"3"}}
+					if spec.weights != nil {
+						ws := make([]string, d)
+						for j, w := range spec.weights {
+							ws[j] = strconv.FormatFloat(w, 'g', -1, 64)
+						}
+						q.Set("weights", strings.Join(ws, ","))
+					}
+					if spec.theta > 0 {
+						q.Set("theta", "0.4")
+					}
+					if spec.cosine > 0 {
+						q.Set("cosine", "0.99")
+					}
+					reqs = append(reqs, [3]string{http.MethodGet, "/v1/h/toph?" + q.Encode(), ""})
+				}
+				for _, rq := range reqs {
+					code, got := serve(s, rq[0], rq[1], rq[2])
+					wcode, want := serve(fresh, rq[0], rq[1], rq[2])
+					if code != http.StatusOK || code != wcode || got != want {
+						t.Fatalf("step %d: %s %s = %d:\n%s\nfresh server = %d:\n%s", step, rq[0], rq[1], code, got, wcode, want)
+					}
+				}
+				if dims[key] != d {
+					dims[key] = d
+					builds++
+				}
+				a := s.analyzers.resident(key)
+				if a == nil {
+					t.Fatalf("step %d: nothing resident for %s", step, key.at(0, 0))
+				}
+				if a.Dataset() != ds {
+					t.Fatalf("step %d: the analyzer that answered does not hold the registry's dataset", step)
+				}
+				stats, got, _, _ := s.analyzers.snapshot()
+				if got != builds {
+					t.Fatalf("step %d: %d analyzer builds, want %d", step, got, builds)
+				}
+				for _, st := range stats {
+					if st.PoolBuilds != 1 {
+						t.Fatalf("step %d: row %s drew its pool %d times, want 1", step, st.Key, st.PoolBuilds)
+					}
+				}
+			}
+		}
+	})
 }

@@ -104,8 +104,9 @@ func (s *Server) handleV1Get(w http.ResponseWriter, r *http.Request) {
 // handleGetQuery answers one GET query operation through the query
 // pipeline. The analyzer is obtained before the response cache is read, so
 // concurrent identical GETs still coalesce onto one analyzer; the cache key
-// is the analyzer key plus the canonical operation, so a hit costs the URL
-// parse and that lookup — no ranking is computed and nothing is encoded.
+// is the analyzer key at the dataset's version (see analyzerKey.at) plus the
+// canonical operation, so a hit costs the URL parse and that lookup — no
+// ranking is computed and nothing is encoded.
 func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op string) {
 	// An already-expired request deadline surfaces as a 504 before any work.
 	if err := r.Context().Err(); err != nil {
@@ -125,13 +126,13 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op
 		writeError(w, err)
 		return
 	}
-	ds, a, akey, err := s.analyzerFor(cq)
+	ds, a, vkey, err := s.analyzerFor(cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	spec := cq.specs[0]
-	key := cacheKey(akey, spec)
+	key := vkey + "|" + spec.key()
 	if body, ok := s.cache.get(key); ok {
 		serveBody(w, body, "hit")
 		return
@@ -164,13 +165,6 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op
 	}
 	s.cache.put(key, body)
 	serveBody(w, body, "miss")
-}
-
-// cacheKey is the response-cache key of one GET operation: the analyzer key
-// (whose "name@" prefix lets a dataset delta invalidate exactly that
-// dataset's entries) plus the canonical operation.
-func cacheKey(akey analyzerKey, spec querySpec) string {
-	return akey.String() + "|" + spec.key()
 }
 
 func serveBody(w http.ResponseWriter, body []byte, cache string) {

@@ -51,7 +51,7 @@ type querySpec struct {
 
 // key renders the operation canonically: every field that can change the
 // answer, in a fixed order. It is the operation half of a response-cache
-// key (see cacheKey).
+// key (see handleGetQuery).
 func (q querySpec) key() string {
 	return fmt.Sprintf("%s|w=%v|r=%q|h=%d|s=%v|item=%q|n=%d|k=%d|limit=%d|page=%d/%d",
 		q.Op, q.Weights, q.Ranking, q.H, q.S, q.Item, q.N, q.K, q.Limit, q.page, q.perPage)
@@ -90,15 +90,15 @@ func (s *Server) seedAndSamples(req *queryRequest) (int64, int) {
 	return seed, samples
 }
 
-// routingKey is the cluster placement identity of a request: its analyzer
-// key minus the dataset generation (generations advance independently per
-// node, and a textual difference here only costs locality, never
-// correctness). It reads the request unvalidated — an invalid request fails
-// identically on every replica, so forwarding it first is harmless.
+// routingKey is the cluster placement identity of a request: its
+// unversioned analyzer key (generations advance independently per node, and
+// a textual difference here only costs locality, never correctness). It
+// reads the request unvalidated — an invalid request fails identically on
+// every replica, so forwarding it first is harmless.
 func (s *Server) routingKey(req *queryRequest) string {
 	spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
 	seed, samples := s.seedAndSamples(req)
-	return analyzerKey{dataset: req.Dataset, region: spec.canonical(), seed: seed, samples: samples, adaptive: req.Adaptive}.String()
+	return analyzerKey{dataset: req.Dataset, region: spec.canonical(), seed: seed, samples: samples, adaptive: req.Adaptive}.at(0, 0)
 }
 
 // facetResponse is one boundary facet: the adjacent pair whose exchange the
@@ -382,22 +382,22 @@ func itemIndex(ds *stablerank.Dataset, id string) (int, bool) {
 }
 
 // analyzerFor re-resolves a compiled query's dataset and obtains the shared
-// analyzer for its key, returning the dataset version the analyzer is
-// keyed on alongside.
-func (s *Server) analyzerFor(cq *compiledQuery) (*stablerank.Dataset, *stablerank.Analyzer, analyzerKey, error) {
+// analyzer for its key over it, returning alongside the key rendered at the
+// dataset's version (the response cache's key prefix).
+func (s *Server) analyzerFor(cq *compiledQuery) (*stablerank.Dataset, *stablerank.Analyzer, string, error) {
 	ds, gen, ver, ok := s.registry.Get(cq.dataset)
 	if !ok {
-		return nil, nil, analyzerKey{}, errNotFound("unknown dataset %q", cq.dataset)
+		return nil, nil, "", errNotFound("unknown dataset %q", cq.dataset)
 	}
-	key := analyzerKey{dataset: cq.dataset, gen: gen, ver: ver, region: cq.spec.canonical(), seed: cq.seed, samples: cq.samples, adaptive: cq.adaptive}
-	a, err := s.analyzers.get(key, ds, cq.spec)
+	key := analyzerKey{dataset: cq.dataset, region: cq.spec.canonical(), seed: cq.seed, samples: cq.samples, adaptive: cq.adaptive}
+	a, err := s.analyzers.get(key, ds, gen, ver, cq.spec)
 	if err != nil {
 		if _, isStatus := err.(statusError); !isStatus {
 			err = errBadRequest("building analyzer: %v", err)
 		}
-		return nil, nil, analyzerKey{}, err
+		return nil, nil, "", err
 	}
-	return ds, a, key, nil
+	return ds, a, key.at(gen, ver), nil
 }
 
 // answer resolves the operations against ds and answers them all with one

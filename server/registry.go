@@ -28,11 +28,12 @@ type registryEntry struct {
 	ds  *stablerank.Dataset
 	gen int64
 	// ver counts delta applications within one generation: a full replacement
-	// bumps gen and resets ver, a PATCH bumps only ver. Keeping the two apart
-	// lets delta-aware maintenance migrate derived state in place while
-	// replacements still invalidate wholesale. ver is not persisted — every
-	// ver-keyed artifact (analyzers, response cache) is in-memory, so after a
-	// restart ver 0 over the persisted dataset is consistent by construction.
+	// bumps gen and resets ver, a PATCH bumps only ver, so (gen, ver) orders
+	// a name's datasets. The analyzer cache re-points an entry when a request
+	// reads a newer version, and the response cache keys on both. ver is not
+	// persisted — every version-keyed artifact (analyzer entries, response
+	// cache) is in-memory, so after a restart ver 0 over the persisted
+	// dataset is consistent by construction.
 	ver int64
 }
 
@@ -196,8 +197,7 @@ func (r *Registry) Get(name string) (ds *stablerank.Dataset, gen, ver int64, ok 
 
 // ApplyDeltas mutates the dataset registered under name by applying the
 // deltas in order, installing the result under the same generation with the
-// delta version bumped. Unlike Add, this does NOT bump the generation:
-// derived state is migrated incrementally by the caller, not thrown away.
+// delta version bumped. Unlike Add, this does NOT bump the generation.
 // The mutated dataset is persisted (under its unchanged generation) so it
 // survives a restart. The whole batch fails atomically on any invalid delta
 // or if it would empty the dataset.

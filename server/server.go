@@ -1,10 +1,11 @@
 // Package server implements stablerankd, the HTTP serving layer over the
 // stablerank library: a named-dataset registry, an LRU cache of one shared
-// concurrency-safe Analyzer per (dataset, region, seed, samples) key — whose
-// pool cell coalesces concurrent identical queries into a single
-// Monte-Carlo sample pool build — an LRU cache of rendered responses,
-// per-request timeouts plumbed into the library's context plumbing, and
-// /healthz + /statsz observability.
+// concurrency-safe Analyzer per (dataset, region, seed, samples) key
+// whatever the dataset's version — whose pool cell coalesces concurrent
+// identical queries, and the queries of every later version of the same
+// dimension, into a single Monte-Carlo sample pool build — an LRU cache of
+// rendered responses, per-request timeouts plumbed into the library's
+// context plumbing, and /healthz + /statsz observability.
 //
 // Endpoints (all responses JSON):
 //
@@ -47,10 +48,11 @@
 // Datasets are mutable in place: PATCH /v1/datasets/{name} applies a JSON
 // delta list ({"deltas":[{"op":"update","id":"x","attrs":[...]}, ...]})
 // without invalidating derived state wholesale. Pool samples are weight-space
-// points — independent of dataset content — so resident analyzers migrate to
-// the mutated dataset and keep their sample pools; pool snapshots survive
-// deltas entirely; and the response cache is invalidated per dataset, not
-// globally. Each PATCH's stability drift (score and rank displacement of the
+// points — independent of dataset content — so a PATCH touches no analyzer:
+// the next read of each resident key answers through an Over view of its
+// analyzer over the mutated dataset, on the same sample pool; pool
+// snapshots survive deltas entirely; and the response cache is invalidated
+// per dataset, not globally. Each PATCH's stability drift (score and rank displacement of the
 // touched items across the pool) is published to GET /v1/{dataset}/drift
 // subscribers as NDJSON.
 //
@@ -115,9 +117,10 @@ type Config struct {
 	DefaultSeed int64
 	// MaxEnumerate caps ?h=, ?per_page= and page*per_page (default 1,000).
 	MaxEnumerate int
-	// MaxAnalyzers bounds the resident analyzers (and with them the retained
-	// Monte-Carlo sample pools); least recently used ones are evicted beyond
-	// it (default 64).
+	// MaxAnalyzers bounds the resident analyzers, one per (dataset, region,
+	// seed, samples, adaptive) key whatever the dataset's version, and with
+	// them the retained Monte-Carlo sample pools; least recently used ones
+	// are evicted beyond it (default 64).
 	MaxAnalyzers int
 	// MaxRankingItems truncates rankings in responses to this many leading
 	// items (default 100).
@@ -281,14 +284,12 @@ type Server struct {
 	streamedRows atomic.Int64
 
 	// Dataset-delta state: deltaMu serializes PATCH application per process
-	// (registry mutation, analyzer migration and cache invalidation move as
-	// one unit), drift fans events out to GET /v1/{dataset}/drift
-	// subscribers, and the counters feed /statsz "deltas" (see delta.go).
+	// (registry mutation and cache invalidation move as one unit), drift
+	// fans events out to GET /v1/{dataset}/drift subscribers, and the
+	// counters feed /statsz "deltas" (see delta.go).
 	deltaMu          sync.Mutex
 	drift            *driftHub
 	deltasApplied    atomic.Int64
-	deltaMigrated    atomic.Int64
-	deltaDropped     atomic.Int64
 	cacheInvalidated atomic.Int64
 	cacheSurvivals   atomic.Int64
 }

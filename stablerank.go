@@ -322,10 +322,30 @@ func RegionOption(weights []float64, theta, cosine float64) (Option, error) {
 // the context's error promptly after cancellation, leaving the Analyzer
 // usable.
 type Analyzer struct {
-	// The configuration is immutable after New; everything mutable below
-	// is atomic or published by compare-and-swap, which is what makes the
-	// Analyzer safe to share.
-	ds          *Dataset
+	// The configuration and the dataset are immutable after New;
+	// everything mutable below is atomic or published by compare-and-swap,
+	// which is what makes the Analyzer safe to share.
+	config
+	ds *Dataset
+
+	// pool is the lazily drawn shared sample pool with its counters, shared
+	// by every Over view derived from this one (see poolCell).
+	pool *poolCell
+
+	// deltasApplied and the last delta record are what ApplyDelta adds to
+	// its Over view (see delta.go).
+	deltasApplied int64
+	last          *deltaRecord
+
+	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
+	// cursor has produced, nil before the first; see Enumerator. An Over
+	// view starts without it: rankings depend on the data.
+	memo atomic.Pointer[enumMemo]
+}
+
+// config is an Analyzer's configuration: what New's options set, and what
+// Over gives a view over another dataset.
+type config struct {
 	roi         Region
 	seed        int64
 	sampleCount int
@@ -334,20 +354,6 @@ type Analyzer struct {
 	adaptiveErr float64
 	poolCache   PoolCache
 	poolFiller  PoolFiller
-
-	// pool is the lazily drawn shared sample pool with its counters, shared
-	// by every analyzer ApplyDelta derives from this one (see poolCell).
-	pool *poolCell
-
-	// deltasApplied and the last delta record feed /statsz and the drift
-	// stream (see delta.go).
-	deltasApplied int64
-	last          *deltaRecord
-
-	// memo is the longest prefix of the analyzer's GET-NEXT sequence any
-	// cursor has produced, nil before the first; see Enumerator. ApplyDelta
-	// does not carry it over: rankings depend on the data.
-	memo atomic.Pointer[enumMemo]
 }
 
 // New builds an Analyzer over the dataset. Without options the region of
@@ -360,12 +366,9 @@ func New(ds *Dataset, opts ...Option) (*Analyzer, error) {
 		return nil, fmt.Errorf("core: dataset needs >= 2 scoring attributes, has %d", ds.D())
 	}
 	a := &Analyzer{
-		ds:          ds,
-		roi:         geom.FullSpace{D: ds.D()},
-		seed:        1,
-		sampleCount: 100_000,
-		alpha:       0.05,
-		pool:        newPoolCell(),
+		config: config{roi: geom.FullSpace{D: ds.D()}, seed: 1, sampleCount: 100_000, alpha: 0.05},
+		ds:     ds,
+		pool:   newPoolCell(),
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -397,8 +400,8 @@ func (a *Analyzer) SampleCount() int { return a.sampleCount }
 // (re)built. Concurrent first uses coalesce into one build, so after any
 // number of successful calls it reports 1; only builds aborted by
 // cancellation and later retried raise it. An analyzer derived by
-// ApplyDelta shares its parent's pool cell and counters, so a build on
-// either one shows on both.
+// Over or ApplyDelta shares its parent's pool cell and counters, so a build
+// on either one shows on both.
 func (a *Analyzer) PoolBuilds() int64 { return a.pool.builds.Load() }
 
 // PoolBuilt reports whether the shared sample pool is resident.
@@ -425,7 +428,7 @@ func (a *Analyzer) PoolMemoryBytes() int64 {
 // PoolRestores returns how many times the pool was installed from an
 // attached PoolCache instead of drawn; a warm restart answers its first
 // query with PoolBuilds() == 0 and PoolRestores() == 1. An analyzer derived
-// by ApplyDelta shares its parent's pool cell and counters.
+// by Over or ApplyDelta shares its parent's pool cell and counters.
 func (a *Analyzer) PoolRestores() int64 { return a.pool.restores.Load() }
 
 // PoolSnapshotKey returns the interned PoolCache key of the resident pool,
@@ -449,8 +452,8 @@ func (a *Analyzer) Workers() int {
 
 // PoolBuildDuration returns the wall time of the most recent successful
 // sample-pool build, or 0 if none has completed yet — the number /statsz
-// exposes per resident analyzer. An analyzer derived by ApplyDelta shares
-// its parent's pool cell and counters.
+// exposes per resident analyzer. An analyzer derived by Over or
+// ApplyDelta shares its parent's pool cell and counters.
 func (a *Analyzer) PoolBuildDuration() time.Duration {
 	return time.Duration(a.pool.buildNanos.Load())
 }
@@ -461,14 +464,14 @@ func (a *Analyzer) AdaptiveTargetError() float64 { return a.adaptiveErr }
 
 // AdaptiveStops returns how many verify queries adaptive verification has
 // stopped before exhausting the sample pool. An analyzer derived by
-// ApplyDelta shares its parent's pool cell and counters, so stops on either
-// one show on both.
+// Over or ApplyDelta shares its parent's pool cell and counters, so stops on
+// either one show on both.
 func (a *Analyzer) AdaptiveStops() int64 { return a.pool.adaptiveStops.Load() }
 
 // AdaptiveRowsSaved returns the total number of pool rows that early-stopped
 // verify queries skipped — the sweep work adaptive verification avoided,
 // reported per analyzer in stablerankd's /statsz. An analyzer derived by
-// ApplyDelta shares its parent's pool cell and counters.
+// Over or ApplyDelta shares its parent's pool cell and counters.
 func (a *Analyzer) AdaptiveRowsSaved() int64 { return a.pool.adaptiveRowsSaved.Load() }
 
 // VerifyStability computes the stability of ranking r in the region of
