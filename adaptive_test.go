@@ -126,7 +126,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 
 // TestAdaptiveObservability: the facade counters expose early stopping —
 // AdaptiveStops counts stopped verifies, AdaptiveRowsSaved the skipped rows
-// — and a mixed adaptive batch still builds one pool.
+// — and a mixed adaptive batch still builds one pool and sweeps it once.
 func TestAdaptiveObservability(t *testing.T) {
 	ds := stablerank.Independent(rand.New(rand.NewSource(31)), 8, 3)
 	a, err := stablerank.New(ds,
@@ -156,6 +156,9 @@ func TestAdaptiveObservability(t *testing.T) {
 	}
 	if a.PoolBuilds() != 1 {
 		t.Errorf("adaptive batch built the pool %d times, want 1", a.PoolBuilds())
+	}
+	if a.Sweeps() != 1 {
+		t.Errorf("mixed adaptive batch swept the pool %d times, want 1", a.Sweeps())
 	}
 	stopped := 0
 	for _, r := range results[:2] {

@@ -1,8 +1,8 @@
 // Command stablerankd serves the stable-ranking operators over HTTP: a
 // named-dataset registry (loaded from CSV at startup, extendable via POST,
-// editable in place via PATCH /v1/datasets/{name} deltas that migrate
-// resident analyzers and their sample pools instead of rebuilding them, with
-// per-delta rank drift streamed from GET /v1/{dataset}/drift), the unified
+// editable in place via PATCH /v1/datasets/{name} deltas, after which each
+// resident analyzer answers the new version over its existing sample pool,
+// with per-delta rank drift streamed from GET /v1/{dataset}/drift), the unified
 // /v1/query surface (heterogeneous query lists sharing one analyzer plan),
 // NDJSON streaming enumeration, an async job worker pool, shared
 // per-query-key analyzers so concurrent identical queries share one

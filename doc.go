@@ -30,8 +30,8 @@
 // AboveThreshold, ItemRankDistribution, Boundary) are each Do with a single
 // query, so results are bit-identical whichever surface is called at the
 // same seed; PoolBuilds and Sweeps make the plan sharing observable. The
-// plan is this package's own code: plan.go groups the queries, sweep.go
-// runs the fused pool sweep and adaptive.go the adaptive one.
+// plan is this package's own code: plan.go groups the queries and sweep.go
+// runs the one pool sweep, exact or adaptive.
 //
 // Performance model: the pool is stored as one contiguous row-major matrix
 // (internal/vecmat) and every verification, partition, and ranking inner
@@ -65,18 +65,19 @@
 //
 // Adaptive verification: verify sweeps are exact by default — every verify
 // counts over the whole pool. WithAdaptive(target) opts an analyzer into early
-// stopping: the sweep walks the pool in a fixed doubling-chunk schedule and
-// retires each verify once its Equation 10 confidence-interval half-width
+// stopping: the sweep walks the pool in rounds of a fixed doubling schedule
+// and retires each verify once its Equation 10 confidence-interval half-width
 // clears the target, reporting the rows actually used (SampleCount), the
 // interval (ConfidenceError), and Adaptive=true. The stopping row depends
 // only on (seed, target), never on the worker count, so adaptive results
 // remain deterministic; if the pool is exhausted before the interval
 // clears, the answer is bit-identical to the exact sweep and Adaptive stays
 // false. Only Monte-Carlo verify sweeps participate: exact 2D operators,
-// item-rank distributions, and enumeration always run their exact paths,
-// and analyzers without WithAdaptive are unaffected. Looser targets stop
-// after the first 4096-row chunk; tighter targets converge on the exact
-// sweep, so adaptive pays off on pools several chunks deep. AdaptiveStops
+// item-rank distributions (they ride the same sweep over their whole
+// prefix), and enumeration always run their exact paths, and analyzers
+// without WithAdaptive are unaffected. Looser targets stop after the first
+// 4096-row round; tighter targets converge on the exact sweep, so adaptive
+// pays off on pools several rounds deep. AdaptiveStops
 // and AdaptiveRowsSaved report the realized savings (surfaced per analyzer
 // in the service's /statsz), and /v1/query takes the same knob per request
 // as its "adaptive" field.

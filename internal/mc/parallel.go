@@ -17,7 +17,7 @@ import (
 // Parallel pool passes, an engineering extension beyond the paper: the
 // Monte-Carlo operators of Algorithms 7 and 12 are sums over a pool of
 // sampled weight vectors, so the pool's draw and every later pass over it
-// (the fused verify and item-rank sweep, the adaptive sweep, the drift
+// (the fused verify and item-rank sweep, exact or adaptive, and the drift
 // passes) cut the pool into fixed chunks that Shard spreads over the cores.
 //
 // Determinism contract: the pool draw is sharded into fixed-size chunks of

@@ -10,8 +10,8 @@ import (
 
 // Pool snapshots wrap the versioned vecmat matrix codec in a self-contained
 // checksummed frame, so a snapshot's integrity travels with its bytes — it
-// holds across backends (MemStore has no envelope CRC) and across files
-// copied between data directories by operators:
+// holds whatever the backend's own checks, and across files copied between
+// data directories by operators:
 //
 //	offset  size  field
 //	0       4     magic "SRSN"

@@ -2,11 +2,11 @@
 // state: the dataset catalog, the Monte-Carlo pool-snapshot cache, and the
 // async-job records. It deliberately exposes a tiny namespaced
 // key-value contract — Put/Get/Delete/Entries over (namespace, key) pairs —
-// so the durable layers above it stay backend-agnostic: the default
-// FileStore keeps one checksummed file per entry on the local filesystem
-// (zero new dependencies), MemStore backs tests and ephemeral servers, and a
-// B-tree backend such as bbolt can slot in behind the same interface when
-// single-file packing matters.
+// so the durable layers above it stay backend-agnostic: FileStore keeps one
+// checksummed file per entry on the local filesystem (zero new
+// dependencies), and a B-tree backend such as bbolt can slot in behind the
+// same interface when single-file packing matters. A server without a data
+// directory has no store at all.
 //
 // Integrity is part of the contract, not an afterthought: every persisted
 // value carries a CRC of its payload, Get verifies it on the way out, and a

@@ -16,78 +16,70 @@ import (
 	"stablerank/internal/vecmat"
 )
 
-// stores returns both implementations so the contract tests run against each.
-func stores(t *testing.T) map[string]Store {
-	t.Helper()
-	fs, err := Open(t.TempDir())
+// TestStoreContract exercises Put/Get/Delete/Entries/SizeBytes on the
+// FileStore, including keys full of filename-hostile characters.
+func TestStoreContract(t *testing.T) {
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"file": fs, "mem": NewMemStore()}
-}
-
-// TestStoreContract exercises Put/Get/Delete/Entries/SizeBytes on both
-// backends, including keys full of filename-hostile characters.
-func TestStoreContract(t *testing.T) {
-	for name, st := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			key := `a1b2|w=[1,0.5];cos>=0.998|seed=42|n=100000|layout=65537`
-			if _, err := st.Get(NSPools, key); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get absent = %v, want ErrNotFound", err)
-			}
-			if err := st.Put(NSPools, key, []byte("hello")); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Put(NSPools, "other", []byte("world!")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := st.Get(NSPools, key)
-			if err != nil || string(got) != "hello" {
-				t.Fatalf("Get = %q, %v", got, err)
-			}
-			// Overwrite replaces and re-accounts.
-			if err := st.Put(NSPools, key, []byte("hi")); err != nil {
-				t.Fatal(err)
-			}
-			if got, _ = st.Get(NSPools, key); string(got) != "hi" {
-				t.Fatalf("Get after overwrite = %q", got)
-			}
-			entries, err := st.Entries(NSPools)
-			if err != nil || len(entries) != 2 {
-				t.Fatalf("Entries = %v, %v", entries, err)
-			}
-			keys := map[string]bool{}
-			var sum int64
-			for _, e := range entries {
-				keys[e.Key] = true
-				sum += e.Bytes
-			}
-			if !keys[key] || !keys["other"] {
-				t.Fatalf("Entries keys = %v", entries)
-			}
-			if st.SizeBytes() != sum {
-				t.Errorf("SizeBytes %d != entry sum %d", st.SizeBytes(), sum)
-			}
-			if err := st.Delete(NSPools, key); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Delete(NSPools, key); err != nil {
-				t.Fatalf("Delete absent = %v", err)
-			}
-			if _, err := st.Get(NSPools, key); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get deleted = %v", err)
-			}
-			if err := st.Put("Bad NS", key, nil); err == nil {
-				t.Error("Put accepted an invalid namespace")
-			}
-			if err := st.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("file", func(t *testing.T) {
+		key := `a1b2|w=[1,0.5];cos>=0.998|seed=42|n=100000|layout=65537`
+		if _, err := st.Get(NSPools, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get absent = %v, want ErrNotFound", err)
+		}
+		if err := st.Put(NSPools, key, []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(NSPools, "other", []byte("world!")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Get(NSPools, key)
+		if err != nil || string(got) != "hello" {
+			t.Fatalf("Get = %q, %v", got, err)
+		}
+		// Overwrite replaces and re-accounts.
+		if err := st.Put(NSPools, key, []byte("hi")); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ = st.Get(NSPools, key); string(got) != "hi" {
+			t.Fatalf("Get after overwrite = %q", got)
+		}
+		entries, err := st.Entries(NSPools)
+		if err != nil || len(entries) != 2 {
+			t.Fatalf("Entries = %v, %v", entries, err)
+		}
+		keys := map[string]bool{}
+		var sum int64
+		for _, e := range entries {
+			keys[e.Key] = true
+			sum += e.Bytes
+		}
+		if !keys[key] || !keys["other"] {
+			t.Fatalf("Entries keys = %v", entries)
+		}
+		if st.SizeBytes() != sum {
+			t.Errorf("SizeBytes %d != entry sum %d", st.SizeBytes(), sum)
+		}
+		if err := st.Delete(NSPools, key); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Delete(NSPools, key); err != nil {
+			t.Fatalf("Delete absent = %v", err)
+		}
+		if _, err := st.Get(NSPools, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get deleted = %v", err)
+		}
+		if err := st.Put("Bad NS", key, nil); err == nil {
+			t.Error("Put accepted an invalid namespace")
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFileStoreReopen pins that a fresh Open over an existing directory sees

@@ -19,8 +19,8 @@ import (
 //
 //   - every verify and item-rank query is answered by ONE fused sweep of the
 //     Monte-Carlo sample pool (sweep.go; its verify counts taken through the
-//     pool's kd-tree index where that pays, or stopped early by adaptive
-//     verification, adaptive.go), and
+//     pool's kd-tree index where that pays, or stopped early at a round's
+//     end by adaptive verification), and
 //   - every enumeration-shaped query (top-h, above-threshold, enumerate) is
 //     answered from ONE Enumerator driven to the deepest demand, each query
 //     taking a prefix of that single pass.
@@ -32,8 +32,9 @@ import (
 
 // execPoint answers the verify and item-rank queries. In two dimensions
 // verification is exact per ranking and item ranks come from the sampler
-// stream; otherwise everything that fits the shared pool is answered by one
-// fused sweep, with oversized item-rank requests on the sampler fallback.
+// stream; otherwise everything that fits the shared pool, adaptive verifies
+// included, is answered by one fused sweep, with oversized item-rank
+// requests on the sampler fallback.
 func (a *Analyzer) execPoint(ctx context.Context, queries []Query, verifyIdx, itemIdx []int, out []Result) error {
 	if len(verifyIdx)+len(itemIdx) == 0 {
 		return nil
@@ -86,20 +87,8 @@ func (a *Analyzer) execPoint(ctx context.Context, queries []Query, verifyIdx, it
 		if err != nil {
 			return err
 		}
-		// Adaptive verification peels the verify queries off into the
-		// early-stopping chunked sweep; item-rank queries always consume
-		// their full sample prefix, so they stay on the fused sweep (a mixed
-		// adaptive batch therefore reports two sweeps).
-		if a.adaptiveErr > 0 && len(verifyIdx) > 0 {
-			if err := a.adaptiveSweep(ctx, pool, queries, verifyIdx, out); err != nil {
-				return err
-			}
-			verifyIdx = nil
-		}
-		if len(verifyIdx)+len(fused) > 0 {
-			if err := a.fusedSweep(ctx, pool, queries, verifyIdx, fused, out); err != nil {
-				return err
-			}
+		if err := a.fusedSweep(ctx, pool, queries, verifyIdx, fused, out); err != nil {
+			return err
 		}
 	}
 	for _, i := range oversized {

@@ -178,7 +178,8 @@ func newAnalyzerPool(max, workers int) *analyzerPool {
 // at generation gen and delta version ver. A resident entry of ds's
 // dimension answers through Over: the entry itself at its own version, a
 // view sharing its pool cell at another. Otherwise, on a miss or after a
-// replacement changed the dimension, get constructs a new Analyzer. The
+// replacement changed the dimension, get constructs a new Analyzer and
+// drops the dataset's unreachable entries of an older dimension. The
 // answer replaces the entry's analyzer when (gen, ver) is a newer version
 // than the entry's; a request for an older one (it raced a PATCH or a
 // replacement) leaves the entry alone. A failed construction is not
@@ -198,6 +199,9 @@ func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, gen, ver int
 	} else {
 		p.builds.Add(1)
 		a, err = p.newAnalyzer(key, ds, spec)
+		if err == nil {
+			p.dropOtherDimensionLocked(key, ds.D(), gen)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -219,6 +223,23 @@ func (p *analyzerPool) get(key analyzerKey, ds *stablerank.Dataset, gen, ver int
 		p.evictions.Add(1)
 	}
 	return a, nil
+}
+
+// dropOtherDimensionLocked drops the resident entries of key's dataset, other
+// than key's own, that answer for a generation older than gen at a dimension
+// other than d. A replacement that changed the dimension left them there,
+// and no request can reach them: their region weights no longer validate.
+// A same-dimension replacement keeps its entries and their pools. The
+// caller holds p.mu.
+func (p *analyzerPool) dropOtherDimensionLocked(key analyzerKey, d int, gen int64) {
+	for el := p.order.Front(); el != nil; {
+		next := el.Next()
+		if it := el.Value.(*poolItem); it.key.dataset == key.dataset && it.key != key && it.gen < gen && it.a.Dataset().D() != d {
+			p.order.Remove(el)
+			delete(p.entries, it.key)
+		}
+		el = next
+	}
 }
 
 // newAnalyzer constructs the Analyzer for key over ds. Construction draws

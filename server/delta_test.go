@@ -196,6 +196,52 @@ func TestReplaceThenPatchRepointsAnalyzer(t *testing.T) {
 	}
 }
 
+// TestReplaceDimensionDropsOldEntries: after a replacement changes a
+// dataset's dimension, the first analyzer built at the new dimension drops
+// the dataset's region-restricted entries of the old one, which no request
+// can reach (their weights no longer validate), so /statsz lists no
+// old-dimension row after a read and a PATCH.
+func TestReplaceDimensionDropsOldEntries(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) { c.DefaultSampleCount = 2000 })
+	for _, path := range []string{
+		"/v1/ind3/verify?weights=1,1,1&theta=0.3",
+		"/v1/ind3/verify?weights=1,2,3&cosine=0.99",
+	} {
+		if code, _ := get(t, ts, path, nil); code != http.StatusOK {
+			t.Fatalf("warm %s = %d", path, code)
+		}
+	}
+	if err := s.registry.Add("ind3", seedDataset(12, 4, 99)); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := get(t, ts, "/v1/ind3/verify?weights=1,1,1,1&cosine=0.99", nil); code != http.StatusOK {
+		t.Fatalf("4-d read = %d", code)
+	}
+	if code, body := patchRaw(t, ts.URL, "ind3", `{"deltas":[{"op":"update","id":"i0","attrs":[9,9,9,9]}]}`); code != http.StatusOK {
+		t.Fatalf("patch = %d: %s", code, body)
+	}
+	var stats struct {
+		Analyzers struct {
+			Resident []analyzerStat `json:"resident"`
+		} `json:"analyzers"`
+	}
+	if code, _ := get(t, ts, "/statsz", &stats); code != http.StatusOK {
+		t.Fatalf("statsz = %d", code)
+	}
+	rows := 0
+	for _, st := range stats.Analyzers.Resident {
+		if strings.HasPrefix(st.Key, "ind3@") {
+			rows++
+			if !strings.HasPrefix(st.Key, "ind3@2.0|cosine:1,1,1,1;") {
+				t.Errorf("resident row %s after the 3 -> 4 replacement", st.Key)
+			}
+		}
+	}
+	if rows != 1 {
+		t.Errorf("%d ind3 rows resident, want the one 4-d row: %+v", rows, stats.Analyzers.Resident)
+	}
+}
+
 // TestPatchDatasetValidation pins the PATCH error surface, including batch
 // atomicity: one bad op rejects the whole batch and nothing changes.
 func TestPatchDatasetValidation(t *testing.T) {
@@ -756,8 +802,8 @@ func serve(s *Server, method, target, body string) (int, string) {
 // exact ones. After every read the response bytes equal a fresh server's
 // over the registry's current dataset, the analyzer that answered holds the
 // registry's dataset, the analyzer cache has built an analyzer only for a
-// key's first read at a dimension, and every resident row has drawn its
-// pool once.
+// key's first read at a dimension (since a build at another dimension
+// dropped the key's entry), and every resident row has drawn its pool once.
 func FuzzPatchHistory(f *testing.F) {
 	// Read, PATCH, read the same key; PATCH twice more around a second key's
 	// reads; a same-dimension replacement and a read; a 3 -> 4 replacement
@@ -852,6 +898,13 @@ func FuzzPatchHistory(f *testing.F) {
 					}
 				}
 				if dims[key] != d {
+					// The build drops the other keys' entries of another
+					// dimension, so their next read builds again.
+					for k, kd := range dims {
+						if kd != d {
+							delete(dims, k)
+						}
+					}
 					dims[key] = d
 					builds++
 				}

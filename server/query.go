@@ -15,8 +15,9 @@ import (
 
 // The query pipeline, which every query surface runs: decode into a
 // queryRequest (a POST /v1/query or /v1/jobs body, or a GET or stream URL),
-// place it in a cluster by routingKey, validate it with compileQuery, obtain
-// the shared analyzer with analyzerFor, answer every operation with one
+// place it in a cluster by routingKey, validate it with compileRequest (a job
+// with compileQuery, which also resolves its operations), obtain the shared
+// analyzer with analyzerFor, resolve the operations and answer them with one
 // Analyzer.Do call (one fused sweep of the sample pool for the verify and
 // item-rank operations, one cursor for the enumeration-shaped ones), and map
 // each library result onto the wire with renderOpResult.
@@ -236,8 +237,9 @@ func decodeBody(data []byte, v any) (trailing bool, err error) {
 // compileQuery validates the request against the current dataset and caps
 // and resolves every operation, so a malformed entry rejects the request
 // before any work (execution resolves them again against the dataset it
-// runs on). A list longer than MaxBatchOps is answered 413: the request is
-// well-formed, just bigger than this server accepts.
+// runs on). Job submission and job restore use it, since they must reject at
+// submit time. A list longer than MaxBatchOps is answered 413: the request
+// is well-formed, just bigger than this server accepts.
 func (s *Server) compileQuery(req *queryRequest, limits queryLimits) (*compiledQuery, error) {
 	cq, ds, err := s.compileRequest(req, limits)
 	if err != nil {
@@ -250,8 +252,9 @@ func (s *Server) compileQuery(req *queryRequest, limits queryLimits) (*compiledQ
 }
 
 // compileRequest is compileQuery without resolving the operations, which
-// costs a ranking sort per verify. The GET and stream surfaces resolve them
-// once, after obtaining the analyzer — a GET only on a response-cache miss.
+// costs a ranking sort per verify. POST /v1/query and the GET and stream
+// surfaces resolve them once, after obtaining the analyzer — a GET only on a
+// response-cache miss.
 func (s *Server) compileRequest(req *queryRequest, limits queryLimits) (*compiledQuery, *stablerank.Dataset, error) {
 	ds, _, _, ok := s.registry.Get(req.Dataset)
 	if !ok {
@@ -498,7 +501,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.forward(w, r, s.routingKey(req), raw) {
 		return
 	}
-	cq, err := s.compileQuery(req, s.syncLimits())
+	cq, _, err := s.compileRequest(req, s.syncLimits())
 	if err != nil {
 		writeError(w, err)
 		return

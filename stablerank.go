@@ -206,9 +206,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithAdaptive enables adaptive verification at the given target confidence
-// error (0 < e < 1): verify queries sweep the Monte-Carlo pool in growing
-// chunks and stop as soon as the confidence half-width of the running
-// estimate — at the WithConfidenceLevel level — drops to the target. Any
+// error (0 < e < 1): verify queries sweep the Monte-Carlo pool in rounds of
+// growing size and stop at the first round's end where the confidence
+// half-width of the running estimate — at the WithConfidenceLevel level —
+// is at most the target. Any
 // pool prefix is itself an unbiased iid sample, so an early-stopped estimate
 // carries the usual guarantee at its own (smaller) sample count, reported in
 // Verification.SampleCount with Verification.Adaptive set. A query that

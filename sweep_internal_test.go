@@ -16,8 +16,9 @@ import (
 // Metamorphic equivalence layer for the matrix-matrix sweep: the fused
 // blocked sweep must be bit-equal to the historical per-normal reference
 // (one CountInside pass per ranking over the whole pool) for every seed and
-// worker count, and the adaptive sweep must be deterministic in the worker
-// count and collapse to exactly the full-sweep answer when the pool runs out.
+// worker count, and the adaptive rounds must equal per-ranking CountInside
+// passes over each prefix the schedule ends at, for every worker count, and
+// collapse to exactly the full-sweep answer when the pool runs out.
 
 func testDataset(t *testing.T, seed int64, n, d int) *dataset.Dataset {
 	t.Helper()
@@ -185,57 +186,81 @@ func TestFusedSweepMixedBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepDeterministic: for a fixed pool, adaptive answers —
-// including the stopping row — are identical for every worker count, and an
-// adaptive sweep over a pool too small to clear the target reports exactly
-// the full-sweep answer with Adaptive = false.
+// TestAdaptiveSweepDeterministic: for a fixed pool, adaptive answers equal
+// a prefix oracle for every worker count, scanned or indexed. Per ranking,
+// the oracle counts each prefix the round schedule ends at with its own
+// CountInside and stops at the first whose Equation 10 half-width reaches
+// the target while pool rows remain, or else answers from the whole pool.
+// An item-rank query riding the same rounds keeps the exact sweep's
+// histogram, and an adaptive sweep over a pool too small to clear the
+// target reports exactly the exact sweep's answer with Adaptive = false.
 func TestAdaptiveSweepDeterministic(t *testing.T) {
 	ds := testDataset(t, 9, 7, 4)
 	pool := testPool(t, 109, 60000, 4)
-	queries := verifyQueriesFor(t, ds, 209, 6)
+	rows := pool.Rows()
+	verifies := verifyQueriesFor(t, ds, 209, 6)
+	queries := append(verifies, ItemRankQuery{Item: 1, Samples: 50000})
+	item := len(verifies)
+	alpha := poolAnalyzer(t, ds, pool, 1, false).alpha
 
-	run := func(indexed bool, workers int, target float64) []Result {
-		return doAll(t, poolAnalyzer(t, ds, pool, workers, indexed, WithAdaptive(target)), queries)
+	oracle := func(target float64) []Verification {
+		want := make([]Verification, len(verifies))
+		for i, q := range verifies {
+			m, _, err := md.ConstraintMatrix(ds, q.(VerifyQuery).Ranking)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			est := float64(m.CountInside(pool, 0, rows)) / float64(rows)
+			want[i] = Verification{Stability: est, ConfidenceError: confidenceOf(est, rows, alpha), SampleCount: rows}
+			for pos, chunk := 0, adaptiveChunkMin; pos < rows; chunk = min(2*chunk, adaptiveChunkMax) {
+				pos = min(pos+chunk, rows)
+				est := float64(m.CountInside(pool, 0, pos)) / float64(pos)
+				if ci := confidenceOf(est, pos, alpha); ci <= target && pos < rows {
+					want[i] = Verification{Stability: est, ConfidenceError: ci, SampleCount: pos, Adaptive: true}
+					break
+				}
+			}
+		}
+		return want
 	}
 
-	base := run(false, 1, 0.02)
-	stopped := 0
-	for i := range queries {
-		v := base[i].Verification
-		if v == nil {
-			t.Fatalf("query %d: %v", i, base[i].Err)
-		}
-		if v.Adaptive {
-			stopped++
-			if v.SampleCount >= pool.Rows() || v.SampleCount < adaptiveChunkMin {
-				t.Fatalf("query %d: adaptive SampleCount %d out of range", i, v.SampleCount)
-			}
-			if v.ConfidenceError > 0.02 {
-				t.Fatalf("query %d: stopped with CI %v above target", i, v.ConfidenceError)
+	exact := doAll(t, poolAnalyzer(t, ds, pool, 3, false), queries)
+	for _, target := range []float64{0.02, 0.01, 0.005} {
+		want := oracle(target)
+		stopped := 0
+		for _, w := range want {
+			if w.Adaptive {
+				stopped++
 			}
 		}
-	}
-	if stopped == 0 {
-		t.Fatal("no query stopped early at a loose target on a 60k pool")
-	}
-	for _, mode := range poolModes {
-		for _, workers := range []int{1, 2, 3, 8} {
-			out := run(mode.indexed, workers, 0.02)
-			for i := range queries {
-				g, w := out[i].Verification, base[i].Verification
-				if g.Stability != w.Stability || g.SampleCount != w.SampleCount || g.Adaptive != w.Adaptive || g.ConfidenceError != w.ConfidenceError {
-					t.Fatalf("%s workers=%d query %d: adaptive outcome diverged (%+v vs %+v)", mode.name, workers, i, g, w)
+		if target == 0.02 && stopped == 0 {
+			t.Fatal("no query stopped early at a loose target on a 60k pool")
+		}
+		for _, mode := range poolModes {
+			for _, workers := range []int{1, 2, 3, 8} {
+				out := doAll(t, poolAnalyzer(t, ds, pool, workers, mode.indexed, WithAdaptive(target)), queries)
+				for i, w := range want {
+					g := out[i].Verification
+					if g == nil {
+						t.Fatalf("%s target=%v workers=%d query %d: %v", mode.name, target, workers, i, out[i].Err)
+					}
+					if g.Stability != w.Stability || g.ConfidenceError != w.ConfidenceError || g.SampleCount != w.SampleCount || g.Adaptive != w.Adaptive {
+						t.Fatalf("%s target=%v workers=%d query %d: adaptive answer %+v, prefix oracle %+v", mode.name, target, workers, i, *g, w)
+					}
+				}
+				got, exp := out[item].RankDistribution, exact[item].RankDistribution
+				if got == nil || got.Samples != exp.Samples || got.Best != exp.Best || got.Worst != exp.Worst || !maps.Equal(got.Counts, exp.Counts) {
+					t.Fatalf("%s target=%v workers=%d: item-rank histogram %+v, exact sweep %+v", mode.name, target, workers, got, exp)
 				}
 			}
 		}
 	}
 
 	// An unreachable target must fall through to the exact full-pool answer.
-	exact := doAll(t, poolAnalyzer(t, ds, pool, 3, false), queries)
-	strict := run(false, 3, 1e-12)
-	for i := range queries {
+	strict := doAll(t, poolAnalyzer(t, ds, pool, 3, false, WithAdaptive(1e-12)), queries)
+	for i := range verifies {
 		g, w := strict[i].Verification, exact[i].Verification
-		if g.Adaptive || g.SampleCount != pool.Rows() || g.Stability != w.Stability || g.ConfidenceError != w.ConfidenceError {
+		if g.Adaptive || g.SampleCount != rows || g.Stability != w.Stability || g.ConfidenceError != w.ConfidenceError {
 			t.Fatalf("query %d: exhausted adaptive sweep != exact sweep (%+v vs %+v)", i, g, w)
 		}
 	}
