@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,51 +15,33 @@ import (
 	"stablerank"
 )
 
-// JSON response shapes. Item references are rendered as IDs (with their
-// dataset index alongside) so responses stay meaningful when clients never
-// saw the CSV row order.
-
-type itemRef struct {
-	Index int    `json:"index"`
-	ID    string `json:"id"`
-}
-
-type stableResponse struct {
-	Rank            int       `json:"rank"`
-	Stability       float64   `json:"stability"`
-	Exact           bool      `json:"exact"`
-	Items           []itemRef `json:"items"`
-	Weights         []float64 `json:"weights,omitempty"`
-	ConfidenceError float64   `json:"confidence_error,omitempty"`
-}
-
-// getResponse is a GET /v1/{dataset}/{op} answer: the operation's result,
-// as in a POST /v1/query results list, plus the dataset name.
-type getResponse struct {
-	Dataset string `json:"dataset"`
-	opResult
-}
-
-// pageResponse is a GET /v1/{dataset}/rankings answer: one page of an
-// enumerate operation.
-type pageResponse struct {
-	Dataset string           `json:"dataset"`
-	Page    int              `json:"page"`
-	PerPage int              `json:"per_page"`
-	HasMore bool             `json:"has_more"`
-	Results []stableResponse `json:"results"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// marshalJSON encodes v, newline included, as encoding/json does with HTML
+// escaping off: the rule every answer is rendered by (render.go).
+func marshalJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeJSON writes a body that is not a query answer — an error, /healthz,
+// /statsz, /datasets, a PATCH or a job envelope — with marshalJSON. The body
+// is encoded before the status line is written, so an encoding failure is
+// answered 500.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := marshalJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = marshalJSON(errorResponse{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -106,7 +89,8 @@ func (s *Server) handleV1Get(w http.ResponseWriter, r *http.Request) {
 // concurrent identical GETs still coalesce onto one analyzer; the cache key
 // is the analyzer key at the dataset's version (see analyzerKey.at) plus the
 // canonical operation, so a hit costs the URL parse and that lookup — no
-// ranking is computed and nothing is encoded.
+// ranking is computed and nothing is rendered. A miss renders the answer
+// once, into the cache.
 func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op string) {
 	// An already-expired request deadline surfaces as a 504 before any work.
 	if err := r.Context().Err(); err != nil {
@@ -126,7 +110,7 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op
 		writeError(w, err)
 		return
 	}
-	ds, a, vkey, err := s.analyzerFor(cq)
+	e, a, vkey, err := s.analyzerFor(cq)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -139,12 +123,12 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op
 	}
 	if spec.Op == "itemrank" {
 		// The URL names the item, so a missing one is a missing resource.
-		if _, ok := itemIndex(ds, spec.Item); !ok {
+		if _, ok := itemIndex(e.ds, spec.Item); !ok {
 			writeError(w, errNotFound("item %q not in dataset %q", spec.Item, name))
 			return
 		}
 	}
-	queries, results, err := s.answer(r.Context(), cq, ds, a)
+	queries, results, err := s.answer(r.Context(), cq, e.ds, a)
 	if err == nil {
 		err = results[0].Err
 	}
@@ -152,17 +136,18 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request, name, op
 		writeError(w, err)
 		return
 	}
-	var resp any
+	rd := newRenderer(e.items())
+	defer rd.release()
 	if spec.perPage > 0 {
-		resp = s.renderPage(ds, name, spec, results[0].Stables)
+		rd.page(name, spec, results[0].Stables)
 	} else {
-		resp = getResponse{Dataset: name, opResult: s.renderOpResult(ds, spec, queries[0], results[0])}
+		rd.getAnswer(name, spec, queries[0], results[0])
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, err)
+	if rd.err != nil {
+		writeError(w, rd.err)
 		return
 	}
+	body := bytes.Clone(rd.b)
 	s.cache.put(key, body)
 	serveBody(w, body, "miss")
 }
@@ -303,19 +288,6 @@ func enumOp(q url.Values, op string, maxDepth int) (querySpec, error) {
 	return querySpec{}, errBadRequest("op must be enumerate, toph or above")
 }
 
-// renderPage slices one page out of an enumeration that runs one past the
-// page's end (or to exhaustion); has_more is whether that extra ranking
-// exists.
-func (s *Server) renderPage(ds *stablerank.Dataset, name string, spec querySpec, stables []stablerank.Stable) pageResponse {
-	start := min(spec.page*spec.perPage, len(stables))
-	end := min(start+spec.perPage, len(stables))
-	return pageResponse{
-		Dataset: name, Page: spec.page, PerPage: spec.perPage,
-		HasMore: len(stables) > start+spec.perPage,
-		Results: s.stableResponses(ds, stables[start:end], start),
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"status":   "ok",
@@ -452,30 +424,6 @@ func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // Helpers.
-
-func (s *Server) itemRefs(ds *stablerank.Dataset, order []int) []itemRef {
-	limit := min(len(order), s.cfg.MaxRankingItems)
-	refs := make([]itemRef, limit)
-	for i := 0; i < limit; i++ {
-		refs[i] = itemRef{Index: order[i], ID: ds.Item(order[i]).ID}
-	}
-	return refs
-}
-
-func (s *Server) stableResponses(ds *stablerank.Dataset, stables []stablerank.Stable, rankOffset int) []stableResponse {
-	out := make([]stableResponse, len(stables))
-	for i, st := range stables {
-		out[i] = stableResponse{
-			Rank:            rankOffset + i + 1,
-			Stability:       st.Stability,
-			Exact:           st.Exact,
-			Items:           s.itemRefs(ds, st.Ranking.Order),
-			Weights:         st.Weights,
-			ConfidenceError: st.ConfidenceError,
-		}
-	}
-	return out
-}
 
 // parseRanking parses comma-separated item IDs into a full ranking of ds.
 func parseRanking(s string, ds *stablerank.Dataset) (stablerank.Ranking, error) {

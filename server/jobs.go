@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
@@ -29,7 +31,9 @@ const (
 
 // job is one asynchronous query request. Mutable fields are guarded by the
 // store's mutex; result/errMsg are written exactly once, before the state
-// leaves jobRunning.
+// leaves jobRunning. result is the rendered answer, a POST /v1/query body:
+// rendered once when the job finishes, then stored, persisted and served as
+// those bytes.
 type job struct {
 	id      string
 	cq      *compiledQuery
@@ -39,7 +43,7 @@ type job struct {
 	ended   time.Time
 	expires time.Time // zero until finished; finished + TTL
 	cancel  context.CancelFunc
-	result  *queryResponse
+	result  []byte
 	errMsg  string
 }
 
@@ -60,7 +64,7 @@ type jobStore struct {
 	workers int
 	ttl     time.Duration
 	timeout time.Duration
-	exec    func(context.Context, *compiledQuery) (*queryResponse, error)
+	exec    func(context.Context, *compiledQuery) (*renderer, error)
 	persist *jobPersister // nil = no persistence
 
 	baseCtx   context.Context //srlint:ctxflow worker-pool lifetime context, owned by the store and cancelled in close()
@@ -75,7 +79,7 @@ type jobStore struct {
 
 // newJobStore starts the worker pool. workers < 0 disables the subsystem
 // (submit answers 503).
-func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(context.Context, *compiledQuery) (*queryResponse, error), persist *jobPersister) *jobStore {
+func newJobStore(workers, queueSize int, ttl, timeout time.Duration, exec func(context.Context, *compiledQuery) (*renderer, error), persist *jobPersister) *jobStore {
 	if workers < 0 {
 		workers = 0
 	}
@@ -160,7 +164,12 @@ func (st *jobStore) run(j *job) {
 	}
 	defer cancel()
 
-	resp, err := st.exec(ctx, j.cq)
+	var result []byte
+	rd, err := st.exec(ctx, j.cq)
+	if err == nil {
+		result = bytes.Clone(rd.b)
+		rd.release()
+	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -188,7 +197,7 @@ func (st *jobStore) run(j *job) {
 		st.failed.Add(1)
 	} else {
 		j.state = jobDone
-		j.result = resp
+		j.result = result
 		st.completed.Add(1)
 	}
 	if st.persist != nil {
@@ -320,21 +329,22 @@ func (st *jobStore) counts() jobCounts {
 	return c
 }
 
-// jobResponse is the wire form of a job.
-type jobResponse struct {
-	ID       string         `json:"id"`
-	Status   string         `json:"status"`
-	Created  time.Time      `json:"created"`
-	Started  *time.Time     `json:"started,omitempty"`
-	Finished *time.Time     `json:"finished,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	Result   *queryResponse `json:"result,omitempty"`
+// jobEnvelope is the wire form of a job. A finished job's result is its
+// rendered answer, sent as stored.
+type jobEnvelope struct {
+	ID       string          `json:"id"`
+	Status   string          `json:"status"`
+	Created  time.Time       `json:"created"`
+	Started  *time.Time      `json:"started,omitempty"`
+	Finished *time.Time      `json:"finished,omitempty"`
+	Error    string          `json:"error,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
 }
 
-func (st *jobStore) render(j *job) jobResponse {
+func (st *jobStore) envelope(j *job) jobEnvelope {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	resp := jobResponse{
+	resp := jobEnvelope{
 		ID:      j.id,
 		Status:  string(j.state),
 		Created: j.created,
@@ -372,7 +382,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.jobs.render(j))
+	writeJSON(w, http.StatusAccepted, s.jobs.envelope(j))
 }
 
 // handleGetJob is GET /v1/jobs/{id}, dispatched via handleV1Get.
@@ -382,7 +392,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, _ *http.Request, id string)
 		writeError(w, errNotFound("unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.render(j))
+	writeJSON(w, http.StatusOK, s.jobs.envelope(j))
 }
 
 // handleDeleteJob is DELETE /v1/jobs/{id}: cancel a queued or running job,

@@ -99,7 +99,7 @@ func TestQuerySurfacesAgree(t *testing.T) {
 				if err != nil || res[0].Err != nil {
 					t.Fatalf("Do: %v / %v", err, res[0].Err)
 				}
-				libRes := jsonValue(t, s.renderOpResult(ds, tc.spec, tc.query, res[0]))
+				libRes := jsonValue(t, renderOpResult(ds, tc.spec, tc.query, res[0]))
 
 				if !reflect.DeepEqual(postRes, libRes) {
 					t.Errorf("POST /v1/query result differs from Analyzer.Do:\n post %v\n  lib %v", postRes, libRes)

@@ -173,16 +173,17 @@ func (k *keyedPoolCache) Save(snapshot []byte) {
 
 // jobRecord is the persisted lifecycle of one async job. The original
 // request travels with it so an unfinished job can be recompiled against the
-// reloaded registry after a restart.
+// reloaded registry after a restart, and a finished job's rendered result
+// so the restarted server serves the same bytes.
 type jobRecord struct {
-	ID      string         `json:"id"`
-	State   string         `json:"state"`
-	Created time.Time      `json:"created"`
-	Started *time.Time     `json:"started,omitempty"`
-	Ended   *time.Time     `json:"ended,omitempty"`
-	Request *queryRequest  `json:"request,omitempty"`
-	Error   string         `json:"error,omitempty"`
-	Result  *queryResponse `json:"result,omitempty"`
+	ID      string          `json:"id"`
+	State   string          `json:"state"`
+	Created time.Time       `json:"created"`
+	Started *time.Time      `json:"started,omitempty"`
+	Ended   *time.Time      `json:"ended,omitempty"`
+	Request *queryRequest   `json:"request,omitempty"`
+	Error   string          `json:"error,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
 }
 
 // jobPersister writes job records through the store.
@@ -219,7 +220,9 @@ func (p *jobPersister) saveJob(j *job) {
 		t := j.ended
 		rec.Ended = &t
 	}
-	data, err := json.Marshal(rec)
+	// HTML escaping off, or json.Marshal would rewrite <, > and & inside the
+	// rendered result, and a restored job would serve other bytes.
+	data, err := marshalJSON(rec)
 	if err != nil {
 		p.logf("stablerankd: encoding job %s record: %v", j.id, err)
 		return

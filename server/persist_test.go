@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"stablerank"
 	"stablerank/internal/store"
 )
 
@@ -310,5 +312,107 @@ func TestBootReclaimsRetiredCheckpoints(t *testing.T) {
 	}
 	if b := s.store.SizeBytes(); b != 0 {
 		t.Fatalf("store holds %d bytes after boot, want 0", b)
+	}
+}
+
+// jobResultBytes fetches GET /v1/jobs/{id} and returns the raw bytes of its
+// result.
+func jobResultBytes(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Status string          `json:"status"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || env.Status != string(jobDone) {
+		t.Fatalf("job %s = %d %s", id, resp.StatusCode, env.Status)
+	}
+	return env.Result
+}
+
+// TestJobResultSurvivesRestart: a finished job's record persists its
+// rendered result, HTML escaping off, so after a restart the job serves the
+// bytes it served before.
+func TestJobResultSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	ds := stablerank.MustDataset(2)
+	for i, id := range awkwardIDs {
+		ds.MustAdd(id, float64(i), float64(len(awkwardIDs)-i*i%7))
+	}
+	if err := s1.Registry().Add("awk", ds); err != nil {
+		t.Fatal(err)
+	}
+	j, code := submitJob(t, ts1, `{"dataset":"awk","queries":[{"op":"toph","h":3},{"op":"verify","weights":[1,2]},{"op":"itemrank","item":"a<b&c>","n":500,"k":2}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	pollJob(t, ts1, j.ID, 10*time.Second)
+	before := jobResultBytes(t, ts1, j.ID)
+	if !bytes.Contains(before, []byte(`"id":"a<b&c>"`)) {
+		t.Fatalf("job result escapes HTML characters: %s", before)
+	}
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	if after := jobResultBytes(t, ts2, j.ID); !bytes.Equal(after, before) {
+		t.Fatalf("restored job serves other bytes:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestJobRecordParentFormatRestores: a finished job's record written by
+// the earlier format — its result a queryResponse encoded by json.Marshal,
+// HTML escaping on — still restores, and its result decodes to the same
+// value.
+func TestJobRecordParentFormatRestores(t *testing.T) {
+	dir := t.TempDir()
+	stability, confidence, exact := 0.25, 0.01, false
+	want := queryResponse{Dataset: "fig1", Results: []opResult{
+		{Op: "verify", Ranking: []itemRef{{Index: 1, ID: `a<b&c>`}, {Index: 0, ID: "t2"}}, Stability: &stability,
+			ConfidenceError: &confidence, Exact: &exact, SampleCount: 4000},
+		{Op: "toph", H: 1, Rankings: []stableResponse{{Rank: 1, Stability: 0.5, Items: []itemRef{{Index: 0, ID: `"q"\`}}}}},
+	}}
+	ended := time.Now().Add(-time.Second)
+	recBytes, err := json.Marshal(struct {
+		ID      string         `json:"id"`
+		State   string         `json:"state"`
+		Created time.Time      `json:"created"`
+		Ended   *time.Time     `json:"ended,omitempty"`
+		Request *queryRequest  `json:"request,omitempty"`
+		Result  *queryResponse `json:"result,omitempty"`
+	}{ID: "j5", State: string(jobDone), Created: ended, Ended: &ended,
+		Request: &queryRequest{Dataset: "fig1", Queries: []querySpec{{Op: "toph", H: 1}}}, Result: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(recBytes, []byte(`\u003c`)) {
+		t.Fatalf("record is not HTML-escaped as the earlier format was: %s", recBytes)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.NSJobs, "j5", recBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	var got jobResponse
+	if code, _ := get(t, ts, "/v1/jobs/j5", &got); code != http.StatusOK || got.Status != string(jobDone) {
+		t.Fatalf("restored job = %d %+v", code, got)
+	}
+	if !reflect.DeepEqual(got.Result, &want) {
+		t.Fatalf("restored result = %+v, want %+v", got.Result, want)
 	}
 }

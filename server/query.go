@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"stablerank"
 )
@@ -19,8 +18,8 @@ import (
 // with compileQuery, which also resolves its operations), obtain the shared
 // analyzer with analyzerFor, resolve the operations and answer them with one
 // Analyzer.Do call (one fused sweep of the sample pool for the verify and
-// item-rank operations, one cursor for the enumeration-shaped ones), and map
-// each library result onto the wire with renderOpResult.
+// item-rank operations, one cursor for the enumeration-shaped ones), and
+// append the answer straight to bytes with a renderer (render.go).
 
 // querySpec is one operation in the request's queries list. Op selects the
 // operation; the remaining fields are op-specific and ignored otherwise.
@@ -100,56 +99,6 @@ func (s *Server) routingKey(req *queryRequest) string {
 	spec := regionSpec{weights: req.Weights, theta: req.Theta, cosine: req.Cosine}
 	seed, samples := s.seedAndSamples(req)
 	return analyzerKey{dataset: req.Dataset, region: spec.canonical(), seed: seed, samples: samples, adaptive: req.Adaptive}.at(0, 0)
-}
-
-// facetResponse is one boundary facet: the adjacent pair whose exchange the
-// facet realizes, plus the constraint normal (positive side = inside).
-type facetResponse struct {
-	Upper  itemRef   `json:"upper"`
-	Lower  itemRef   `json:"lower"`
-	Normal []float64 `json:"normal"`
-}
-
-// opResult is one operation's outcome; the fields matching the echoed Op are
-// populated, or Error alone when that operation failed.
-type opResult struct {
-	Op    string `json:"op"`
-	Error string `json:"error,omitempty"`
-
-	// verify
-	Ranking         []itemRef `json:"ranking,omitempty"`
-	Stability       *float64  `json:"stability,omitempty"`
-	ConfidenceError *float64  `json:"confidence_error,omitempty"`
-	Exact           *bool     `json:"exact,omitempty"`
-	SampleCount     int       `json:"sample_count,omitempty"`
-	// Adaptive reports that this verify stopped early under the request's
-	// adaptive target; sample_count is then the rows actually swept.
-	Adaptive bool `json:"adaptive,omitempty"`
-
-	// toph / above / enumerate. Rankings is present (possibly empty) for
-	// these operations and absent for the others.
-	H         int              `json:"h,omitempty"`
-	Threshold float64          `json:"threshold,omitempty"`
-	Limit     int              `json:"limit,omitempty"`
-	Rankings  []stableResponse `json:"rankings,omitzero"`
-
-	// itemrank
-	Item           *itemRef       `json:"item,omitempty"`
-	Samples        int            `json:"samples,omitempty"`
-	Best           int            `json:"best,omitempty"`
-	Worst          int            `json:"worst,omitempty"`
-	Mode           int            `json:"mode,omitempty"`
-	Median         int            `json:"median,omitempty"`
-	Counts         map[string]int `json:"counts,omitempty"`
-	ProbabilityTop map[string]any `json:"probability_top,omitempty"`
-
-	// boundary
-	Facets []facetResponse `json:"facets,omitempty"`
-}
-
-type queryResponse struct {
-	Dataset string     `json:"dataset"`
-	Results []opResult `json:"results"`
 }
 
 // queryLimits separates the synchronous caps from the async ones: the jobs
@@ -385,22 +334,24 @@ func itemIndex(ds *stablerank.Dataset, id string) (int, bool) {
 }
 
 // analyzerFor re-resolves a compiled query's dataset and obtains the shared
-// analyzer for its key over it, returning alongside the key rendered at the
-// dataset's version (the response cache's key prefix).
-func (s *Server) analyzerFor(cq *compiledQuery) (*stablerank.Dataset, *stablerank.Analyzer, string, error) {
-	ds, gen, ver, ok := s.registry.Get(cq.dataset)
+// analyzer for its key over it. It returns the registry entry it read — the
+// dataset with the item references its answers render from, read together —
+// and the key rendered at the dataset's version (the response cache's key
+// prefix).
+func (s *Server) analyzerFor(cq *compiledQuery) (*registryEntry, *stablerank.Analyzer, string, error) {
+	e, ok := s.registry.entry(cq.dataset)
 	if !ok {
 		return nil, nil, "", errNotFound("unknown dataset %q", cq.dataset)
 	}
 	key := analyzerKey{dataset: cq.dataset, region: cq.spec.canonical(), seed: cq.seed, samples: cq.samples, adaptive: cq.adaptive}
-	a, err := s.analyzers.get(key, ds, gen, ver, cq.spec)
+	a, err := s.analyzers.get(key, e.ds, e.gen, e.ver, cq.spec)
 	if err != nil {
 		if _, isStatus := err.(statusError); !isStatus {
 			err = errBadRequest("building analyzer: %v", err)
 		}
 		return nil, nil, "", err
 	}
-	return ds, a, key.at(gen, ver), nil
+	return e, a, key.at(e.gen, e.ver), nil
 }
 
 // answer resolves the operations against ds and answers them all with one
@@ -414,84 +365,29 @@ func (s *Server) answer(ctx context.Context, cq *compiledQuery, ds *stablerank.D
 	return queries, results, err
 }
 
-// execQuery runs a compiled query now, under ctx, and renders every
-// operation's result. It is shared by POST /v1/query and the job workers.
-func (s *Server) execQuery(ctx context.Context, cq *compiledQuery) (*queryResponse, error) {
-	ds, a, _, err := s.analyzerFor(cq)
+// execQuery runs a compiled query now, under ctx, and renders its answer —
+// the POST /v1/query body without the closing newline — into a pooled
+// renderer the caller releases. It is shared by POST /v1/query and the job
+// workers.
+func (s *Server) execQuery(ctx context.Context, cq *compiledQuery) (*renderer, error) {
+	e, a, _, err := s.analyzerFor(cq)
 	if err != nil {
 		return nil, err
 	}
-	queries, results, err := s.answer(ctx, cq, ds, a)
+	queries, results, err := s.answer(ctx, cq, e.ds, a)
 	if err != nil {
 		return nil, err
 	}
-	resp := &queryResponse{Dataset: cq.dataset, Results: make([]opResult, len(results))}
-	for i, res := range results {
-		resp.Results[i] = s.renderOpResult(ds, cq.specs[i], queries[i], res)
+	rd := newRenderer(e.items())
+	rd.queryBody(cq.dataset, cq.specs, queries, results)
+	if rd.err != nil {
+		rd.release()
+		return nil, rd.err
 	}
-	return resp, nil
+	return rd, nil
 }
 
-// renderOpResult maps one library Result onto the wire shape.
-func (s *Server) renderOpResult(ds *stablerank.Dataset, spec querySpec, q stablerank.Query, res stablerank.Result) opResult {
-	out := opResult{Op: spec.Op}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-		return out
-	}
-	switch spec.Op {
-	case "verify":
-		v := res.Verification
-		out.Ranking = s.itemRefs(ds, q.(stablerank.VerifyQuery).Ranking.Order)
-		out.Stability = &v.Stability
-		out.ConfidenceError = &v.ConfidenceError
-		out.Exact = &v.Exact
-		out.SampleCount = v.SampleCount
-		out.Adaptive = v.Adaptive
-	case "toph":
-		out.H = spec.H
-		out.Rankings = s.stableResponses(ds, res.Stables, 0)
-	case "above":
-		out.Threshold = spec.S
-		out.Rankings = s.stableResponses(ds, res.Stables, 0)
-	case "enumerate":
-		out.Limit = q.(stablerank.EnumerateQuery).Limit
-		out.Rankings = s.stableResponses(ds, res.Stables, 0)
-	case "itemrank":
-		dist := res.RankDistribution
-		idx := q.(stablerank.ItemRankQuery).Item
-		counts := make(map[string]int, len(dist.Counts))
-		for rnk, c := range dist.Counts { //srlint:ordered map-to-map rekey; json.Marshal renders object keys sorted
-			counts[strconv.Itoa(rnk)] = c
-		}
-		out.Item = &itemRef{Index: idx, ID: spec.Item}
-		out.Samples = dist.Samples
-		out.Best = dist.Best
-		out.Worst = dist.Worst
-		out.Mode = dist.Mode()
-		out.Median = dist.Quantile(0.5)
-		out.Counts = counts
-		if spec.K > 0 {
-			out.ProbabilityTop = map[string]any{
-				"k":           spec.K,
-				"probability": dist.ProbabilityTopK(spec.K),
-			}
-		}
-	case "boundary":
-		facets := make([]facetResponse, len(res.Facets))
-		for i, f := range res.Facets {
-			facets[i] = facetResponse{
-				Upper:  itemRef{Index: f.Upper, ID: ds.Item(f.Upper).ID},
-				Lower:  itemRef{Index: f.Lower, ID: ds.Item(f.Lower).ID},
-				Normal: f.Halfspace.Normal,
-			}
-		}
-		out.Facets = facets
-	}
-	return out
-}
-
-// handleQuery is POST /v1/query.
+// handleQuery is POST /v1/query. The body goes out in one Write.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	raw, req, err := readQueryRequest(w, r)
 	if err != nil {
@@ -506,10 +402,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp, err := s.execQuery(r.Context(), cq)
+	rd, err := s.execQuery(r.Context(), cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	defer rd.release()
+	rd.raw("\n")
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(rd.b)
 }

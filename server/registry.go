@@ -24,6 +24,9 @@ type Registry struct {
 	store   store.Store               // nil until AttachStore
 }
 
+// registryEntry is one version of a named dataset. It is immutable once
+// installed — a registration or PATCH installs a new entry — except for its
+// item references, which the first answer rendered from it builds.
 type registryEntry struct {
 	ds  *stablerank.Dataset
 	gen int64
@@ -35,6 +38,16 @@ type registryEntry struct {
 	// cache) is in-memory, so after a restart ver 0 over the persisted
 	// dataset is consistent by construction.
 	ver int64
+
+	itemsOnce sync.Once
+	itemTable *itemTable // see items
+}
+
+// items returns the entry's rendered item references, building them on
+// first use: at most once per dataset version, freed with the entry.
+func (e *registryEntry) items() *itemTable {
+	e.itemsOnce.Do(func() { e.itemTable = newItemTable(e.ds) })
+	return e.itemTable
 }
 
 // datasetNameRE bounds names to something that is safe in URLs and cache
@@ -134,7 +147,8 @@ func (r *Registry) AttachStore(st store.Store, logf func(format string, args ...
 		persisted[name] = true
 		if prev, ok := r.entries[name]; ok {
 			if g := int64(gen); g >= prev.gen {
-				prev.gen = g + 1
+				prev = &registryEntry{ds: prev.ds, gen: g + 1}
+				r.entries[name] = prev
 			}
 			if err := persistDataset(st, name, prev); err != nil {
 				return loaded, fmt.Errorf("server: re-persisting dataset %q: %w", name, err)
@@ -186,13 +200,20 @@ func (r *Registry) LoadCSVFile(name, path string, hasHeader bool) error {
 // generation (monotonic per name, starting at 1) and its delta version
 // (bumped by ApplyDeltas, reset by a full replacement).
 func (r *Registry) Get(name string) (ds *stablerank.Dataset, gen, ver int64, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
+	e, ok := r.entry(name)
 	if !ok {
 		return nil, 0, 0, false
 	}
 	return e.ds, e.gen, e.ver, true
+}
+
+// entry returns the entry registered under name: one version's dataset,
+// generation, delta version and item references, read together.
+func (r *Registry) entry(name string) (*registryEntry, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[name]
+	return e, ok
 }
 
 // ApplyDeltas mutates the dataset registered under name by applying the

@@ -38,7 +38,9 @@
 // cache keyed by analyzer and canonical operation; GET /v1/query/stream
 // emits one NDJSON line per enumerated ranking with the running stability
 // mass; and POST /v1/jobs runs a POST /v1/query body on a bounded worker
-// pool, for enumerations too long to hold a connection open.
+// pool, for enumerations too long to hold a connection open. Every answer
+// is rendered once, straight to bytes, by one renderer (render.go) — the
+// bytes encoding/json writes for the same shape with HTML escaping off.
 //
 // The GET endpoints share the region parameters ?weights= (comma-separated)
 // with optional ?theta= (hypercone half-angle) or ?cosine= (minimum cosine
@@ -122,9 +124,6 @@ type Config struct {
 	// them the retained Monte-Carlo sample pools; least recently used ones
 	// are evicted beyond it (default 64).
 	MaxAnalyzers int
-	// MaxRankingItems truncates rankings in responses to this many leading
-	// items (default 100).
-	MaxRankingItems int
 	// Workers is the per-analyzer worker count for sample-pool builds and
 	// batch sweeps (default 0 = GOMAXPROCS). Results are deterministic
 	// regardless of this value; it is a throughput knob only.
@@ -220,9 +219,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxAnalyzers == 0 {
 		c.MaxAnalyzers = 64
-	}
-	if c.MaxRankingItems == 0 {
-		c.MaxRankingItems = 100
 	}
 	if c.MaxBatchOps == 0 {
 		c.MaxBatchOps = 256

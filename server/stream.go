@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/url"
@@ -26,32 +25,6 @@ import (
 // "truncated" field reports whether the cap (rather than exhaustion or the
 // query's own bound) ended it.
 
-// streamLine is one enumerated ranking on the wire.
-type streamLine struct {
-	Rank            int       `json:"rank"`
-	Stability       float64   `json:"stability"`
-	ConfidenceError float64   `json:"confidence_error,omitempty"`
-	Cumulative      float64   `json:"cumulative_stability"`
-	Exact           bool      `json:"exact,omitempty"`
-	Items           []itemRef `json:"items"`
-	Weights         []float64 `json:"weights,omitempty"`
-}
-
-// streamSummary is the final NDJSON line.
-type streamSummary struct {
-	Done       bool    `json:"done"`
-	Count      int     `json:"count"`
-	Cumulative float64 `json:"cumulative_stability"`
-	Truncated  bool    `json:"truncated"`
-}
-
-// streamError is the terminal line of a failed stream; once rows have been
-// flushed the status code is already written, so mid-stream failures are
-// reported in-band.
-type streamError struct {
-	Error string `json:"error"`
-}
-
 // handleQueryStream is GET /v1/query/stream: the URL decodes into a
 // one-operation query request that runs through the query pipeline, and
 // the operation's rankings are written as they are enumerated. Streams are
@@ -67,12 +40,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ds, a, _, err := s.analyzerFor(cq)
+	e, a, _, err := s.analyzerFor(cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	queries, err := cq.buildQueries(s, ds)
+	queries, err := cq.buildQueries(s, e.ds)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -81,12 +54,25 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // disable proxy buffering
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	rd := newRenderer(e.items())
+	defer rd.release()
 
 	count, mass := 0, 0.0
 	truncated := false
 	for res, err := range a.Stream(r.Context(), queries[0]) {
+		if err == nil {
+			// The cap is checked before emitting, so a stream that ends
+			// exactly at MaxStreamRows by its own bound or exhaustion is not
+			// marked truncated — only one the cap actually cut off.
+			if count >= s.cfg.MaxStreamRows {
+				truncated = true
+				break
+			}
+			mass += res.Stable.Stability
+			rd.reset()
+			rd.streamLine(count+1, *res.Stable, mass)
+			err = rd.err
+		}
 		if err != nil {
 			// Before the first line the status code is still open: report
 			// client hang-ups and real failures properly. Mid-stream, the
@@ -96,38 +82,24 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if !errors.Is(err, r.Context().Err()) {
-				_ = enc.Encode(streamError{Error: err.Error()})
+				rd.reset()
+				rd.streamError(err.Error())
+				_, _ = w.Write(rd.b)
 			}
 			return
 		}
-		// The cap is checked before emitting, so a stream that ends exactly
-		// at MaxStreamRows by its own bound or exhaustion is not marked
-		// truncated — only one the cap actually cut off.
-		if count >= s.cfg.MaxStreamRows {
-			truncated = true
-			break
-		}
-		st := res.Stable
-		count++
-		mass += st.Stability
-		line := streamLine{
-			Rank:            count,
-			Stability:       st.Stability,
-			ConfidenceError: st.ConfidenceError,
-			Cumulative:      mass,
-			Exact:           st.Exact,
-			Items:           s.itemRefs(ds, st.Ranking.Order),
-			Weights:         st.Weights,
-		}
-		if err := enc.Encode(line); err != nil {
+		if _, err := w.Write(rd.b); err != nil {
 			return // client went away mid-write
 		}
+		count++
 		s.streamedRows.Add(1)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	_ = enc.Encode(streamSummary{Done: true, Count: count, Cumulative: mass, Truncated: truncated})
+	rd.reset()
+	rd.streamSummary(count, mass, truncated)
+	_, _ = w.Write(rd.b)
 	if flusher != nil {
 		flusher.Flush()
 	}
